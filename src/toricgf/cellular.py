@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .intlinalg import (
     determinant,
+    greedy_basis,
     invariant_factors,
     is_zero_matrix,
     matmul,
@@ -23,6 +24,11 @@ from .polyhedral import Fan
 
 class NotFaceClosed(Exception):
     """The selected cone ids do not form a subcomplex."""
+
+
+class NoIncidenceWitness(Exception):
+    """No ray of a cone extends the basis of its facet to a basis of the
+    cone, which means the rank computations behind the fan are wrong."""
 
 
 @dataclass
@@ -45,16 +51,6 @@ class CellComplex:
         return self.fan.zero_id
 
 
-def _greedy_ray_basis(rays):
-    basis = []
-    r = 0
-    for v in rays:
-        if rank([list(b) for b in basis] + [list(v)]) > r:
-            basis.append(v)
-            r += 1
-    return basis
-
-
 def cell_complex(f: Fan) -> CellComplex:
     """Build the sphere cell complex of a complete fan."""
     n = f.ambient_dim
@@ -64,7 +60,7 @@ def cell_complex(f: Fan) -> CellComplex:
     for i, c in enumerate(f.cones):
         if c.dim == 0:
             continue
-        b = _greedy_ray_basis(c.rays)
+        b = greedy_basis(c.rays)
         if c.dim == n and n >= 2:
             cols = [[b[j][i2] for j in range(n)] for i2 in range(n)]
             if determinant(cols) < 0:
@@ -73,6 +69,17 @@ def cell_complex(f: Fan) -> CellComplex:
         cells[c.dim - 1].append(i)
     return CellComplex(fan=f, basis=basis,
                        cells_by_degree={d: tuple(ids) for d, ids in cells.items()})
+
+
+def fan_cell_complex(f: Fan) -> CellComplex:
+    """The fan's cell complex, built on first use and then kept on the fan,
+    so that the completeness check and every later homology share one set
+    of incidences and one homology memo."""
+    cc = getattr(f, "_cell_complex", None)
+    if cc is None:
+        cc = cell_complex(f)
+        f._cell_complex = cc
+    return cc
 
 
 def _first_independent_rows(cols, d, n):
@@ -105,7 +112,10 @@ def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
         bs = cc.basis[sigma_id]
         bt = cc.basis[tau_id]
         tau_rays = [list(r) for r in bt]
-        w = next(r for r in sigma.rays if rank(tau_rays + [list(r)]) == d)
+        w = next((r for r in sigma.rays if rank(tau_rays + [list(r)]) == d), None)
+        if w is None:
+            raise NoIncidenceWitness(
+                f"no ray of cone {sigma_id} extends the basis of its facet {tau_id}")
         cand = list(bt) + [w]
         rows = _first_independent_rows(bs, d, n)
         det_s = determinant([[v[r] for v in bs] for r in rows])
@@ -174,6 +184,15 @@ class HomologyResult:
     betti: dict[int, int]
     torsion: dict[int, tuple[int, ...]]
 
+    def betti_mod_p(self, p: int) -> dict[int, int]:
+        """Dimensions over F_p, by universal coefficients: an invariant
+        factor of the boundary into degree d that p divides adds one
+        dimension in degree d and one in degree d + 1."""
+        def divisible(d):
+            return sum(1 for x in self.torsion.get(d, ()) if x % p == 0)
+
+        return {d: b + divisible(d) + divisible(d - 1) for d, b in self.betti.items()}
+
 
 def reduced_homology(c: ChainComplex) -> HomologyResult:
     n = c.ambient_dim
@@ -192,7 +211,9 @@ def reduced_homology(c: ChainComplex) -> HomologyResult:
 
 
 def homology_dims_mod_p(c: ChainComplex, p: int) -> dict[int, int]:
-    """Dimensions of the reduced homology with coefficients in F_p."""
+    """Dimensions of the reduced homology with coefficients in F_p, from
+    ranks over F_p of the boundary matrices: the chain-level reference for
+    ``HomologyResult.betti_mod_p``."""
     n = c.ambient_dim
     ranks_p = {}
     for d in range(0, n):

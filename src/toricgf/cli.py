@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, asdict
 
 import yaml
 
+from .cellular import NoIncidenceWitness
 from .cohomology import (
     DegreeRegion,
     ShellCheckFailed,
@@ -30,7 +32,6 @@ from .cohomology import (
     brion_terms,
     chi_polynomial,
     cohomology_table,
-    degree_region,
     graded_cohomology,
     signed_count,
     verify_identity,
@@ -60,7 +61,7 @@ from .polyhedral import (
 DOMAIN_ERRORS = (FanAxiomViolation, NonPointedCone, NotLinearOnCone, NotIntegral,
                  DegeneratePolytope, NotPointed, NotFullDimensional,
                  DependentGenerators, ShellCheckFailed, NoArrangementVertices,
-                 ValueError)
+                 NoIncidenceWitness, ValueError)
 
 
 class SchemaError(Exception):
@@ -220,7 +221,10 @@ def _build(spec: FanSpec):
     return fan, support
 
 
-def _run_oracle(h, box) -> dict:
+def _run_oracle(h, box, chi, region) -> dict:
+    """Series cross-check of the maximal cone generating functions on
+    ``box``, and of the signed counts against ``chi``, the rational Euler
+    polynomial over the derived degree ``region``."""
     fan = h.fan
     matches = True
     for i in fan.maximal_ids:
@@ -229,9 +233,8 @@ def _run_oracle(h, box) -> dict:
         gf = cone_genfun(shift, cone)
         if expand_in_box(gf, box) != truncated_series(shift, cone, box):
             matches = False
-    chi = chi_polynomial(h)
     counts_ok = all(signed_count(h, b) == chi.coefficient(b)
-                    for b in degree_region(h).candidates)
+                    for b in region.candidates)
     return {"box": [list(b) for b in box],
             "cones_checked": len(fan.maximal_ids),
             "series_match": matches,
@@ -279,35 +282,43 @@ def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
         candidates = tuple(iproduct(*(range(lo, hi + 1) for lo, hi in flags.box)))
         region = DegreeRegion(box=tuple(flags.box), candidates=candidates)
 
+    if command not in ("cohomology", "brion", "polytope"):
+        raise SchemaError(f"unknown command {command!r}")
+    table = cohomology_table(support, flags.p, region)
+    report.table = _table_data(table)
+    # The identity, the corollaries and the oracle read the rational table
+    # over the derived region: the same table when no flag changed it.
+    if region is None and flags.p is None:
+        rational = table
+    elif command != "cohomology" or flags.oracle:
+        rational = cohomology_table(support)
+    else:
+        rational = None
+
     if command == "cohomology":
-        table = cohomology_table(support, flags.p, region)
         report.region = [list(b) for b in table.region.box]
         report.region_caveat = table.caveat
-        report.table = _table_data(table)
-        chi = chi_polynomial(support, table)
-        report.chi_polynomial = _poly_data(chi)
-    elif command in ("brion", "polytope"):
-        table = cohomology_table(support, flags.p, region)
-        verification = verify_identity(support)
+        report.chi_polynomial = _poly_data(chi_polynomial(support, table))
+    else:
+        terms = brion_terms(support)
+        verification = verify_identity(support, rational, terms)
         report.region = [list(b) for b in verification.region.box]
         report.region_caveat = verification.caveat
-        report.table = _table_data(table)
         report.chi_polynomial = _poly_data(verification.chi_polynomial)
         report.brion_terms = [
             {"cone_rays": [list(r) for r in fan.cones[i].rays],
              "numerator": _poly_data(gf.numerator),
              "denominator_factors": [list(g) for g in gf.denominator_factors]}
-            for i, gf in brion_terms(support)]
+            for i, gf in terms]
         report.identity_holds = verification.identity_holds
         report.corollaries = {
             name: {"holds": res.holds, "witness": res.witness}
             for name, res in verification.corollary_results.items()}
-    else:
-        raise SchemaError(f"unknown command {command!r}")
 
     if flags.oracle:
         n = fan.ambient_dim
-        report.oracle = _run_oracle(support, tuple((-3, 2) for _ in range(n)))
+        report.oracle = _run_oracle(support, tuple((-3, 2) for _ in range(n)),
+                                    chi_polynomial(support, rational), rational.region)
     report.timing_ms = 1000 * (time.monotonic() - t0)
     return report
 
@@ -438,6 +449,26 @@ def _parse_coefficients(text: str) -> int | None:
     raise SchemaError(f"unknown coefficient field {text!r}")
 
 
+_VALUE_FLAGS = ("--degree", "--box")
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _bind_negative_values(argv) -> list[str]:
+    """Rewrite ``--degree -1,0`` as ``--degree=-1,0`` (likewise ``--box``).
+
+    argparse takes a value that starts with '-' and is not a plain number
+    for an option, so in the space-separated form it would reject the
+    negative degrees and box bounds that are the common case.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="toricgf",
@@ -453,7 +484,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", default="text", choices=["text", "machine"])
     parser.add_argument("--coefficients", default="rational",
                         help="homology dimension field: rational or modp:<p>")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_negative_values(
+        sys.argv[1:] if argv is None else argv))
 
     try:
         text = sys.stdin.read() if args.spec == "-" else open(args.spec).read()

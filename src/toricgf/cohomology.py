@@ -7,6 +7,15 @@ the graded cohomology dimensions (H^k in homology degree n-1-k, with the
 empty subcomplex contributing to H^n).  Summing the generating functions of
 the shifted duals of the maximal cones must reproduce the Laurent polynomial
 of Euler characteristics, and this module checks that identity exactly.
+
+Degrees are swept by their sign pattern in the ray hyperplane arrangement.
+Because <h_sigma, r> = h(r) for every ray r of sigma, a cone lies in the
+degree-b subcomplex exactly when all its rays satisfy <b, r> + h(r) >= 0.
+So a degree costs one on-ray bitmask, and a cone is kept when its own ray
+mask is a subset of it.  A ``SweepIndex`` per support function memoises,
+per distinct mask, the kept cones, the signed count, the homology and the
+cohomology per coefficient field; the table, the shell check and the
+corollaries all read that memo.
 """
 
 from __future__ import annotations
@@ -16,10 +25,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from .cellular import cell_complex, homology_dims_mod_p, subcomplex_homology
+from .cellular import HomologyResult, fan_cell_complex, subcomplex_homology
 from .genfun import LaurentPolynomial, RationalGF, cone_genfun, rational_equal
 from .intlinalg import determinant, dot, matvec, adjugate
-from .polyhedral import Fan, SupportFunction, dual_cone
+from .polyhedral import SupportFunction, dual_cone
 
 
 class ShellCheckFailed(Exception):
@@ -37,43 +46,110 @@ REGION_CAVEAT = ("degree region certified by a zero signed count on its "
                  "on finite-dimensionality of the total cohomology")
 
 
-def _complex_of(fan: Fan):
-    cc = getattr(fan, "_cell_complex", None)
-    if cc is None:
-        cc = cell_complex(fan)
-        fan._cell_complex = cc
-    return cc
-
-
 def membership(h: SupportFunction, sigma_id: int, b) -> bool:
     """Whether b + h_sigma lies in the dual cone of sigma.
 
     The dual is cut out by pairing against the rays of sigma, so the zero
-    cone accepts every degree.
+    cone accepts every degree.  This is the per-cone reference that the
+    sign-pattern sweep replaces.
     """
     hs = h.linear_part(sigma_id)
     shifted = tuple(x + y for x, y in zip(b, hs))
     return all(dot(shifted, r) >= 0 for r in h.fan.cones[sigma_id].rays)
 
 
-def _membership_vector(h: SupportFunction, b) -> list[bool]:
-    return [membership(h, i, b) for i in range(len(h.fan.cones))]
+class Subcomplex:
+    """One distinct degree subcomplex.
+
+    ``keep`` holds the ids of its nonzero cones and ``signed_count`` sums
+    (-1)^codim over every cone it keeps, the zero cone included.  The
+    homology and the cohomology per coefficient field (None for Q) are
+    filled in on first use.
+    """
+
+    __slots__ = ("keep", "signed_count", "homology", "cohomology")
+
+    def __init__(self, keep: frozenset[int], signed_count: int):
+        self.keep = keep
+        self.signed_count = signed_count
+        self.homology: HomologyResult | None = None
+        self.cohomology: dict = {}
+
+
+class SweepIndex:
+    """Rays with their support values, every cone's ray set as a bitmask,
+    and the memo of subcomplexes by on-ray mask, for one support function."""
+
+    def __init__(self, h: SupportFunction):
+        fan = h.fan
+        n = fan.ambient_dim
+        self.fan = fan
+        bits = {r: 1 << k for k, r in enumerate(fan.rays)}
+        self._rays = tuple((bit, r, h.value(r)) for r, bit in bits.items())
+        self._cones = tuple((sum(bits[r] for r in c.rays), (-1) ** (n - c.dim))
+                            for c in fan.cones)
+        self._memo: dict[int, Subcomplex] = {}
+
+    def mask(self, b) -> int:
+        """Bit k is set when ray k satisfies <b, r> + h(r) >= 0."""
+        m = 0
+        for bit, r, v in self._rays:
+            if dot(b, r) + v >= 0:
+                m |= bit
+        return m
+
+    def subcomplex(self, b) -> Subcomplex:
+        m = self.mask(b)
+        sub = self._memo.get(m)
+        if sub is None:
+            keep, signed = [], 0
+            for i, (cm, sign) in enumerate(self._cones):
+                if cm & m == cm:
+                    signed += sign
+                    if cm:
+                        keep.append(i)
+            sub = self._memo[m] = Subcomplex(frozenset(keep), signed)
+        return sub
+
+    def homology(self, sub: Subcomplex) -> HomologyResult:
+        if sub.homology is None:
+            sub.homology = subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
+        return sub.homology
+
+    def cohomology(self, sub: Subcomplex, p: int | None = None):
+        """(dims, torsion, chi) of a subcomplex over Q, or over F_p when p
+        is given; computed and Euler-checked once per subcomplex and field."""
+        got = sub.cohomology.get(p)
+        if got is None:
+            n = self.fan.ambient_dim
+            hom = self.homology(sub)
+            betti = hom.betti if p is None else hom.betti_mod_p(p)
+            dims = tuple(betti[n - 1 - k] for k in range(n + 1))
+            torsion = tuple(hom.torsion[n - 1 - k] for k in range(n + 1))
+            chi = sum((-1) ** k * dims[k] for k in range(n + 1))
+            # The alternating sum telescopes to the chain-level count over any
+            # field, so the cross-check is valid for F_p dimensions too.
+            assert chi == sub.signed_count, \
+                f"Euler characteristic mismatch on cones {sorted(sub.keep)}"
+            got = sub.cohomology[p] = (dims, torsion, chi)
+        return got
+
+
+def sweep_index(h: SupportFunction) -> SweepIndex:
+    """The support function's sweep index, built on first use and kept on h."""
+    idx = getattr(h, "_sweep", None)
+    if idx is None:
+        idx = h._sweep = SweepIndex(h)
+    return idx
 
 
 def support_subcomplex(h: SupportFunction, b) -> frozenset[int]:
     """Ids of the nonzero cones whose shifted dual contains b.
 
-    The result is face-closed by the consistency of the linear parts; this
-    is asserted, since a violation would mean corrupted support data.
+    The result is face-closed because a face's rays are a subset of its
+    cone's rays; ``chain_complex`` checks face closure again.
     """
-    fan = h.fan
-    member = _membership_vector(h, b)
-    keep = frozenset(i for i, c in enumerate(fan.cones)
-                     if c.dim > 0 and member[i])
-    for fid, cid in fan.face_relation:
-        if cid in keep and fid != fan.zero_id:
-            assert fid in keep, "support subcomplex is not face-closed"
-    return keep
+    return sweep_index(h).subcomplex(b).keep
 
 
 def graded_cohomology(h: SupportFunction, b, p: int | None = None):
@@ -82,19 +158,8 @@ def graded_cohomology(h: SupportFunction, b, p: int | None = None):
     Dimensions are ranks over Q, or over F_p when p is given; torsion lists
     the nontrivial invariant factors of the integral groups.
     """
-    fan = h.fan
-    n = fan.ambient_dim
-    cc = _complex_of(fan)
-    keep = support_subcomplex(h, b)
-    hom = subcomplex_homology(cc, keep)
-    if p is None:
-        dims = tuple(hom.betti[n - 1 - k] for k in range(n + 1))
-    else:
-        from .cellular import chain_complex
-
-        mod = homology_dims_mod_p(chain_complex(cc, keep), p)
-        dims = tuple(mod[n - 1 - k] for k in range(n + 1))
-    torsion = tuple(hom.torsion[n - 1 - k] for k in range(n + 1))
+    idx = sweep_index(h)
+    dims, torsion, _ = idx.cohomology(idx.subcomplex(b), p)
     return dims, torsion
 
 
@@ -104,10 +169,7 @@ def signed_count(h: SupportFunction, b) -> int:
     This is the coefficient of x^b in the signed series over the whole fan,
     and equals the Euler characteristic of the degree-b complex.
     """
-    fan = h.fan
-    n = fan.ambient_dim
-    member = _membership_vector(h, b)
-    return sum((-1) ** (n - c.dim) for i, c in enumerate(fan.cones) if member[i])
+    return sweep_index(h).subcomplex(b).signed_count
 
 
 @dataclass(frozen=True)
@@ -153,10 +215,12 @@ def _shell_points(box):
 def check_shell(h: SupportFunction, box) -> None:
     """Every lattice point on the shell around the box must have a zero
     signed count; otherwise the degree region missed contributions."""
+    idx = sweep_index(h)
     for pt in _shell_points(box):
-        if signed_count(h, pt) != 0:
+        count = idx.subcomplex(pt).signed_count
+        if count != 0:
             raise ShellCheckFailed(
-                f"nonzero signed count {signed_count(h, pt)} at shell degree {pt}")
+                f"nonzero signed count {count} at shell degree {pt}")
 
 
 @dataclass
@@ -185,23 +249,21 @@ def cohomology_table(h: SupportFunction, p: int | None = None,
                      region: DegreeRegion | None = None) -> CohomologyTable:
     """Graded cohomology at every candidate degree, with the shell check.
 
-    Each entry's Euler characteristic is recomputed independently through
-    the signed cone count and asserted equal, including the zero entries.
+    Each distinct subcomplex's Euler characteristic is recomputed
+    independently through the signed cone count and asserted equal,
+    including those of the zero entries.
     """
     if region is None:
         region = degree_region(h)
     check_shell(h, region.box)
-    n = h.fan.ambient_dim
+    idx = sweep_index(h)
     entries = {}
     for b in region.candidates:
-        dims, torsion = graded_cohomology(h, b, p)
-        chi = sum((-1) ** k * dims[k] for k in range(n + 1))
-        # The alternating sum telescopes to the chain-level count over any
-        # field, so the cross-check is valid for F_p dimensions too.
-        assert chi == signed_count(h, b), f"Euler characteristic mismatch at {b}"
+        dims, torsion, chi = idx.cohomology(idx.subcomplex(b), p)
         if any(dims) or any(torsion):
             entries[tuple(b)] = (dims, torsion, chi)
-    return CohomologyTable(ambient_dim=n, entries=entries, region=region)
+    return CohomologyTable(ambient_dim=h.fan.ambient_dim, entries=entries,
+                           region=region)
 
 
 def chi_polynomial(h: SupportFunction, table: CohomologyTable | None = None) -> LaurentPolynomial:
@@ -253,10 +315,10 @@ class VerificationReport:
     caveat: str = REGION_CAVEAT
 
 
-def _check_top_cohomology(h, candidates, n) -> CorollaryResult:
-    for b in candidates:
-        dims, _ = graded_cohomology(h, b)
-        empty = not support_subcomplex(h, b)
+def _check_top_cohomology(idx, degrees, n) -> CorollaryResult:
+    for b, sub in degrees:
+        dims, _, _ = idx.cohomology(sub)
+        empty = not sub.keep
         expected_top = 1 if empty else 0
         if dims[n] != expected_top:
             return CorollaryResult(
@@ -275,10 +337,9 @@ def _check_exclusive(table: CohomologyTable, n) -> CorollaryResult:
     return CorollaryResult(True)
 
 
-def _check_reduced_euler(h, chi, candidates, n) -> CorollaryResult:
-    cc = _complex_of(h.fan)
-    for b in candidates:
-        hom = subcomplex_homology(cc, support_subcomplex(h, b))
+def _check_reduced_euler(idx, chi, degrees, n) -> CorollaryResult:
+    for b, sub in degrees:
+        hom = idx.homology(sub)
         reduced = sum((-1) ** d * hom.betti[d] for d in range(-1, n))
         expect = (-1) ** (n - 1) * reduced
         if chi.coefficient(b) != expect:
@@ -289,23 +350,30 @@ def _check_reduced_euler(h, chi, candidates, n) -> CorollaryResult:
     return CorollaryResult(True)
 
 
-def verify_identity(h: SupportFunction) -> VerificationReport:
+def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
+                    terms: list[tuple[int, RationalGF]] | None = None
+                    ) -> VerificationReport:
     """Check that the maximal cone sum equals the Euler characteristic
     polynomial, together with the structural corollaries.
 
-    Failures are reported, never raised.
+    A caller that has already built the rational table over the derived
+    degree region, or the Brion terms, passes them in; otherwise they are
+    built here.  Failures are reported, never raised.
     """
-    table = cohomology_table(h)
+    if table is None:
+        table = cohomology_table(h)
     chi = chi_polynomial(h, table)
-    terms = brion_terms(h)
+    if terms is None:
+        terms = brion_terms(h)
     lhs = brion_sum(h, terms)
     identity = rational_equal(lhs, RationalGF.from_polynomial(chi))
     n = h.fan.ambient_dim
-    candidates = table.region.candidates
+    idx = sweep_index(h)
+    degrees = [(b, idx.subcomplex(b)) for b in table.region.candidates]
     corollaries = {
-        "top_cohomology": _check_top_cohomology(h, candidates, n),
+        "top_cohomology": _check_top_cohomology(idx, degrees, n),
         "h0_hn_exclusive": _check_exclusive(table, n),
-        "reduced_euler": _check_reduced_euler(h, chi, candidates, n),
+        "reduced_euler": _check_reduced_euler(idx, chi, degrees, n),
     }
     return VerificationReport(identity_holds=identity, chi_polynomial=chi,
                               lhs=lhs, corollary_results=corollaries,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 Vector = tuple[int, ...]
 Matrix = list[list[int]]
@@ -28,7 +29,7 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def dot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def matvec(a: Matrix, v) -> list[int]:
@@ -89,8 +90,6 @@ def rank(rows) -> int:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         for i in range(r + 1, len(m)):
-            if m[i][c] == 0:
-                continue
             for j in range(c + 1, ncols):
                 m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
@@ -99,6 +98,17 @@ def rank(rows) -> int:
         if r == len(m):
             break
     return r
+
+
+def greedy_basis(vectors) -> list[Vector]:
+    """Maximal linearly independent subset, scanning in the given order."""
+    basis: list[Vector] = []
+    r = 0
+    for v in vectors:
+        if rank([list(b) for b in basis] + [list(v)]) > r:
+            basis.append(v)
+            r += 1
+    return basis
 
 
 def adjugate(a: Matrix) -> Matrix:

@@ -16,6 +16,7 @@ from itertools import combinations
 from .intlinalg import (
     Vector,
     dot,
+    greedy_basis,
     kernel_basis,
     primitive_vector,
     rank,
@@ -70,17 +71,6 @@ class Cone:
         return f"{kind}{list(self.rays)}"
 
 
-def _greedy_basis(vectors) -> list[Vector]:
-    """Maximal linearly independent subset, scanning in the given order."""
-    basis: list[Vector] = []
-    r = 0
-    for v in vectors:
-        if rank([list(b) for b in basis] + [list(v)]) > r:
-            basis.append(v)
-            r += 1
-    return basis
-
-
 def _hull_description(gens: list[Vector], n: int):
     """Span equations and facet normals of cone(gens).
 
@@ -92,7 +82,7 @@ def _hull_description(gens: list[Vector], n: int):
         return 0, [tuple(r) for r in kernel_basis([], cols=n)], []
     d = rank([list(g) for g in gens])
     equations = kernel_basis([list(g) for g in gens])
-    span = _greedy_basis(gens)
+    span = greedy_basis(gens)
     facets = set()
     if d >= 1:
         for subset in combinations(gens, d - 1):
@@ -315,11 +305,10 @@ def check_complete(f: Fan) -> CompletenessReport:
         if len(parents) != 2:
             return CompletenessReport(
                 False, f"ridge {list(c.rays)} lies in {len(parents)} maximal cone(s)")
-    from .cellular import cell_complex, chain_complex, reduced_homology
+    from .cellular import fan_cell_complex, subcomplex_homology
 
-    cc = cell_complex(f)
     keep = frozenset(i for i, c in enumerate(f.cones) if c.dim > 0)
-    hom = reduced_homology(chain_complex(cc, keep))
+    hom = subcomplex_homology(fan_cell_complex(f), keep)
     for d in range(-1, n):
         expected = 1 if d == n - 1 else 0
         if hom.betti[d] != expected:

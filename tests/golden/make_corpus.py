@@ -1,0 +1,120 @@
+"""Write the golden corpus of ``--format machine`` reports.
+
+    PYTHONPATH=src:tests python tests/golden/make_corpus.py
+
+Runs the CLI on the README fan, the acceptance polytopes and a seeded
+battery of random 2-D and 3-D fans from ``conftest``, and stores each spec,
+its argv and the exact stdout bytes in ``machine_corpus.json``.  Inputs on
+which the CLI exits nonzero are left out.  ``test_golden.py`` replays the
+corpus; rerun this script only when a change to the machine output is
+intended.
+"""
+
+import io
+import json
+import random
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from itertools import product
+from pathlib import Path
+
+from conftest import random_fan_2d, random_fan_3d, random_support_2d, random_support_3d
+from toricgf.cli import FanSpec, emit_spec, main
+
+HERE = Path(__file__).resolve().parent
+SEED = 20261018
+
+README_FAN = FanSpec(dim=2, rays=((1, 1), (0, 1), (-1, 1), (0, -1)),
+                     maximal_cones=((0, 1), (1, 2), (2, 3), (3, 0)),
+                     support=(0, -2, 0, -2))
+
+POLYTOPES = (
+    ("segment", 1, [[0], [2]]),
+    ("square", 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
+    ("triangle-3", 2, [[0, 0], [3, 0], [0, 3]]),
+    ("square-2", 2, [[0, 0], [2, 0], [0, 2], [2, 2]]),
+    ("cube", 3, [list(v) for v in product([0, 1], repeat=3)]),
+    ("octahedron", 3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                       [0, 0, 1], [0, 0, -1]]),
+)
+
+FAN_COMMANDS = (
+    ("cohomology",),
+    ("brion",),
+    ("cohomology", "--coefficients", "modp:3"),
+)
+
+
+def fan_spec(h) -> FanSpec:
+    fan = h.fan
+    index = {r: i for i, r in enumerate(fan.input_rays)}
+    cones = tuple(tuple(index[r] for r in fan.cones[i].rays) for i in fan.maximal_ids)
+    return FanSpec(dim=fan.ambient_dim, rays=fan.input_rays, maximal_cones=cones,
+                   support=tuple(h.value(r) for r in fan.input_rays))
+
+
+def random_supports():
+    rng = random.Random(SEED)
+    out = []
+    for i in range(10):
+        fan = random_fan_2d(rng)
+        out.append((f"fan2d-{i}", random_support_2d(rng, fan)))
+    for i in range(10):
+        try:
+            fan = random_fan_3d(rng, i % 4)
+        except Exception:  # a fan the library rejects is left out
+            continue
+        out.append((f"fan3d-{i}", random_support_3d(rng, fan, spread=1 + i % 2)))
+    return out
+
+
+def cases():
+    yield "readme", emit_spec(README_FAN), [
+        ("cohomology",), ("brion",), ("brion", "--oracle"),
+        ("cohomology", "--coefficients", "modp:3"),
+        ("cohomology", "--degree=0,-1"),
+        ("cohomology", "--box=-3:3,-3:3"),
+        ("brion", "--box=-1:1,-1:2"),
+    ]
+    for name, dim, verts in POLYTOPES:
+        extra = [("polytope", "--oracle")] if name == "square" else []
+        yield name, emit_spec(FanSpec(dim=dim, polytope=tuple(map(tuple, verts)))), \
+            [("polytope",)] + extra
+    for k, (name, h) in enumerate(random_supports()):
+        extra = [("brion", "--oracle")] if k % 5 == 0 else []
+        yield name, emit_spec(fan_spec(h)), list(FAN_COMMANDS) + extra
+
+
+def run_cli(spec_text, args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec"
+        path.write_text(spec_text)
+        buf = io.BytesIO()
+        out = io.TextIOWrapper(buf, encoding="utf-8")
+        with redirect_stdout(out):
+            code = main([args[0], str(path), *args[1:], "--format", "machine"])
+            out.flush()
+        return code, buf.getvalue()
+
+
+def write_corpus():
+    corpus = []
+    for name, spec_text, commands in cases():
+        for args in commands:
+            try:
+                code, out = run_cli(spec_text, args)
+            except Exception as exc:  # a traceback escaping the CLI: leave it out
+                print(f"skip {name} {args}: {type(exc).__name__}", file=sys.stderr)
+                continue
+            if code != 0:
+                print(f"skip {name} {args}: exit {code}", file=sys.stderr)
+                continue
+            corpus.append({"name": name, "args": list(args), "spec": spec_text,
+                           "output": out.decode()})
+    (HERE / "machine_corpus.json").write_text(json.dumps(corpus, indent=0) + "\n")
+    print(f"{len(corpus)} reports", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    write_corpus()

@@ -226,3 +226,36 @@ def test_subcomplex_homology_memoized():
     h1 = subcomplex_homology(cc, keep)
     h2 = subcomplex_homology(cc, set(keep))
     assert h1 is h2
+
+
+def test_betti_mod_p_matches_chain_level_reference():
+    # Universal coefficients from the integral invariant factors against a
+    # fresh rank over F_p; the identity is pure linear algebra, so random
+    # matrices with torsion exercise it without a cell structure.
+    from toricgf.cellular import ChainComplex
+
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        ranks = {d: rng.randint(0, 4) for d in range(-1, n)}
+        ranks[-1] = 1
+        boundaries = {d: [[rng.choice([0, 0, 1, -1, 2, 3, 4, 6])
+                           for _ in range(ranks[d])] for _ in range(ranks[d - 1])]
+                      for d in range(0, n)}
+        ch = ChainComplex(ambient_dim=n, ranks=ranks, boundaries=boundaries)
+        hom = reduced_homology(ch)
+        for p in (2, 3, 5):
+            assert hom.betti_mod_p(p) == homology_dims_mod_p(ch, p)
+
+
+def test_incidence_without_witness_is_a_named_error(monkeypatch):
+    import toricgf.cellular as cellular
+
+    fan = example1_fan()
+    cc = cell_complex(fan)
+    sid = fan.maximal_ids[0]
+    tau = fan.facet_ids(sid)[0]
+    real_rank = cellular.rank
+    monkeypatch.setattr(cellular, "rank", lambda rows: real_rank(rows) - 1)
+    with pytest.raises(cellular.NoIncidenceWitness):
+        incidence(cc, sid, tau)

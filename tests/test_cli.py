@@ -251,3 +251,51 @@ def test_main_bad_flags(tmp_path, capsys):
     capsys.readouterr()
     assert main(["cohomology", good, "--coefficients", "modp:1"]) == 2
     capsys.readouterr()
+
+
+def test_main_negative_values_in_both_argv_forms(tmp_path, capsys):
+    good = write(tmp_path, EX1_DOC)
+    outputs = []
+    for flag in (["--degree", "-1,1"], ["--degree=-1,1"],
+                 ["--box", "-3:3,-3:3"], ["--box=-3:3,-3:3"]):
+        assert main(["cohomology", good, *flag, "--format", "machine"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["table"] == [
+        {"degree": [-1, 1], "dims": [0, 1, 0], "torsion": [[], [], []], "chi": -1}]
+    assert outputs[2] == outputs[3]
+    assert outputs[2]["region"] == [[-3, 3], [-3, 3]]
+
+
+def test_main_incidence_fault_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    import toricgf.cellular as cellular
+
+    real_rank = cellular.rank
+    monkeypatch.setattr(cellular, "rank", lambda rows: real_rank(rows) - 1)
+    assert main(["brion", write(tmp_path, EX1_DOC)]) == 1
+    assert capsys.readouterr().err.startswith("error: NoIncidenceWitness")
+
+
+def _count_calls(monkeypatch, calls, fn_name, *modules):
+    real = getattr(modules[0], fn_name)
+
+    def counted(*args, **kwargs):
+        calls[fn_name] = calls.get(fn_name, 0) + 1
+        return real(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, fn_name, counted)
+
+
+def test_brion_builds_each_stage_once(tmp_path, capsys, monkeypatch):
+    import toricgf.cellular as cellular
+    import toricgf.cli as cli
+    import toricgf.cohomology as cohomology
+
+    calls = {}
+    _count_calls(monkeypatch, calls, "cell_complex", cellular)
+    _count_calls(monkeypatch, calls, "cohomology_table", cohomology, cli)
+    _count_calls(monkeypatch, calls, "brion_terms", cohomology, cli)
+    assert main(["brion", write(tmp_path, EX1_DOC), "--oracle"]) == 0
+    assert calls == {"cell_complex": 1, "cohomology_table": 1, "brion_terms": 1}
+    assert "oracle_signed_counts_match: true" in capsys.readouterr().out

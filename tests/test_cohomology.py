@@ -281,8 +281,7 @@ def test_h0_hn_exclusive_random():
 
 
 def test_reduced_euler_coefficient_random():
-    from toricgf.cellular import subcomplex_homology
-    from toricgf.cohomology import _complex_of
+    from toricgf.cellular import fan_cell_complex, subcomplex_homology
 
     rng = random.Random(47)
     for _ in range(10):
@@ -290,7 +289,7 @@ def test_reduced_euler_coefficient_random():
         h = random_support_2d(rng, fan)
         chi = chi_polynomial(h)
         n = fan.ambient_dim
-        cc = _complex_of(fan)
+        cc = fan_cell_complex(fan)
         for b in degree_region(h).candidates:
             hom = subcomplex_homology(cc, support_subcomplex(h, b))
             reduced = sum((-1) ** d * hom.betti[d] for d in range(-1, n))
@@ -324,3 +323,41 @@ def test_mod_p_dimensions():
     table_2 = cohomology_table(h, p=2)
     assert {k: v[0] for k, v in table_q.entries.items()} == \
         {k: v[0] for k, v in table_2.entries.items()}
+
+
+DEEP_SEEDS = range(30)
+DEEP_DEPTHS = (8, 12)
+
+
+@pytest.fixture(scope="module")
+def deep_fans():
+    """random_fan_3d at 8 or 12 subdivisions, alternating by seed; the
+    shallow fans of the other tests hid a rank fault that made about two
+    thirds of these fail to build.  One depth per seed halves the build
+    time, which the pairwise intersection check of build_fan dominates."""
+    return [random_fan_3d(random.Random(seed), DEEP_DEPTHS[seed % 2])
+            for seed in DEEP_SEEDS]
+
+
+def test_deep_random_fans_build(deep_fans):
+    from toricgf import check_complete
+
+    assert len(deep_fans) == len(DEEP_SEEDS)
+    for fan in deep_fans:
+        assert check_complete(fan).complete
+
+
+def test_sweep_matches_per_cone_membership_on_deep_fans(deep_fans):
+    rng = random.Random(61)
+    for fan in deep_fans:
+        h = random_support_3d(rng, fan, spread=2)
+        n = fan.ambient_dim
+        for _ in range(120):
+            b = tuple(rng.randint(-6, 6) for _ in range(n))
+            member = [membership(h, i, b) for i in range(len(fan.cones))]
+            keep = frozenset(i for i, c in enumerate(fan.cones)
+                             if c.dim > 0 and member[i])
+            signed = sum((-1) ** (n - c.dim)
+                         for i, c in enumerate(fan.cones) if member[i])
+            assert support_subcomplex(h, b) == keep
+            assert signed_count(h, b) == signed

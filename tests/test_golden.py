@@ -1,0 +1,23 @@
+"""The ``--format machine`` output must stay byte-identical on a golden
+corpus: the README fan, the acceptance polytopes and a seeded battery of
+random 2-D and 3-D fans.  ``golden/make_corpus.py`` wrote the corpus; see
+its docstring before regenerating it."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from toricgf.cli import main
+
+CORPUS = json.loads((Path(__file__).parent / "golden" / "machine_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("case", CORPUS,
+                         ids=[f"{c['name']}:{' '.join(c['args'])}" for c in CORPUS])
+def test_machine_output_unchanged(case, tmp_path, capsysbinary):
+    spec = tmp_path / "spec"
+    spec.write_text(case["spec"])
+    args = case["args"]
+    assert main([args[0], str(spec), *args[1:], "--format", "machine"]) == 0
+    assert capsysbinary.readouterr().out == case["output"].encode()
