@@ -2,6 +2,7 @@
 for complete rational fans."""
 
 from .intlinalg import (
+    InternalCheckFailed,
     SNFResult,
     determinant,
     invariant_factors,

@@ -10,14 +10,17 @@ Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .intlinalg import (
+    InternalCheckFailed,
     determinant,
     greedy_basis,
     invariant_factors,
     is_zero_matrix,
     matmul,
     rank,
+    rank_mod_p,
 )
 from .polyhedral import Fan
 
@@ -84,13 +87,11 @@ def fan_cell_complex(f: Fan) -> CellComplex:
 
 def _first_independent_rows(cols, d, n):
     """Lexicographically first row subset on which the column set is invertible."""
-    from itertools import combinations
-
     for rows in combinations(range(n), d):
         sub = [[col[r] for col in cols] for r in rows]
         if determinant(sub) != 0:
             return rows
-    raise AssertionError("columns are not independent")
+    raise InternalCheckFailed("columns are not independent")
 
 
 def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
@@ -120,7 +121,9 @@ def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
         rows = _first_independent_rows(bs, d, n)
         det_s = determinant([[v[r] for v in bs] for r in rows])
         det_c = determinant([[v[r] for v in cand] for r in rows])
-        assert det_c != 0
+        if det_c == 0:
+            raise InternalCheckFailed(
+                f"facet {tau_id} basis plus witness is singular in cone {sigma_id}")
         result = 1 if (det_s > 0) == (det_c > 0) else -1
     cc._incidence[key] = result
     return result
@@ -143,17 +146,13 @@ class ChainComplex:
 def chain_complex(cc: CellComplex, keep) -> ChainComplex:
     """Chain complex of the subcomplex spanned by the selected nonzero cones.
 
-    ``keep`` is a collection of cone ids or a predicate on them.  The empty
-    cell is always present in degree -1, so the empty selection yields the
-    augmented complex of the empty subcomplex.
+    ``keep`` is a collection of cone ids.  The empty cell is always present
+    in degree -1, so the empty selection yields the augmented complex of the
+    empty subcomplex.
     """
     fan = cc.fan
     n = fan.ambient_dim
-    if callable(keep):
-        keep = frozenset(i for i, c in enumerate(fan.cones)
-                         if c.dim > 0 and keep(i))
-    else:
-        keep = frozenset(keep)
+    keep = frozenset(keep)
     for i in keep:
         if fan.cones[i].dim == 0:
             raise ValueError("the zero cone is not a cell; it is always implied")
@@ -161,18 +160,16 @@ def chain_complex(cc: CellComplex, keep) -> ChainComplex:
             if fid != cc.empty_cell and fid not in keep:
                 raise NotFaceClosed(
                     f"cone {i} is kept but its facet {fid} is not")
-    cells = {-1: [cc.empty_cell]}
-    for d in range(0, n):
-        cells[d] = [i for i in cc.cells_by_degree[d] if i in keep]
-    ranks = {d: len(cells[d]) for d in range(-1, n)}
-    boundaries = {}
-    for d in range(0, n):
-        mat = [[incidence(cc, s, t) for s in cells[d]] for t in cells[d - 1]]
-        boundaries[d] = mat
+    cells = {d: [i for i in ids if d < 0 or i in keep]
+             for d, ids in cc.cells_by_degree.items()}
+    ranks = {d: len(ids) for d, ids in cells.items()}
+    boundaries = {d: [[incidence(cc, s, t) for s in cells[d]] for t in cells[d - 1]]
+                  for d in range(0, n)}
     for d in range(0, n - 1):
         lower, upper = boundaries[d], boundaries[d + 1]
-        if lower and upper and lower[0] and upper[0]:
-            assert is_zero_matrix(matmul(lower, upper)), "boundary of boundary is nonzero"
+        if lower and upper and lower[0] and upper[0] \
+                and not is_zero_matrix(matmul(lower, upper)):
+            raise InternalCheckFailed(f"boundary of boundary is nonzero in degree {d + 1}")
     return ChainComplex(ambient_dim=n, ranks=ranks, boundaries=boundaries)
 
 
@@ -195,17 +192,11 @@ class HomologyResult:
 
 
 def reduced_homology(c: ChainComplex) -> HomologyResult:
-    n = c.ambient_dim
-    factors = {}
-    for d in range(0, n):
-        mat = c.boundaries[d]
-        factors[d] = invariant_factors(mat) if (mat and mat[0]) else []
-    betti = {}
-    torsion = {}
-    for d in range(-1, n):
-        rank_in = len(factors.get(d, []))
-        rank_out = len(factors.get(d + 1, []))
-        betti[d] = c.ranks[d] - rank_in - rank_out
+    factors = {d: invariant_factors(mat) if (mat and mat[0]) else []
+               for d, mat in c.boundaries.items()}
+    betti, torsion = {}, {}
+    for d in range(-1, c.ambient_dim):
+        betti[d] = c.ranks[d] - len(factors.get(d, [])) - len(factors.get(d + 1, []))
         torsion[d] = tuple(x for x in factors.get(d + 1, []) if x > 1)
     return HomologyResult(betti=betti, torsion=torsion)
 
@@ -215,13 +206,8 @@ def homology_dims_mod_p(c: ChainComplex, p: int) -> dict[int, int]:
     ranks over F_p of the boundary matrices: the chain-level reference for
     ``HomologyResult.betti_mod_p``."""
     n = c.ambient_dim
-    ranks_p = {}
-    for d in range(0, n):
-        mat = c.boundaries[d]
-        if mat and mat[0]:
-            ranks_p[d] = sum(1 for x in invariant_factors(mat) if x % p != 0)
-        else:
-            ranks_p[d] = 0
+    ranks_p = {d: rank_mod_p(mat, p) if (mat and mat[0]) else 0
+               for d, mat in c.boundaries.items()}
     return {d: c.ranks[d] - ranks_p.get(d, 0) - ranks_p.get(d + 1, 0)
             for d in range(-1, n)}
 

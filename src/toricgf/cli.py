@@ -10,7 +10,8 @@ Input documents are flat key-value with JSON-style arrays, e.g.
 
 or, mutually exclusively, a ``polytope:`` vertex list.  Exit codes: 0 on
 success (and a verified identity for ``brion``/``polytope``), 1 for domain
-errors, 2 for parse errors, 3 when the identity check fails.
+errors, 2 for parse errors, 3 when the identity check fails, 4 when an
+internal consistency check fails.
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ from .cohomology import (
     chi_polynomial,
     cohomology_table,
     graded_cohomology,
-    signed_count,
     verify_identity,
 )
 from .genfun import (
     DependentGenerators,
     NotFullDimensional,
     NotPointed,
-    cone_genfun,
     expand_in_box,
     truncated_series,
 )
+from .intlinalg import InternalCheckFailed
 from .polyhedral import (
     DegeneratePolytope,
     FanAxiomViolation,
@@ -162,7 +162,6 @@ class Flags:
     degree: tuple | None = None
     box: tuple | None = None
     oracle: bool = False
-    fmt: str = "text"
     p: int | None = None
 
 
@@ -221,22 +220,18 @@ def _build(spec: FanSpec):
     return fan, support
 
 
-def _run_oracle(h, box, chi, region) -> dict:
-    """Series cross-check of the maximal cone generating functions on
-    ``box``, and of the signed counts against ``chi``, the rational Euler
-    polynomial over the derived degree ``region``."""
+def _run_oracle(h, table, terms, chi, box) -> dict:
+    """Series cross-check of the run's maximal cone generating functions
+    ``terms`` on ``box``, and of the signed counts of the table's degrees
+    against ``chi``, the Euler polynomial read from its cohomology."""
     fan = h.fan
-    matches = True
-    for i in fan.maximal_ids:
-        shift = tuple(-x for x in h.linear_part(i))
-        cone = dual_cone(fan.cones[i])
-        gf = cone_genfun(shift, cone)
-        if expand_in_box(gf, box) != truncated_series(shift, cone, box):
-            matches = False
-    counts_ok = all(signed_count(h, b) == chi.coefficient(b)
-                    for b in region.candidates)
+    matches = all(
+        expand_in_box(gf, box) == truncated_series(
+            tuple(-x for x in h.linear_part(i)), dual_cone(fan.cones[i]), box)
+        for i, gf in terms)
+    counts_ok = all(sub.signed_count == chi.coefficient(b) for b, sub in table.degrees)
     return {"box": [list(b) for b in box],
-            "cones_checked": len(fan.maximal_ids),
+            "cones_checked": len(terms),
             "series_match": matches,
             "signed_counts_match": counts_ok}
 
@@ -277,34 +272,22 @@ def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
         if len(flags.box) != fan.ambient_dim:
             raise DimensionMismatch(
                 f"box {list(flags.box)} is not {fan.ambient_dim}-dimensional")
-        from itertools import product as iproduct
-
-        candidates = tuple(iproduct(*(range(lo, hi + 1) for lo, hi in flags.box)))
-        region = DegreeRegion(box=tuple(flags.box), candidates=candidates)
+        region = DegreeRegion(box=tuple(flags.box))
 
     if command not in ("cohomology", "brion", "polytope"):
         raise SchemaError(f"unknown command {command!r}")
+    # The run's one pass over its region; the report, the identity, the
+    # corollaries and the oracle all read this table.
     table = cohomology_table(support, flags.p, region)
     report.table = _table_data(table)
-    # The identity, the corollaries and the oracle read the rational table
-    # over the derived region: the same table when no flag changed it.
-    if region is None and flags.p is None:
-        rational = table
-    elif command != "cohomology" or flags.oracle:
-        rational = cohomology_table(support)
-    else:
-        rational = None
-
+    report.region = [list(b) for b in table.region.box]
+    report.region_caveat = table.caveat
+    terms = brion_terms(support) if command != "cohomology" or flags.oracle else None
     if command == "cohomology":
-        report.region = [list(b) for b in table.region.box]
-        report.region_caveat = table.caveat
-        report.chi_polynomial = _poly_data(chi_polynomial(support, table))
+        chi = chi_polynomial(support, table)
     else:
-        terms = brion_terms(support)
-        verification = verify_identity(support, rational, terms)
-        report.region = [list(b) for b in verification.region.box]
-        report.region_caveat = verification.caveat
-        report.chi_polynomial = _poly_data(verification.chi_polynomial)
+        verification = verify_identity(support, table, terms)
+        chi = verification.chi_polynomial
         report.brion_terms = [
             {"cone_rays": [list(r) for r in fan.cones[i].rays],
              "numerator": _poly_data(gf.numerator),
@@ -314,11 +297,11 @@ def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
         report.corollaries = {
             name: {"holds": res.holds, "witness": res.witness}
             for name, res in verification.corollary_results.items()}
+    report.chi_polynomial = _poly_data(chi)
 
     if flags.oracle:
-        n = fan.ambient_dim
-        report.oracle = _run_oracle(support, tuple((-3, 2) for _ in range(n)),
-                                    chi_polynomial(support, rational), rational.region)
+        report.oracle = _run_oracle(support, table, terms, chi,
+                                    tuple((-3, 2) for _ in range(fan.ambient_dim)))
     report.timing_ms = 1000 * (time.monotonic() - t0)
     return report
 
@@ -478,7 +461,8 @@ def main(argv=None) -> int:
                         choices=["validate", "cohomology", "brion", "polytope"])
     parser.add_argument("spec", help="input document path, or - for stdin")
     parser.add_argument("--degree", help="restrict to one degree: a1,a2,...")
-    parser.add_argument("--box", help="override the degree region: lo1:hi1,lo2:hi2")
+    parser.add_argument("--box", help="override the degree region of the table, the "
+                        "identity and the corollaries: lo1:hi1,lo2:hi2")
     parser.add_argument("--oracle", action="store_true",
                         help="run the truncated-series cross-check")
     parser.add_argument("--format", default="text", choices=["text", "machine"])
@@ -499,7 +483,6 @@ def main(argv=None) -> int:
             degree=_parse_degree(args.degree) if args.degree else None,
             box=_parse_box(args.box) if args.box else None,
             oracle=args.oracle,
-            fmt=args.format,
             p=_parse_coefficients(args.coefficients),
         )
     except (SchemaError, DimensionMismatch) as exc:
@@ -511,9 +494,9 @@ def main(argv=None) -> int:
     except (SchemaError, DimensionMismatch) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    except (*DOMAIN_ERRORS, InternalCheckFailed) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 4 if isinstance(exc, InternalCheckFailed) else 1
 
     sys.stdout.buffer.write(emit_report(report, args.format))
     if report.identity_holds is False:

@@ -14,20 +14,22 @@ degree-b subcomplex exactly when all its rays satisfy <b, r> + h(r) >= 0.
 So a degree costs one on-ray bitmask, and a cone is kept when its own ray
 mask is a subset of it.  A ``SweepIndex`` per support function memoises,
 per distinct mask, the kept cones, the signed count, the homology and the
-cohomology per coefficient field; the table, the shell check and the
-corollaries all read that memo.
+cohomology per coefficient field.  ``cohomology_table`` is a run's single
+pass: it keeps every degree of its region with that degree's subcomplex, and
+the Euler polynomial, the identity check, the corollaries and the oracle all
+read those pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import ceil, floor
 
 from .cellular import HomologyResult, fan_cell_complex, subcomplex_homology
-from .genfun import LaurentPolynomial, RationalGF, cone_genfun, rational_equal
-from .intlinalg import determinant, dot, matvec, adjugate
+from .genfun import LaurentPolynomial, RationalGF, box_points, cone_genfun, rational_equal
+from .intlinalg import InternalCheckFailed, adjugate, determinant, dot, matvec
 from .polyhedral import SupportFunction, dual_cone
 
 
@@ -63,16 +65,15 @@ class Subcomplex:
 
     ``keep`` holds the ids of its nonzero cones and ``signed_count`` sums
     (-1)^codim over every cone it keeps, the zero cone included.  The
-    homology and the cohomology per coefficient field (None for Q) are
-    filled in on first use.
+    cohomology per coefficient field (None for Q) is filled in on first use;
+    the homology lives in the cell complex's memo.
     """
 
-    __slots__ = ("keep", "signed_count", "homology", "cohomology")
+    __slots__ = ("keep", "signed_count", "cohomology")
 
     def __init__(self, keep: frozenset[int], signed_count: int):
         self.keep = keep
         self.signed_count = signed_count
-        self.homology: HomologyResult | None = None
         self.cohomology: dict = {}
 
 
@@ -112,9 +113,7 @@ class SweepIndex:
         return sub
 
     def homology(self, sub: Subcomplex) -> HomologyResult:
-        if sub.homology is None:
-            sub.homology = subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
-        return sub.homology
+        return subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
 
     def cohomology(self, sub: Subcomplex, p: int | None = None):
         """(dims, torsion, chi) of a subcomplex over Q, or over F_p when p
@@ -129,8 +128,9 @@ class SweepIndex:
             chi = sum((-1) ** k * dims[k] for k in range(n + 1))
             # The alternating sum telescopes to the chain-level count over any
             # field, so the cross-check is valid for F_p dimensions too.
-            assert chi == sub.signed_count, \
-                f"Euler characteristic mismatch on cones {sorted(sub.keep)}"
+            if chi != sub.signed_count:
+                raise InternalCheckFailed(
+                    f"Euler characteristic mismatch on cones {sorted(sub.keep)}")
             got = sub.cohomology[p] = (dims, torsion, chi)
         return got
 
@@ -174,11 +174,14 @@ def signed_count(h: SupportFunction, b) -> int:
 
 @dataclass(frozen=True)
 class DegreeRegion:
-    """Bounding box of the ray hyperplane arrangement vertices, with all its
-    lattice points as candidate degrees."""
+    """A box of degrees: derived from the ray hyperplane arrangement, or
+    given by the user.  Its lattice points are the candidate degrees."""
 
     box: tuple[tuple[int, int], ...]
-    candidates: tuple[tuple[int, ...], ...]
+
+    @property
+    def candidates(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(box_points(self.box))
 
 
 def degree_region(h: SupportFunction) -> DegreeRegion:
@@ -201,13 +204,12 @@ def degree_region(h: SupportFunction) -> DegreeRegion:
             "fewer than n independent ray hyperplanes; fan cannot be complete")
     box = tuple((floor(min(v[i] for v in vertices)),
                  ceil(max(v[i] for v in vertices))) for i in range(n))
-    candidates = tuple(product(*(range(lo, hi + 1) for lo, hi in box)))
-    return DegreeRegion(box=box, candidates=candidates)
+    return DegreeRegion(box=box)
 
 
 def _shell_points(box):
     expanded = [(lo - 1, hi + 1) for lo, hi in box]
-    for pt in product(*(range(lo, hi + 1) for lo, hi in expanded)):
+    for pt in box_points(expanded):
         if any(x == lo or x == hi for x, (lo, hi) in zip(pt, expanded)):
             yield pt
 
@@ -225,15 +227,18 @@ def check_shell(h: SupportFunction, box) -> None:
 
 @dataclass
 class CohomologyTable:
-    """Nonzero graded cohomology, degree by degree.
+    """Graded cohomology over one degree region and one coefficient field.
 
-    ``entries`` maps a degree to (dims, torsion, chi); omitted degrees have
-    all-zero cohomology within the certified region.
+    ``degrees`` pairs every candidate degree, in box order, with its
+    subcomplex.  ``entries`` maps a degree with nonzero cohomology to
+    (dims, torsion, chi); omitted degrees have all-zero cohomology within the
+    certified region.
     """
 
     ambient_dim: int
     entries: dict[tuple[int, ...], tuple[tuple[int, ...], tuple, int]]
     region: DegreeRegion
+    degrees: tuple[tuple[tuple[int, ...], Subcomplex], ...]
     caveat: str = REGION_CAVEAT
 
     def total_dims(self) -> tuple[int, ...]:
@@ -247,28 +252,30 @@ class CohomologyTable:
 
 def cohomology_table(h: SupportFunction, p: int | None = None,
                      region: DegreeRegion | None = None) -> CohomologyTable:
-    """Graded cohomology at every candidate degree, with the shell check.
+    """Graded cohomology at every candidate degree, with the shell check:
+    one subcomplex lookup per degree of the region (derived when not given).
 
     Each distinct subcomplex's Euler characteristic is recomputed
-    independently through the signed cone count and asserted equal,
+    independently through the signed cone count and checked equal,
     including those of the zero entries.
     """
     if region is None:
         region = degree_region(h)
     check_shell(h, region.box)
     idx = sweep_index(h)
+    degrees = tuple((b, idx.subcomplex(b)) for b in box_points(region.box))
     entries = {}
-    for b in region.candidates:
-        dims, torsion, chi = idx.cohomology(idx.subcomplex(b), p)
+    for b, sub in degrees:
+        dims, torsion, chi = idx.cohomology(sub, p)
         if any(dims) or any(torsion):
-            entries[tuple(b)] = (dims, torsion, chi)
+            entries[b] = (dims, torsion, chi)
     return CohomologyTable(ambient_dim=h.fan.ambient_dim, entries=entries,
-                           region=region)
+                           region=region, degrees=degrees)
 
 
 def chi_polynomial(h: SupportFunction, table: CohomologyTable | None = None) -> LaurentPolynomial:
     """Laurent polynomial whose x^a coefficient is the Euler characteristic
-    of the degree-a cohomology."""
+    of the degree-a cohomology; it does not depend on the table's field."""
     if table is None:
         table = cohomology_table(h)
     terms = {deg: chi for deg, (_, _, chi) in table.entries.items() if chi != 0}
@@ -329,11 +336,13 @@ def _check_top_cohomology(idx, degrees, n) -> CorollaryResult:
     return CorollaryResult(True)
 
 
-def _check_exclusive(table: CohomologyTable, n) -> CorollaryResult:
-    totals = table.total_dims()
-    if totals[0] and totals[n]:
+def _check_exclusive(idx, degrees, n) -> CorollaryResult:
+    rational = [idx.cohomology(sub)[0] for _, sub in degrees]
+    h0 = sum(dims[0] for dims in rational)
+    hn = sum(dims[n] for dims in rational)
+    if h0 and hn:
         return CorollaryResult(
-            False, f"H^0 total {totals[0]} and H^{n} total {totals[n]} both nonzero")
+            False, f"H^0 total {h0} and H^{n} total {hn} both nonzero")
     return CorollaryResult(True)
 
 
@@ -356,9 +365,12 @@ def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
     """Check that the maximal cone sum equals the Euler characteristic
     polynomial, together with the structural corollaries.
 
-    A caller that has already built the rational table over the derived
-    degree region, or the Brion terms, passes them in; otherwise they are
-    built here.  Failures are reported, never raised.
+    A caller that has already built the table, over any region and any
+    coefficient field, or the Brion terms, passes them in; otherwise the
+    rational table over the derived region and the terms are built here.
+    The identity and the corollaries are checked on the table's degrees; the
+    corollaries read rational cohomology whatever the table's field.
+    Failures are reported, never raised.
     """
     if table is None:
         table = cohomology_table(h)
@@ -369,10 +381,10 @@ def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
     identity = rational_equal(lhs, RationalGF.from_polynomial(chi))
     n = h.fan.ambient_dim
     idx = sweep_index(h)
-    degrees = [(b, idx.subcomplex(b)) for b in table.region.candidates]
+    degrees = table.degrees
     corollaries = {
         "top_cohomology": _check_top_cohomology(idx, degrees, n),
-        "h0_hn_exclusive": _check_exclusive(table, n),
+        "h0_hn_exclusive": _check_exclusive(idx, degrees, n),
         "reduced_euler": _check_reduced_euler(idx, chi, degrees, n),
     }
     return VerificationReport(identity_holds=identity, chi_polynomial=chi,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .intlinalg import (
+    InternalCheckFailed,
     Vector,
     adjugate,
     determinant,
@@ -251,11 +252,13 @@ def _inward_normals(gens: tuple[Vector, ...]) -> list[Vector]:
     for i, g in enumerate(gens):
         others = [list(v) for j, v in enumerate(gens) if j != i]
         ker = kernel_basis(others, cols=n)
-        assert len(ker) == 1
+        if len(ker) != 1:
+            raise InternalCheckFailed(f"facet of {gens} opposite {g} has no normal line")
         u = primitive_vector(ker[0])
         if dot(u, g) < 0:
             u = tuple(-x for x in u)
-        assert dot(u, g) > 0
+        if dot(u, g) == 0:
+            raise InternalCheckFailed(f"generator {g} lies on its opposite facet")
         normals.append(u)
     return normals
 
@@ -281,7 +284,7 @@ def triangulate_halfopen(c: Cone) -> list[HalfOpenSimplicialCone]:
         if all(dot(u, z) != 0 for ns in normals for u in ns):
             break
     else:
-        raise AssertionError("no generic reference point found")
+        raise InternalCheckFailed("no generic reference point found")
     pieces = []
     for gens, ns in zip(simplices, normals):
         flags = tuple(dot(u, z) > 0 for u in ns)
@@ -326,7 +329,9 @@ def parallelepiped_points(generators, closed_flags=None) -> list[Vector]:
         pt = tuple(x[i] - sum(g_cols[i][j] * shift[j] for j in range(n))
                    for i in range(n))
         points.append(pt)
-    assert len(set(points)) == abs(det)
+    if len(set(points)) != abs(det):
+        raise InternalCheckFailed(
+            f"{len(set(points))} parallelepiped points for determinant {det}")
     return sorted(points)
 
 
@@ -379,7 +384,8 @@ class SeriesBox:
             self, "coefficients",
             {e: c for e, c in self.coefficients.items() if c != 0})
         for e in self.coefficients:
-            assert all(lo <= x <= hi for x, (lo, hi) in zip(e, self.box))
+            if not all(lo <= x <= hi for x, (lo, hi) in zip(e, self.box)):
+                raise InternalCheckFailed(f"exponent {e} lies outside {self.box}")
 
     def __eq__(self, other):
         return (isinstance(other, SeriesBox) and self.box == other.box
@@ -422,7 +428,8 @@ def expand_in_box(gf: RationalGF, box) -> SeriesBox:
         if not fac_cone.pointed:
             raise NotPointed("factor directions span a cone with a line")
         phi = tuple(sum(u[i] for u in fac_cone.inequalities) for i in range(dim))
-        assert all(dot(phi, g) >= 1 for g in factors)
+        if not all(dot(phi, g) >= 1 for g in factors):
+            raise InternalCheckFailed(f"{phi} is not positive on every factor")
         bound = sum(max(phi[i] * lo, phi[i] * hi) for i, (lo, hi) in enumerate(box))
         terms = dict(gf.numerator.terms)
         for g in factors:

@@ -16,6 +16,12 @@ Vector = tuple[int, ...]
 Matrix = list[list[int]]
 
 
+class InternalCheckFailed(Exception):
+    """An internal consistency check failed: an exact result contradicts an
+    invariant it must satisfy, so the computation behind it is wrong.  The
+    checks raise this rather than assert, so they hold under ``python -O``."""
+
+
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

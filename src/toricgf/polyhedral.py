@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .intlinalg import (
+    InternalCheckFailed,
     Vector,
     dot,
     greedy_basis,
@@ -366,7 +367,9 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
     # construction; spell the consistency check out anyway.
     for fid, cid in f.face_relation:
         for r in f.cones[fid].rays:
-            assert dot(parts[fid], r) == dot(parts[cid], r)
+            if dot(parts[fid], r) != dot(parts[cid], r):
+                raise InternalCheckFailed(
+                    f"linear parts of cones {fid} and {cid} disagree on ray {r}")
     return SupportFunction(fan=f, ray_values=by_ray, linear_parts=parts)
 
 
@@ -416,7 +419,8 @@ def normal_fan_of_polytope(p: LatticePolytope) -> tuple[Fan, SupportFunction]:
     if len(verts) < n + 1:
         raise DegeneratePolytope("a full-dimensional polytope needs >= n+1 vertices")
     cones = [_normal_cone(w, verts, n) for w in verts]
-    assert all(c.dim == n for c in cones)
+    if any(c.dim != n for c in cones):
+        raise InternalCheckFailed("a vertex has a lower-dimensional normal cone")
     ray_list: list[Vector] = sorted({r for c in cones for r in c.rays})
     index = {r: i for i, r in enumerate(ray_list)}
     maximal = [[index[r] for r in c.rays] for c in cones]

@@ -76,6 +76,9 @@ def cases():
         ("cohomology", "--degree=0,-1"),
         ("cohomology", "--box=-3:3,-3:3"),
         ("brion", "--box=-1:1,-1:2"),
+        ("brion", "--coefficients", "modp:3"),
+        ("brion", "--box=-1:1,-1:2", "--oracle"),
+        ("cohomology", "--coefficients", "modp:3", "--oracle"),
     ]
     for name, dim, verts in POLYTOPES:
         extra = [("polytope", "--oracle")] if name == "square" else []
@@ -83,6 +86,8 @@ def cases():
             [("polytope",)] + extra
     for k, (name, h) in enumerate(random_supports()):
         extra = [("brion", "--oracle")] if k % 5 == 0 else []
+        if name in ("fan3d-0", "fan3d-1"):
+            extra.append(("brion", "--coefficients", "modp:2"))
         yield name, emit_spec(fan_spec(h)), list(FAN_COMMANDS) + extra
 
 

@@ -210,15 +210,6 @@ def test_homology_mod_p_matches_rational_without_torsion():
         assert dims == hom.betti
 
 
-def test_chain_complex_accepts_predicate():
-    fan = example1_fan()
-    cc = cell_complex(fan)
-    by_ids = chain_complex(cc, nonzero_ids(fan))
-    by_pred = chain_complex(cc, lambda i: True)
-    assert by_ids.ranks == by_pred.ranks
-    assert by_ids.boundaries == by_pred.boundaries
-
-
 def test_subcomplex_homology_memoized():
     fan = example1_fan()
     cc = cell_complex(fan)

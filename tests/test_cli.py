@@ -287,15 +287,47 @@ def _count_calls(monkeypatch, calls, fn_name, *modules):
         monkeypatch.setattr(mod, fn_name, counted)
 
 
-def test_brion_builds_each_stage_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("brion", "--oracle"),
+    ("brion", "--oracle", "--box=-1:1,-1:2"),
+    ("brion", "--oracle", "--coefficients", "modp:3"),
+    ("cohomology", "--oracle", "--coefficients", "modp:3"),
+], ids=["brion", "brion-box", "brion-modp3", "cohomology-modp3"])
+def test_brion_builds_each_stage_once(argv, tmp_path, capsys, monkeypatch):
     import toricgf.cellular as cellular
     import toricgf.cli as cli
     import toricgf.cohomology as cohomology
+    import toricgf.genfun as genfun
 
     calls = {}
     _count_calls(monkeypatch, calls, "cell_complex", cellular)
     _count_calls(monkeypatch, calls, "cohomology_table", cohomology, cli)
     _count_calls(monkeypatch, calls, "brion_terms", cohomology, cli)
-    assert main(["brion", write(tmp_path, EX1_DOC), "--oracle"]) == 0
-    assert calls == {"cell_complex": 1, "cohomology_table": 1, "brion_terms": 1}
-    assert "oracle_signed_counts_match: true" in capsys.readouterr().out
+    _count_calls(monkeypatch, calls, "cone_genfun", genfun, cohomology)
+    _count_calls(monkeypatch, calls, "mask", cohomology.SweepIndex)
+    assert main([argv[0], write(tmp_path, EX1_DOC), *argv[1:], "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["oracle"]["signed_counts_match"]
+    # The report's box is the box the table, the identity and the oracle read.
+    candidates = shell = 1
+    for lo, hi in report["region"]:
+        candidates *= hi - lo + 1
+        shell *= hi - lo + 3
+    shell -= candidates
+    assert calls == {"cell_complex": 1, "cohomology_table": 1, "brion_terms": 1,
+                     "cone_genfun": report["fan"]["num_maximal"],
+                     "mask": candidates + shell}
+    if "--box=-1:1,-1:2" in argv:
+        assert report["region"] == [[-1, 1], [-1, 2]]
+
+
+def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
+    import toricgf.cellular as cellular
+
+    # One spurious F_3 dimension contradicts the signed cone count.
+    monkeypatch.setattr(cellular.HomologyResult, "betti_mod_p",
+                        lambda self, p: {d: b + (d == 0) for d, b in self.betti.items()})
+    assert main(["brion", write(tmp_path, EX1_DOC), "--coefficients", "modp:3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InternalCheckFailed: Euler characteristic")

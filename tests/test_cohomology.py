@@ -361,3 +361,18 @@ def test_sweep_matches_per_cone_membership_on_deep_fans(deep_fans):
                          for i, c in enumerate(fan.cones) if member[i])
             assert support_subcomplex(h, b) == keep
             assert signed_count(h, b) == signed
+
+
+def test_identity_over_a_mod_p_table_matches_rational_on_random_3d_fans():
+    # The identity and the corollaries read whatever table the run built;
+    # chi is field-independent and the corollaries read rational cohomology.
+    rng = random.Random(67)
+    for k in range(12):
+        fan = random_fan_3d(rng, k % 4)
+        h = random_support_3d(rng, fan, spread=1 + k % 2)
+        rational = verify_identity(h)
+        over_f2 = verify_identity(h, cohomology_table(h, p=2))
+        assert over_f2.chi_polynomial == rational.chi_polynomial
+        assert over_f2.identity_holds == rational.identity_holds
+        assert over_f2.corollary_results == rational.corollary_results
+        assert over_f2.region == rational.region
