@@ -13,21 +13,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, count, product
 
 from .intlinalg import (
     InternalCheckFailed,
     Vector,
     adjugate,
+    cross_product,
     determinant,
     dot,
-    kernel_basis,
     matvec,
     primitive_vector,
     smith_normal_form,
     unimodular_inverse,
 )
-from .polyhedral import Cone, cone_from_rays, face_lattice
+from .polyhedral import Cone, cone_from_rays
 
 
 class NotPointed(Exception):
@@ -213,11 +213,6 @@ def rational_equal(a: RationalGF, b: RationalGF) -> bool:
     return left == right
 
 
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
-           139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199]
-
-
 @dataclass(frozen=True)
 class HalfOpenSimplicialCone:
     """Simplicial piece of a triangulation with per-facet openness flags.
@@ -231,36 +226,49 @@ class HalfOpenSimplicialCone:
 
 
 def _triangulate_rays(c: Cone) -> list[tuple[Vector, ...]]:
-    """Pulling triangulation using only the rays of the cone."""
+    """Pulling triangulation using only the rays of the cone: the first ray
+    is coned over the triangulated facets that miss it."""
     if c.dim == len(c.rays):
         return [c.rays]
     r0 = c.rays[0]
-    pieces = []
-    for face, d in face_lattice(c):
-        if d != c.dim - 1 or r0 in face.rays:
-            continue
-        for sub in _triangulate_rays(face):
-            pieces.append((r0,) + sub)
-    return pieces
+    facets = sorted({tuple(g for g in c.rays if dot(u, g) == 0) for u in c.inequalities})
+    return [(r0,) + sub for facet in facets if r0 not in facet
+            for sub in _triangulate_rays(cone_from_rays(c.ambient_dim, facet))]
 
 
 def _inward_normals(gens: tuple[Vector, ...]) -> list[Vector]:
     """For each generator, the primitive facet normal of the opposite facet,
     oriented into the simplicial cone."""
-    n = len(gens[0])
     normals = []
     for i, g in enumerate(gens):
-        others = [list(v) for j, v in enumerate(gens) if j != i]
-        ker = kernel_basis(others, cols=n)
-        if len(ker) != 1:
+        u = cross_product([v for j, v in enumerate(gens) if j != i])
+        if not any(u):
             raise InternalCheckFailed(f"facet of {gens} opposite {g} has no normal line")
-        u = primitive_vector(ker[0])
+        u = primitive_vector(u)
         if dot(u, g) < 0:
             u = tuple(-x for x in u)
         if dot(u, g) == 0:
             raise InternalCheckFailed(f"generator {g} lies on its opposite facet")
         normals.append(u)
     return normals
+
+
+# The 46 primes below 200.
+_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def _reference_weights(k: int):
+    """Positive ray weights to try, in order, for the reference point.
+
+    First each window of k consecutive primes below 200; then the moment
+    curve (1, t, ..., t^(k-1)) for t = 1, 2, ....  On the moment curve,
+    <u, z> is a polynomial in t of degree below k, and it is not zero
+    because the rays span the space; so each normal u rules out at most k-1
+    values of t, and the search always ends.
+    """
+    windows = (_PRIMES[s:s + k] for s in range(len(_PRIMES) - k))
+    moment = ([t ** i for i in range(k)] for t in count(1))
+    return chain(windows, moment)
 
 
 def triangulate_halfopen(c: Cone) -> list[HalfOpenSimplicialCone]:
@@ -277,14 +285,11 @@ def triangulate_halfopen(c: Cone) -> list[HalfOpenSimplicialCone]:
         raise NotFullDimensional(f"{c} has dimension {c.dim} < {c.ambient_dim}")
     simplices = _triangulate_rays(c)
     normals = [_inward_normals(gens) for gens in simplices]
-    for start in range(len(_PRIMES) - len(c.rays)):
-        weights = _PRIMES[start:start + len(c.rays)]
+    for weights in _reference_weights(len(c.rays)):
         z = tuple(sum(w * r[i] for w, r in zip(weights, c.rays))
                   for i in range(c.ambient_dim))
         if all(dot(u, z) != 0 for ns in normals for u in ns):
             break
-    else:
-        raise InternalCheckFailed("no generic reference point found")
     pieces = []
     for gens, ns in zip(simplices, normals):
         flags = tuple(dot(u, z) > 0 for u in ns)

@@ -51,59 +51,63 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def _bareiss(m: Matrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row elimination of m in place, with
+    first-nonzero pivoting.
+
+    Returns the rank and the last pivot, signed by the row swaps.  Each
+    pivot is a minor of the row-permuted matrix, so for a square matrix of
+    full rank the signed last pivot is the determinant.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for row in m[r + 1:]:
+            x = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - x * top[j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r, sign * prev
+
+
 def determinant(a: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    r, pivot = _bareiss([list(row) for row in a])
+    return pivot if r == n else 0
 
 
 def rank(rows) -> int:
     """Rank over the rationals, by fraction-free row elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, len(m)):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return _bareiss([list(r) for r in rows])[0]
+
+
+def cross_product(rows) -> Vector:
+    """The vector of signed maximal minors of n-1 rows in Z^n.
+
+    It is orthogonal to every row, and nonzero exactly when the rows are
+    linearly independent.
+    """
+    k = len(rows)
+    minors = (_bareiss([[*row[:i], *row[i + 1:]] for row in rows]) for i in range(k + 1))
+    return tuple((-1) ** i * pivot if r == k else 0 for i, (r, pivot) in enumerate(minors))
 
 
 def greedy_basis(vectors) -> list[Vector]:
@@ -275,7 +279,8 @@ def rank_mod_p(a: Matrix, p: int) -> int:
     return sum(1 for x in invariant_factors(a) if x % p != 0)
 
 
-def _solve_via_snf(a: Matrix, b, integral: bool):
+def solve_integral(a: Matrix, b) -> Vector | None:
+    """One integer solution x of a @ x == b, or None if none exists."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(b) != rows:
@@ -290,24 +295,18 @@ def _solve_via_snf(a: Matrix, b, integral: bool):
         if d == 0:
             if c[i] != 0:
                 return None
-        elif integral:
-            if c[i] % d != 0:
-                return None
+        elif c[i] % d != 0:
+            return None
+        else:
             y[i] = c[i] // d
-    if not integral:
-        return tuple(y)  # witness only; rational solvability established
-    x = matvec(res.V, y)
-    return tuple(x)
-
-
-def solve_integral(a: Matrix, b) -> Vector | None:
-    """One integer solution x of a @ x == b, or None if none exists."""
-    return _solve_via_snf(a, b, integral=True)
+    return tuple(matvec(res.V, y))
 
 
 def rationally_solvable(a: Matrix, b) -> bool:
     """Whether a @ x == b has any solution over the rationals."""
-    return _solve_via_snf(a, b, integral=False) is not None
+    if len(b) != len(a):
+        raise ValueError("right hand side length does not match row count")
+    return rank(a) == rank([list(row) + [x] for row, x in zip(a, b)])
 
 
 def kernel_basis(a: Matrix, cols: int | None = None) -> list[Vector]:

@@ -3,9 +3,13 @@
 All cones are rational polyhedral cones in an ambient Z^n, kept in a double
 description: a list of primitive generators and a list of integer inequality
 vectors u with cone = {x : <u, x> >= 0 for all u}.  Linear span constraints
-are folded into the inequality list as +-pairs.  Conversions between the two
-descriptions go through exhaustive supporting-hyperplane enumeration, which
-is exact and entirely adequate at desk scale (n <= 4, a few dozen rays).
+are folded into the inequality list as +-pairs.  One rule does the geometry:
+a facet is the set of rays tight on one facet normal.  Each normal is the
+cross product of d-1 generators and the span equations of a d-dimensional
+cone, the faces are the facets' ray sets closed under intersection, and the
+inequalities of an intersection or of a normal cone come from the dual
+description, ``dual_cone(cone_from_rays(...))``.  All of it is exact and
+polynomial in the number of rays for a fixed dimension.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .intlinalg import (
     InternalCheckFailed,
     Vector,
     dot,
-    greedy_basis,
+    cross_product,
     kernel_basis,
     primitive_vector,
     rank,
@@ -64,9 +68,6 @@ class Cone:
     def contains(self, x) -> bool:
         return all(dot(u, x) >= 0 for u in self.inequalities)
 
-    def is_simplicial(self) -> bool:
-        return self.pointed and len(self.rays) == self.dim
-
     def __repr__(self):
         kind = "cone" if self.pointed else "cone*"
         return f"{kind}{list(self.rays)}"
@@ -77,29 +78,23 @@ def _hull_description(gens: list[Vector], n: int):
 
     Returns (dim, equations, facets) where equations is an integer basis of
     the orthogonal complement of span(gens) and facets are the primitive
-    inward facet normals of the cone inside its span.
+    inward facet normals of the cone inside its span: each is the cross
+    product of d-1 independent generators and the equations, kept, turned
+    inward, when no two generators lie on opposite sides of it.
     """
     if not gens:
         return 0, [tuple(r) for r in kernel_basis([], cols=n)], []
-    d = rank([list(g) for g in gens])
-    equations = kernel_basis([list(g) for g in gens])
-    span = greedy_basis(gens)
+    d = rank(gens)
+    equations = kernel_basis([list(g) for g in gens]) if d < n else []
     facets = set()
-    if d >= 1:
-        for subset in combinations(gens, d - 1):
-            # Normal inside span(gens) of the hyperplane spanned by subset.
-            m = [[dot(s, b) for b in span] for s in subset]
-            ker = kernel_basis(m, cols=d)
-            if len(ker) != 1:
-                continue
-            t = ker[0]
-            u = tuple(sum(t[j] * span[j][i] for j in range(d)) for i in range(n))
-            u = primitive_vector(u)
-            signs = [dot(u, g) for g in gens]
-            if all(s >= 0 for s in signs):
-                facets.add(u)
-            elif all(s <= 0 for s in signs):
-                facets.add(tuple(-x for x in u))
+    for subset in combinations(gens, d - 1):
+        u = cross_product(list(subset) + equations)
+        values = [dot(u, g) for g in gens]
+        lo, hi = min(values), max(values)
+        if lo >= 0 < hi:
+            facets.add(primitive_vector(u))
+        elif hi <= 0 > lo:
+            facets.add(primitive_vector(tuple(-x for x in u)))
     return d, equations, sorted(facets)
 
 
@@ -136,15 +131,6 @@ def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = Fals
                 inequalities=tuple(ineqs), dim=d, pointed=pointed)
 
 
-def generators_from_inequalities(ambient_dim: int, inequalities) -> list[Vector]:
-    """A finite generating set of {x : <u, x> >= 0 for all u}.
-
-    By conic duality this is the inequality list of the cone spanned by the
-    inequality vectors themselves.
-    """
-    return list(cone_from_rays(ambient_dim, inequalities).inequalities)
-
-
 def dual_cone(c: Cone) -> Cone:
     """The cone of functionals nonnegative on c."""
     if not c.inequalities:
@@ -153,21 +139,20 @@ def dual_cone(c: Cone) -> Cone:
 
 
 def face_lattice(c: Cone) -> list[tuple[Cone, int]]:
-    """All faces of a strongly convex cone, including c and the zero cone."""
+    """All faces of a strongly convex cone, including c and the zero cone:
+    the ray sets of its facets closed under intersection."""
     if not c.pointed:
         raise NonPointedCone("face lattice requires a strongly convex cone")
-    ray_sets: set[frozenset[Vector]] = set()
-    if c.is_simplicial():
-        for k in range(len(c.rays) + 1):
-            for subset in combinations(c.rays, k):
-                ray_sets.add(frozenset(subset))
-    else:
-        facets = [u for u in c.inequalities]
-        for k in range(len(facets) + 1):
-            for subset in combinations(facets, k):
-                tight = frozenset(g for g in c.rays
-                                  if all(dot(u, g) == 0 for u in subset))
-                ray_sets.add(tight)
+    facets = {frozenset(g for g in c.rays if dot(u, g) == 0) for u in c.inequalities}
+    ray_sets = {frozenset(c.rays)}
+    todo = list(ray_sets)
+    while todo:
+        rs = todo.pop()
+        for facet in facets:
+            meet = rs & facet
+            if meet not in ray_sets:
+                ray_sets.add(meet)
+                todo.append(meet)
     faces = [cone_from_rays(c.ambient_dim, sorted(rs)) for rs in ray_sets]
     faces.sort(key=lambda f: (f.dim, f.rays))
     return [(f, f.dim) for f in faces]
@@ -240,32 +225,19 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         missing = sorted(set(range(len(ray_list))) - used)
         raise ValueError(f"rays {missing} are not used by any maximal cone")
 
-    # Close under faces, remembering each cone's face ray-sets.
+    # The faces of the listed cones are all the cones of the fan.
     cones_by_rays: dict[frozenset[Vector], Cone] = {}
     face_sets: dict[frozenset[Vector], set[frozenset[Vector]]] = {}
-
-    def register(c: Cone):
-        key = frozenset(c.rays)
-        if key in face_sets:
-            return
-        faces = face_lattice(c)
-        face_sets[key] = {frozenset(f.rays) for f, _ in faces}
-        for f, _ in faces:
-            fkey = frozenset(f.rays)
-            if fkey not in cones_by_rays:
-                cones_by_rays[fkey] = f
-            if fkey != key and fkey not in face_sets:
-                register(f)
-
     for c in top:
-        register(c)
+        faces = face_lattice(c)
+        face_sets[frozenset(c.rays)] = {frozenset(f.rays) for f, _ in faces}
+        for f, _ in faces:
+            cones_by_rays.setdefault(frozenset(f.rays), f)
 
     # Pairwise intersections of the listed cones must be common faces; this
     # propagates to all faces automatically.
     for a, b in combinations(top, 2):
-        gens = generators_from_inequalities(ambient_dim,
-                                            a.inequalities + b.inequalities)
-        inter = cone_from_rays(ambient_dim, gens)
+        inter = dual_cone(cone_from_rays(ambient_dim, a.inequalities + b.inequalities))
         key = frozenset(inter.rays)
         if key not in face_sets[frozenset(a.rays)] or key not in face_sets[frozenset(b.rays)]:
             raise FanAxiomViolation(
@@ -277,11 +249,11 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         if v not in fan_rays:
             raise ValueError(
                 f"listed ray {v} is a redundant generator, not a ray of the fan")
-    relation = set()
-    for i, c in enumerate(ordered):
-        for j, f in enumerate(ordered):
-            if f.dim == c.dim - 1 and frozenset(f.rays) in face_sets[frozenset(c.rays)]:
-                relation.add((j, i))
+    # In a fan, a cone one dimension lower whose rays are among c's is a
+    # face of c: both are faces of maximal cones meeting in a common face.
+    keys = [frozenset(c.rays) for c in ordered]
+    relation = {(j, i) for i, c in enumerate(ordered) for j, f in enumerate(ordered)
+                if f.dim == c.dim - 1 and keys[j] <= keys[i]}
     return Fan(ambient_dim, ordered, relation, tuple(ray_list))
 
 
@@ -384,7 +356,7 @@ class LatticePolytope:
 def _normal_cone(point: Vector, points: list[Vector], n: int) -> Cone:
     ineqs = [tuple(p[i] - point[i] for i in range(n))
              for p in points if p != point]
-    return cone_from_rays(n, generators_from_inequalities(n, ineqs))
+    return dual_cone(cone_from_rays(n, ineqs))
 
 
 def lattice_polytope(ambient_dim: int, points) -> LatticePolytope:

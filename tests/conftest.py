@@ -3,10 +3,11 @@ complete fans in dimensions 2 and 3."""
 
 import random
 from functools import cmp_to_key
+from math import atan2, gcd
 
 import pytest
 
-from toricgf import build_fan, lattice_polytope, support_from_ray_values
+from toricgf import build_fan, cone_from_rays, lattice_polytope, support_from_ray_values
 from toricgf.intlinalg import determinant, dot, primitive_vector
 from toricgf.polyhedral import NotIntegral, NotLinearOnCone
 
@@ -120,6 +121,25 @@ def random_fan_3d(rng: random.Random, subdivisions: int = 0):
 def random_support_3d(rng: random.Random, fan, spread: int = 1):
     values = [rng.randint(-spread, spread) for _ in fan.input_rays]
     return support_from_ray_values(fan, values)
+
+
+def lattice_polygon_cone(edges):
+    """Cone over the lattice polygon whose edge vectors, in angular order,
+    are the given primitive vectors (which must sum to zero)."""
+    x = y = 0
+    rays = []
+    for a, b in sorted(edges, key=lambda e: atan2(e[1], e[0])):
+        rays.append((x, y, 1))
+        x, y = x + a, y + b
+    if (x, y) != (0, 0):
+        raise ValueError("edge vectors do not close up")
+    return cone_from_rays(3, rays)
+
+
+def primitive_edges(radius):
+    """The primitive (a, b) with 0 < |a| + |b| <= radius."""
+    return [(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)
+            if 0 < abs(a) + abs(b) <= radius and gcd(a, b) == 1]
 
 
 @pytest.fixture

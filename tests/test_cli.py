@@ -331,3 +331,23 @@ def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: InternalCheckFailed: Euler characteristic")
+
+
+def test_oracle_signed_counts_bypass_the_sweep(tmp_path, capsys, monkeypatch):
+    import toricgf.cohomology as cohomology
+
+    # One ray's bit flipped at one degree: the table, its chi and the Euler
+    # cross-check all read the same wrong subcomplex, so only the per-cone
+    # membership count can see it.
+    real = cohomology.SweepIndex.mask
+
+    def flipped(self, b):
+        m = real(self, b)
+        return m ^ 1 if tuple(b) == (-2, 0) else m
+
+    monkeypatch.setattr(cohomology.SweepIndex, "mask", flipped)
+    code = main(["cohomology", write(tmp_path, EX1_DOC), "--oracle", "--format", "machine"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["oracle"]["series_match"]
+    assert report["oracle"]["signed_counts_match"] is False

@@ -331,18 +331,17 @@ DEEP_DEPTHS = (8, 12)
 
 @pytest.fixture(scope="module")
 def deep_fans():
-    """random_fan_3d at 8 or 12 subdivisions, alternating by seed; the
+    """random_fan_3d at both 8 and 12 subdivisions for every seed; the
     shallow fans of the other tests hid a rank fault that made about two
-    thirds of these fail to build.  One depth per seed halves the build
-    time, which the pairwise intersection check of build_fan dominates."""
-    return [random_fan_3d(random.Random(seed), DEEP_DEPTHS[seed % 2])
-            for seed in DEEP_SEEDS]
+    thirds of these fail to build."""
+    return [random_fan_3d(random.Random(seed), depth)
+            for seed in DEEP_SEEDS for depth in DEEP_DEPTHS]
 
 
 def test_deep_random_fans_build(deep_fans):
     from toricgf import check_complete
 
-    assert len(deep_fans) == len(DEEP_SEEDS)
+    assert len(deep_fans) == len(DEEP_SEEDS) * len(DEEP_DEPTHS)
     for fan in deep_fans:
         assert check_complete(fan).complete
 

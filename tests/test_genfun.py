@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -20,7 +20,7 @@ from toricgf import (
 )
 from toricgf.genfun import binomial_product, in_half_open_piece
 
-from conftest import example1_fan
+from conftest import example1_fan, lattice_polygon_cone, primitive_edges
 
 
 def mono(e, c=1):
@@ -136,6 +136,29 @@ def test_triangulate_halfopen_disjoint_cover():
             inside = c.contains(pt)
             hits = sum(1 for p in pieces if in_half_open_piece(p, pt))
             assert hits == (1 if inside else 0), (c, pt)
+
+
+def test_triangulate_cone_over_a_48_gon():
+    # 48 rays: more than the 46 prime weights offer a window for, so the
+    # reference point comes from the moment curve.
+    c = lattice_polygon_cone(primitive_edges(6))
+    assert len(c.rays) == 48
+    pieces = triangulate_halfopen(c)
+    assert len(pieces) == 46
+    for pt in product(range(-3, 4), range(-3, 4), range(0, 3)):
+        hits = sum(1 for p in pieces if in_half_open_piece(p, pt))
+        assert hits == (1 if c.contains(pt) else 0), pt
+
+
+def test_reference_point_keeps_the_prime_windows():
+    # Where a window of consecutive primes works, it is still the one used.
+    from toricgf.genfun import _reference_weights
+
+    weights = _reference_weights(4)
+    assert next(weights) == [2, 3, 5, 7]
+    assert list(islice(weights, 41))[-1] == [181, 191, 193, 197]
+    assert next(weights) == [1, 1, 1, 1]
+    assert next(weights) == [1, 2, 4, 8]
 
 
 def test_triangulate_requires_pointed_full_dim():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from toricgf.intlinalg import (
+    cross_product,
     determinant,
     identity_matrix,
     invariant_factors,
@@ -200,3 +201,20 @@ def test_rank_matches_snf_rank_random():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         assert rank(a) == len(invariant_factors(a)), a
+
+
+def test_cross_product_is_the_signed_minor_vector():
+    assert cross_product([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
+    assert cross_product([(1, 2)]) == (2, -1)
+    assert cross_product([]) == (1,)
+    rng = random.Random(17)
+    for _ in range(2000):
+        k = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(k + 1)) for _ in range(k)]
+        u = cross_product(rows)
+        assert all(sum(a * b for a, b in zip(row, u)) == 0 for row in rows)
+        assert any(u) == (rank(rows) == k)
+        # Completing the rows by any vector x gives det = <x, u> up to sign.
+        x = [rng.randint(-3, 3) for _ in range(k + 1)]
+        assert determinant([list(r) for r in rows] + [x]) == \
+            (-1) ** k * sum(a * b for a, b in zip(x, u))

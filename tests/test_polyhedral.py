@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -17,9 +19,10 @@ from toricgf import (
     normal_fan_of_polytope,
     support_from_ray_values,
 )
-from toricgf.intlinalg import dot, matvec, primitive_vector
+from toricgf.intlinalg import dot, matvec, primitive_vector, rank
 
-from conftest import example1_fan, octahedron_fan, random_fan_2d, unit_square
+from conftest import (example1_fan, lattice_polygon_cone, octahedron_fan, primitive_edges,
+                      random_fan_2d, unit_square)
 
 
 def test_cone_from_rays_basic():
@@ -76,8 +79,8 @@ def test_dual_cone_orthant_self_dual():
 
 def test_dual_dual_identity_random():
     rng = random.Random(2)
-    for _ in range(60):
-        n = rng.choice([2, 3])
+    for _ in range(90):
+        n = rng.choice([2, 3, 4])
         gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + rng.randint(0, 2))]
         gens = [g for g in gens if any(g)]
         if not gens:
@@ -157,6 +160,75 @@ def test_face_lattice_nonsimplicial():
     for f, d in faces:
         by_dim[d] = by_dim.get(d, 0) + 1
     assert by_dim == {0: 1, 1: 4, 2: 4, 3: 1}
+
+
+def random_pointed_cone(rng, n, d):
+    """Cone over random generators with a positive first coordinate in Z^d,
+    carried into Z^n by a random integer matrix of rank d; pointed, of
+    dimension at most d."""
+    while True:
+        emb = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+        if rank(emb) == d:
+            break
+    gens = [(rng.randint(1, 3),) + tuple(rng.randint(-3, 3) for _ in range(d - 1))
+            for _ in range(rng.randint(d, d + 5))]
+    gens = [tuple(dot(row, g) for row in emb) for g in gens]
+    return gens, cone_from_rays(n, gens)
+
+
+def random_pointed_cones():
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        for d in range(1, n + 1):
+            for _ in range(25):
+                yield random_pointed_cone(rng, n, d)
+
+
+def facet_normals(c):
+    """The inequalities that are not one half of a span equation pair."""
+    return [u for u in c.inequalities if tuple(-x for x in u) not in c.inequalities]
+
+
+def brute_force_face_sets(c):
+    """Rays tight on every facet of a subset, over all subsets of facets."""
+    facets = facet_normals(c)
+    return {frozenset(g for g in c.rays if all(dot(u, g) == 0 for u in subset))
+            for k in range(len(facets) + 1) for subset in combinations(facets, k)}
+
+
+def test_face_lattice_matches_facet_subset_enumeration():
+    checked = 0
+    for _, c in random_pointed_cones():
+        assert c.pointed
+        if len(facet_normals(c)) > 10:
+            continue
+        faces = face_lattice(c)
+        assert {frozenset(f.rays) for f, _ in faces} == brute_force_face_sets(c)
+        assert len(faces) == len({frozenset(f.rays) for f, _ in faces})
+        assert all(f.dim == d for f, d in faces)
+        checked += 1
+    assert checked >= 200
+
+
+def test_facet_normals_are_primitive_valid_and_tight_on_a_ridge():
+    for gens, c in random_pointed_cones():
+        facets = facet_normals(c)
+        assert facets
+        for u in facets:
+            assert primitive_vector(u) == u
+            assert all(dot(u, g) >= 0 for g in gens)
+            tight = [g for g in c.rays if dot(u, g) == 0]
+            assert rank(tight) == c.dim - 1
+
+
+def test_face_lattice_of_a_cone_over_a_20_gon_is_fast():
+    c = lattice_polygon_cone(primitive_edges(3) + [(1, 3), (-3, 1), (-1, -3), (3, -1)])
+    assert len(c.rays) == 20
+    start = time.perf_counter()
+    faces = face_lattice(c)
+    elapsed = time.perf_counter() - start
+    assert sorted(d for _, d in faces) == [0] + [1] * 20 + [2] * 20 + [3]
+    assert elapsed < 1.0
 
 
 def test_build_fan_example1():
