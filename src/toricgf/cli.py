@@ -27,20 +27,22 @@ import yaml
 
 from .cellular import NoIncidenceWitness
 from .cohomology import (
+    REGION_CAVEAT,
     DegreeRegion,
     ShellCheckFailed,
     NoArrangementVertices,
     brion_terms,
     chi_polynomial,
     cohomology_table,
-    graded_cohomology,
-    membership,
+    reference_subcomplex,
+    sweep_index,
     verify_identity,
 )
 from .genfun import (
     DependentGenerators,
     NotFullDimensional,
     NotPointed,
+    box_points,
     expand_in_box,
     truncated_series,
 )
@@ -224,17 +226,16 @@ def _build(spec: FanSpec):
 def _run_oracle(h, table, terms, chi, box) -> dict:
     """Series cross-check of the run's maximal cone generating functions
     ``terms`` on ``box``, and of ``chi``, the Euler polynomial read from the
-    table's cohomology, against signed counts of per-cone dual membership
-    on the table's degrees, which bypass the sweep."""
+    table's cohomology, against the per-cone signed count of
+    ``reference_subcomplex`` on every degree of the table's region, which
+    bypasses the sweep."""
     fan = h.fan
-    n = fan.ambient_dim
     matches = all(
         expand_in_box(gf, box) == truncated_series(
             tuple(-x for x in h.linear_part(i)), dual_cone(fan.cones[i]), box)
         for i, gf in terms)
-    counts_ok = all(
-        sum((-1) ** (n - c.dim) for i, c in enumerate(fan.cones) if membership(h, i, b))
-        == chi.coefficient(b) for b, _ in table.degrees)
+    counts_ok = all(reference_subcomplex(h, b).signed_count == chi.coefficient(b)
+                    for b in box_points(table.region.box))
     return {"box": [list(b) for b in box],
             "cones_checked": len(terms),
             "series_match": matches,
@@ -265,8 +266,8 @@ def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
         if len(flags.degree) != fan.ambient_dim:
             raise DimensionMismatch(
                 f"degree {list(flags.degree)} is not {fan.ambient_dim}-dimensional")
-        dims, torsion = graded_cohomology(support, flags.degree, flags.p)
-        chi = sum((-1) ** k * d for k, d in enumerate(dims))
+        idx = sweep_index(support)
+        dims, torsion, chi = idx.cohomology(idx.subcomplex(flags.degree), flags.p)
         report.table = [{"degree": list(flags.degree), "dims": list(dims),
                          "torsion": [list(t) for t in torsion], "chi": chi}]
         report.timing_ms = 1000 * (time.monotonic() - t0)
@@ -286,7 +287,7 @@ def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
     table = cohomology_table(support, flags.p, region)
     report.table = _table_data(table)
     report.region = [list(b) for b in table.region.box]
-    report.region_caveat = table.caveat
+    report.region_caveat = REGION_CAVEAT
     terms = brion_terms(support) if command != "cohomology" or flags.oracle else None
     if command == "cohomology":
         chi = chi_polynomial(support, table)

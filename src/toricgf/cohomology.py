@@ -15,9 +15,11 @@ So a degree costs one on-ray bitmask, and a cone is kept when its own ray
 mask is a subset of it.  A ``SweepIndex`` per support function memoises,
 per distinct mask, the kept cones, the signed count, the homology and the
 cohomology per coefficient field.  ``cohomology_table`` is a run's single
-pass: it keeps every degree of its region with that degree's subcomplex, and
-the Euler polynomial, the identity check, the corollaries and the oracle all
-read those pairs.
+pass: it keeps the first degree of each distinct subcomplex of its region,
+and the Euler polynomial, the identity check and the corollaries read it.
+The corollaries and the CLI's oracle check the table against
+``reference_subcomplex``, which tests dual membership cone by cone and so
+does not go through the sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
 
-from .cellular import HomologyResult, fan_cell_complex, subcomplex_homology
+from .cellular import fan_cell_complex, subcomplex_homology
 from .genfun import LaurentPolynomial, RationalGF, box_points, cone_genfun, rational_equal
 from .intlinalg import InternalCheckFailed, adjugate, determinant, dot, matvec
 from .polyhedral import SupportFunction, dual_cone
@@ -77,6 +79,16 @@ class Subcomplex:
         self.cohomology: dict = {}
 
 
+def reference_subcomplex(h: SupportFunction, b) -> Subcomplex:
+    """The degree-b subcomplex from ``membership`` on every cone, with its
+    signed count: the reference the sweep is checked against."""
+    fan = h.fan
+    n = fan.ambient_dim
+    members = [i for i in range(len(fan.cones)) if membership(h, i, b)]
+    return Subcomplex(frozenset(i for i in members if fan.cones[i].dim),
+                      sum((-1) ** (n - fan.cones[i].dim) for i in members))
+
+
 class SweepIndex:
     """Rays with their support values, every cone's ray set as a bitmask,
     and the memo of subcomplexes by on-ray mask, for one support function."""
@@ -112,16 +124,13 @@ class SweepIndex:
             sub = self._memo[m] = Subcomplex(frozenset(keep), signed)
         return sub
 
-    def homology(self, sub: Subcomplex) -> HomologyResult:
-        return subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
-
     def cohomology(self, sub: Subcomplex, p: int | None = None):
         """(dims, torsion, chi) of a subcomplex over Q, or over F_p when p
         is given; computed and Euler-checked once per subcomplex and field."""
         got = sub.cohomology.get(p)
         if got is None:
             n = self.fan.ambient_dim
-            hom = self.homology(sub)
+            hom = subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
             betti = hom.betti if p is None else hom.betti_mod_p(p)
             dims = tuple(betti[n - 1 - k] for k in range(n + 1))
             torsion = tuple(hom.torsion[n - 1 - k] for k in range(n + 1))
@@ -229,25 +238,16 @@ def check_shell(h: SupportFunction, box) -> None:
 class CohomologyTable:
     """Graded cohomology over one degree region and one coefficient field.
 
-    ``degrees`` pairs every candidate degree, in box order, with its
-    subcomplex.  ``entries`` maps a degree with nonzero cohomology to
-    (dims, torsion, chi); omitted degrees have all-zero cohomology within the
-    certified region.
+    ``subcomplexes`` pairs each distinct subcomplex of the region with its
+    first degree in box order.  ``entries`` maps a degree with nonzero
+    cohomology to (dims, torsion, chi); omitted degrees have all-zero
+    cohomology within the certified region.
     """
 
     ambient_dim: int
     entries: dict[tuple[int, ...], tuple[tuple[int, ...], tuple, int]]
     region: DegreeRegion
-    degrees: tuple[tuple[tuple[int, ...], Subcomplex], ...]
-    caveat: str = REGION_CAVEAT
-
-    def total_dims(self) -> tuple[int, ...]:
-        n = self.ambient_dim
-        totals = [0] * (n + 1)
-        for dims, _, _ in self.entries.values():
-            for k in range(n + 1):
-                totals[k] += dims[k]
-        return tuple(totals)
+    subcomplexes: tuple[tuple[tuple[int, ...], Subcomplex], ...]
 
 
 def cohomology_table(h: SupportFunction, p: int | None = None,
@@ -263,14 +263,17 @@ def cohomology_table(h: SupportFunction, p: int | None = None,
         region = degree_region(h)
     check_shell(h, region.box)
     idx = sweep_index(h)
-    degrees = tuple((b, idx.subcomplex(b)) for b in box_points(region.box))
+    firsts: dict[Subcomplex, tuple[int, ...]] = {}
     entries = {}
-    for b, sub in degrees:
+    for b in box_points(region.box):
+        sub = idx.subcomplex(b)
+        firsts.setdefault(sub, b)
         dims, torsion, chi = idx.cohomology(sub, p)
         if any(dims) or any(torsion):
             entries[b] = (dims, torsion, chi)
     return CohomologyTable(ambient_dim=h.fan.ambient_dim, entries=entries,
-                           region=region, degrees=degrees)
+                           region=region,
+                           subcomplexes=tuple((b, sub) for sub, b in firsts.items()))
 
 
 def chi_polynomial(h: SupportFunction, table: CohomologyTable | None = None) -> LaurentPolynomial:
@@ -319,44 +322,39 @@ class VerificationReport:
     lhs: RationalGF
     corollary_results: dict[str, CorollaryResult]
     region: DegreeRegion
-    caveat: str = REGION_CAVEAT
 
 
-def _check_top_cohomology(idx, degrees, n) -> CorollaryResult:
-    for b, sub in degrees:
-        dims, _, _ = idx.cohomology(sub)
-        empty = not sub.keep
-        expected_top = 1 if empty else 0
-        if dims[n] != expected_top:
-            return CorollaryResult(
-                False, f"H^{n} at {b} is {dims[n]}, expected {expected_top}")
-        if empty and any(dims[k] for k in range(n)):
-            return CorollaryResult(
-                False, f"empty subcomplex at {b} but lower cohomology present")
-    return CorollaryResult(True)
-
-
-def _check_exclusive(idx, degrees, n) -> CorollaryResult:
-    rational = [idx.cohomology(sub)[0] for _, sub in degrees]
-    h0 = sum(dims[0] for dims in rational)
-    hn = sum(dims[n] for dims in rational)
-    if h0 and hn:
-        return CorollaryResult(
-            False, f"H^0 total {h0} and H^{n} total {hn} both nonzero")
-    return CorollaryResult(True)
-
-
-def _check_reduced_euler(idx, chi, degrees, n) -> CorollaryResult:
-    for b, sub in degrees:
-        hom = idx.homology(sub)
-        reduced = sum((-1) ** d * hom.betti[d] for d in range(-1, n))
-        expect = (-1) ** (n - 1) * reduced
-        if chi.coefficient(b) != expect:
-            return CorollaryResult(
-                False,
-                f"coefficient {chi.coefficient(b)} at {b}, but "
-                f"(-1)^(n-1) * reduced Euler characteristic is {expect}")
-    return CorollaryResult(True)
+def _check_corollaries(h: SupportFunction, table: CohomologyTable,
+                       chi: LaurentPolynomial) -> dict[str, CorollaryResult]:
+    """The paper's three corollaries in one pass over the table's distinct
+    subcomplexes, against ``reference_subcomplex`` at each first degree:
+    H^n is 1 exactly when the reference is empty, and the lower cohomology
+    is 0 then; H^0 and H^n are not both nonzero in the region; and the x^b
+    coefficient of chi is the reference's signed count, which is (-1)^(n-1)
+    times its reduced Euler characteristic."""
+    n = h.fan.ambient_dim
+    idx = sweep_index(h)
+    found: dict[str, str] = {}
+    h0_at = hn_at = None
+    for b, sub in table.subcomplexes:
+        dims = idx.cohomology(sub)[0]
+        ref = reference_subcomplex(h, b)
+        empty = not ref.keep
+        if dims[n] != int(empty) or (empty and any(dims[:n])):
+            found.setdefault("top_cohomology", f"cohomology {dims} at {b}, but the "
+                             f"membership subcomplex is {'empty' if empty else 'nonempty'}")
+        if chi.coefficient(b) != ref.signed_count:
+            found.setdefault("reduced_euler", f"coefficient {chi.coefficient(b)} at {b}, "
+                             "but (-1)^(n-1) * reduced Euler characteristic is "
+                             f"{ref.signed_count}")
+        if h0_at is None and dims[0]:
+            h0_at = b
+        if hn_at is None and dims[n]:
+            hn_at = b
+    if h0_at is not None and hn_at is not None:
+        found["h0_hn_exclusive"] = f"H^0 nonzero at {h0_at} and H^{n} nonzero at {hn_at}"
+    return {name: CorollaryResult(name not in found, found.get(name))
+            for name in ("top_cohomology", "h0_hn_exclusive", "reduced_euler")}
 
 
 def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
@@ -368,7 +366,7 @@ def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
     A caller that has already built the table, over any region and any
     coefficient field, or the Brion terms, passes them in; otherwise the
     rational table over the derived region and the terms are built here.
-    The identity and the corollaries are checked on the table's degrees; the
+    The identity and the corollaries are checked on the table's region; the
     corollaries read rational cohomology whatever the table's field.
     Failures are reported, never raised.
     """
@@ -379,14 +377,6 @@ def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
         terms = brion_terms(h)
     lhs = brion_sum(h, terms)
     identity = rational_equal(lhs, RationalGF.from_polynomial(chi))
-    n = h.fan.ambient_dim
-    idx = sweep_index(h)
-    degrees = table.degrees
-    corollaries = {
-        "top_cohomology": _check_top_cohomology(idx, degrees, n),
-        "h0_hn_exclusive": _check_exclusive(idx, degrees, n),
-        "reduced_euler": _check_reduced_euler(idx, chi, degrees, n),
-    }
     return VerificationReport(identity_holds=identity, chi_polynomial=chi,
-                              lhs=lhs, corollary_results=corollaries,
+                              lhs=lhs, corollary_results=_check_corollaries(h, table, chi),
                               region=table.region)

@@ -138,9 +138,9 @@ def dual_cone(c: Cone) -> Cone:
     return cone_from_rays(c.ambient_dim, c.inequalities)
 
 
-def face_lattice(c: Cone) -> list[tuple[Cone, int]]:
-    """All faces of a strongly convex cone, including c and the zero cone:
-    the ray sets of its facets closed under intersection."""
+def _face_ray_sets(c: Cone) -> set[frozenset[Vector]]:
+    """The ray sets of the faces of a strongly convex cone, c and the zero
+    cone included: the ray sets of its facets closed under intersection."""
     if not c.pointed:
         raise NonPointedCone("face lattice requires a strongly convex cone")
     facets = {frozenset(g for g in c.rays if dot(u, g) == 0) for u in c.inequalities}
@@ -153,8 +153,13 @@ def face_lattice(c: Cone) -> list[tuple[Cone, int]]:
             if meet not in ray_sets:
                 ray_sets.add(meet)
                 todo.append(meet)
-    faces = [cone_from_rays(c.ambient_dim, sorted(rs)) for rs in ray_sets]
-    faces.sort(key=lambda f: (f.dim, f.rays))
+    return ray_sets
+
+
+def face_lattice(c: Cone) -> list[tuple[Cone, int]]:
+    """All faces of a strongly convex cone, including c and the zero cone."""
+    faces = sorted((cone_from_rays(c.ambient_dim, sorted(rs)) for rs in _face_ray_sets(c)),
+                   key=lambda f: (f.dim, f.rays))
     return [(f, f.dim) for f in faces]
 
 
@@ -196,6 +201,17 @@ class Fan:
                 f"maximal={len(self.maximal_ids)})")
 
 
+def _check_intersections(top: list[Cone], face_sets) -> None:
+    """Pairwise intersections of the listed cones must be common faces; this
+    propagates to all faces automatically."""
+    for a, b in combinations(top, 2):
+        inter = dual_cone(cone_from_rays(a.ambient_dim, a.inequalities + b.inequalities))
+        key = frozenset(inter.rays)
+        if key not in face_sets[frozenset(a.rays)] or key not in face_sets[frozenset(b.rays)]:
+            raise FanAxiomViolation(
+                f"intersection of {a} and {b} is not a common face")
+
+
 def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     """Assemble and validate a fan from rays and maximal ray-index sets.
 
@@ -225,23 +241,14 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         missing = sorted(set(range(len(ray_list))) - used)
         raise ValueError(f"rays {missing} are not used by any maximal cone")
 
-    # The faces of the listed cones are all the cones of the fan.
-    cones_by_rays: dict[frozenset[Vector], Cone] = {}
-    face_sets: dict[frozenset[Vector], set[frozenset[Vector]]] = {}
-    for c in top:
-        faces = face_lattice(c)
-        face_sets[frozenset(c.rays)] = {frozenset(f.rays) for f, _ in faces}
-        for f, _ in faces:
-            cones_by_rays.setdefault(frozenset(f.rays), f)
+    # The faces of the listed cones are all the cones of the fan; each is
+    # built once, and a listed cone is its own top face.
+    face_sets = {frozenset(c.rays): _face_ray_sets(c) for c in top}
+    cones_by_rays = {frozenset(c.rays): c for c in top}
+    for rs in set().union(*face_sets.values()) - cones_by_rays.keys():
+        cones_by_rays[rs] = cone_from_rays(ambient_dim, sorted(rs))
 
-    # Pairwise intersections of the listed cones must be common faces; this
-    # propagates to all faces automatically.
-    for a, b in combinations(top, 2):
-        inter = dual_cone(cone_from_rays(ambient_dim, a.inequalities + b.inequalities))
-        key = frozenset(inter.rays)
-        if key not in face_sets[frozenset(a.rays)] or key not in face_sets[frozenset(b.rays)]:
-            raise FanAxiomViolation(
-                f"intersection of {a} and {b} is not a common face")
+    _check_intersections(top, face_sets)
 
     ordered = sorted(cones_by_rays.values(), key=lambda c: (c.dim, c.rays))
     fan_rays = {c.rays[0] for c in ordered if c.dim == 1}

@@ -142,6 +142,12 @@ def primitive_edges(radius):
             if 0 < abs(a) + abs(b) <= radius and gcd(a, b) == 1]
 
 
+def total_dims(table):
+    """Per-degree sums of the cohomology dimensions over a table's entries."""
+    return tuple(sum(dims[k] for dims, _, _ in table.entries.values())
+                 for k in range(table.ambient_dim + 1))
+
+
 @pytest.fixture
 def ex1():
     return example1_support()

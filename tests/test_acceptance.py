@@ -42,6 +42,7 @@ from conftest import (
     random_fan_3d,
     random_support_2d,
     random_support_3d,
+    total_dims,
 )
 
 EX1_CHI = LaurentPolynomial(2, {(0, -1): 1, (0, 0): -1, (-1, 1): -1,
@@ -210,7 +211,7 @@ def test_criterion_5_randomized_properties(battery):
                 assert all(x == 0 for x in dims[:n])
         # (c) H^0 / H^n exclusivity over the whole table
         table = cohomology_table(h)
-        totals = table.total_dims()
+        totals = total_dims(table)
         assert totals[0] * totals[n] == 0
         # (e) covered by the reduced Euler corollary, (f) the identity
         assert report.corollary_results["reduced_euler"].holds

@@ -16,6 +16,7 @@ from toricgf.cli import (
     parse_spec,
     run,
 )
+from toricgf.polyhedral import build_fan, support_from_ray_values
 
 EX1_DOC = """\
 dim: 2
@@ -351,3 +352,46 @@ def test_oracle_signed_counts_bypass_the_sweep(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert report["oracle"]["series_match"]
     assert report["oracle"]["signed_counts_match"] is False
+
+
+@pytest.mark.parametrize("bit, degree, failing", [
+    (1, (-2, 0), {"reduced_euler", "top_cohomology"}),
+    (4, (0, -1), {"reduced_euler"}),
+], ids=["ray0-at-(-2,0)", "ray2-at-(0,-1)"])
+def test_corollaries_check_the_sweep_against_membership(bit, degree, failing,
+                                                        tmp_path, capsys, monkeypatch):
+    import toricgf.cohomology as cohomology
+
+    # One ray's bit flipped at the first degree of a subcomplex: the table and
+    # its chi read the wrong subcomplex, the per-cone reference does not.
+    real = cohomology.SweepIndex.mask
+
+    def flipped(self, b):
+        m = real(self, b)
+        return m ^ bit if tuple(b) == degree else m
+
+    monkeypatch.setattr(cohomology.SweepIndex, "mask", flipped)
+    code = main(["brion", write(tmp_path, EX1_DOC), "--format", "machine"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert all(not report["corollaries"][name]["holds"] for name in failing)
+    assert all(str(degree) in report["corollaries"][name]["witness"] for name in failing)
+
+
+def test_corollaries_make_one_membership_per_cone_and_distinct_subcomplex(
+        tmp_path, capsys, monkeypatch):
+    import toricgf.cohomology as cohomology
+    from toricgf.genfun import box_points
+
+    spec = parse_spec(EX1_DOC)
+    fan = build_fan(spec.dim, spec.rays, spec.maximal_cones)
+    h = support_from_ray_values(fan, spec.support)
+    region = cohomology.degree_region(h).box
+    distinct = {frozenset(i for i in range(len(fan.cones)) if cohomology.membership(h, i, b))
+                for b in box_points(region)}
+    calls = {}
+    _count_calls(monkeypatch, calls, "membership", cohomology)
+    assert main(["brion", write(tmp_path, EX1_DOC), "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["region"] == [list(r) for r in region]
+    assert calls == {"membership": len(fan.cones) * len(distinct)}

@@ -34,6 +34,7 @@ from conftest import (
     random_fan_3d,
     random_support_2d,
     random_support_3d,
+    total_dims,
     unit_square,
 )
 
@@ -126,7 +127,7 @@ def test_cohomology_table_example1(ex1):
         dims, torsion, chi = table.entries[b]
         assert dims == (0, 1, 0) and chi == -1
         assert all(t == () for t in torsion)
-    assert table.total_dims() == (0, 4, 1)
+    assert total_dims(table) == (0, 4, 1)
 
 
 def test_cohomology_table_square():
@@ -143,6 +144,20 @@ def test_cohomology_table_serre_dual_square():
     table = cohomology_table(neg)
     assert set(table.entries) == {(-1, -1)}
     assert table.entries[(-1, -1)][0] == (0, 0, 1)
+
+
+def test_table_keeps_the_first_degree_of_each_distinct_subcomplex():
+    rng = random.Random(71)
+    for k in range(6):
+        fan = random_fan_3d(rng, k % 3)
+        h = random_support_3d(rng, fan, spread=2)
+        table = cohomology_table(h)
+        firsts = {}
+        for b in table.region.candidates:
+            firsts.setdefault(support_subcomplex(h, b), b)
+        assert [(b, sub.keep) for b, sub in table.subcomplexes] == \
+            [(b, keep) for keep, b in firsts.items()]
+        assert not hasattr(table, "degrees")
 
 
 def test_chi_polynomial_example1(ex1):
@@ -276,7 +291,7 @@ def test_h0_hn_exclusive_random():
         fan = random_fan_3d(rng, rng.choice([0, 1]))
         h = random_support_3d(rng, fan)
         table = cohomology_table(h)
-        totals = table.total_dims()
+        totals = total_dims(table)
         assert totals[0] * totals[-1] == 0
 
 

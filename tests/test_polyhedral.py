@@ -265,6 +265,35 @@ def test_build_fan_rejects_line():
         build_fan(2, [[1, 0], [-1, 0]], [[0, 1]])
 
 
+def test_build_fan_builds_each_cone_once(monkeypatch):
+    import toricgf.polyhedral as polyhedral
+    from conftest import random_fan_3d
+
+    pyramid = build_fan(3, [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, -1)],
+                        [[0, 1, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    fans = [octahedron_fan(), pyramid] + [random_fan_3d(random.Random(seed), 6)
+                                          for seed in range(4)]
+    real = polyhedral.cone_from_rays
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
+
+    # The pairwise intersection check builds cones of its own; every other
+    # call is face building, one per cone of the fan.
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, face_sets: None)
+    monkeypatch.setattr(polyhedral, "cone_from_rays", counted)
+    for fan in fans:
+        rays = fan.input_rays
+        maximal = [[rays.index(r) for r in fan.cones[i].rays] for i in fan.maximal_ids]
+        built.clear()
+        again = polyhedral.build_fan(3, rays, maximal)
+        assert len(built) == len(again.cones)
+        assert again.cones == fan.cones
+        assert again.face_relation == fan.face_relation
+
+
 def test_check_complete_example1():
     assert check_complete(example1_fan()).complete
 
