@@ -37,7 +37,6 @@ from .cellular import (
     NotFaceClosed,
     cell_complex,
     chain_complex,
-    euler_characteristic,
     incidence,
     reduced_homology,
 )

@@ -212,12 +212,6 @@ def homology_dims_mod_p(c: ChainComplex, p: int) -> dict[int, int]:
             for d in range(-1, n)}
 
 
-def euler_characteristic(c: ChainComplex) -> int:
-    """Alternating sum of chain ranks in cochain (codimension) indexing."""
-    n = c.ambient_dim
-    return sum((-1) ** (n - 1 - d) * c.ranks[d] for d in range(-1, n))
-
-
 def subcomplex_homology(cc: CellComplex, keep) -> HomologyResult:
     """Memoized reduced homology of a subcomplex, keyed by its cone ids."""
     key = frozenset(keep)

@@ -30,7 +30,8 @@ from itertools import combinations
 from math import ceil, floor
 
 from .cellular import fan_cell_complex, subcomplex_homology
-from .genfun import LaurentPolynomial, RationalGF, box_points, cone_genfun, rational_equal
+from .genfun import (LaurentPolynomial, RationalGF, box_points, cone_genfun, rational_equal,
+                     sign_canonical)
 from .intlinalg import InternalCheckFailed, adjugate, determinant, dot, matvec
 from .polyhedral import SupportFunction, dual_cone
 
@@ -297,12 +298,15 @@ def brion_terms(h: SupportFunction) -> list[tuple[int, RationalGF]]:
 
 def brion_sum(h: SupportFunction, terms=None) -> RationalGF:
     """Sum of the maximal cone generating functions over a common
-    denominator.  Lower-dimensional cones never contribute: their duals
-    contain lines and have no rational lattice series here."""
+    denominator, each term in sign-canonical form first so that the opposite
+    dual edges of adjacent cones share one factor.  Lower-dimensional cones
+    never contribute: their duals contain lines and have no rational lattice
+    series here."""
     if terms is None:
         terms = brion_terms(h)
     total = None
     for _, gf in terms:
+        gf = sign_canonical(gf)
         total = gf if total is None else total + gf
     if total is None:
         raise ValueError("fan has no full-dimensional cones")

@@ -3,8 +3,9 @@
 A LaurentPolynomial is a finite exponent-to-coefficient map over Z.  A
 RationalGF is a numerator together with a multiset of primitive vectors g,
 each standing for a denominator factor (1 - x^g); no polynomial gcd
-cancellation is ever attempted, since equality is decided by
-cross-multiplication.  Generating functions of shifted full-dimensional
+cancellation is ever attempted.  Equality is decided in sign-canonical form,
+every g lex-positive, by exact division by the binomials that only one side
+has.  Generating functions of shifted full-dimensional
 pointed cones are assembled from a disjoint half-open triangulation, one
 fundamental parallelepiped per simplicial piece.
 """
@@ -200,17 +201,61 @@ class RationalGF:
         return f"({self.numerator!r}) / prod(1 - x^g for g in {list(self.denominator_factors)})"
 
 
-def rational_equal(a: RationalGF, b: RationalGF) -> bool:
-    """Exact equality in the quotient field, by cross-multiplication.
+def sign_canonical(gf: RationalGF) -> RationalGF:
+    """The same rational function with every factor lex-positive, by
+    1/(1 - x^g) = -x^-g / (1 - x^-g) for each lex-negative g; opposite
+    factors of two summands then coincide.  ``expand_in_box`` would read it
+    as a different series."""
+    zero = (0,) * gf.dim
+    flipped = [g for g in gf.denominator_factors if g < zero]
+    if not flipped:
+        return gf
+    return RationalGF(gf.numerator.shift(-sum(col) for col in zip(*flipped))
+                      .scale((-1) ** len(flipped)),
+                      tuple(tuple(-x for x in g) if g < zero else g
+                            for g in gf.denominator_factors))
 
-    Common denominator factors are cancelled first; the binomials are not
-    zero divisors, so this is sound.
+
+def _divide_binomial(terms: dict[Vector, int], g: Vector) -> dict[Vector, int] | None:
+    """The quotient of a polynomial by (1 - x^g), or None on a remainder.
+    Q(e) is the sum of S(e - j*g) over j >= 0: a prefix sum along each line
+    of step g, which must end at zero."""
+    i = next(k for k, x in enumerate(g) if x)
+    lines: dict[Vector, list[tuple[int, int]]] = {}
+    for e, c in terms.items():
+        t = e[i] // g[i]
+        lines.setdefault(tuple(x - t * y for x, y in zip(e, g)), []).append((t, c))
+    out = {}
+    for base, steps in lines.items():
+        steps.sort()
+        run = 0
+        for (t, c), (t_next, _) in zip(steps, steps[1:]):
+            run += c
+            if run:
+                for s in range(t, t_next):
+                    out[tuple(x + s * y for x, y in zip(base, g))] = run
+        if run + steps[-1][1]:
+            return None
+    return out
+
+
+def rational_equal(a: RationalGF, b: RationalGF) -> bool:
+    """Exact equality in the quotient field, by exact division.
+
+    Both sides are put in sign-canonical form and their common factors
+    cancelled; the binomials are not zero divisors, so this is sound.  The
+    left numerator times the right-only factors must then divide exactly by
+    the left-only factors, with the right numerator as quotient.
     """
+    a, b = sign_canonical(a), sign_canonical(b)
     ca = Counter(a.denominator_factors)
     cb = Counter(b.denominator_factors)
-    left = a.numerator * binomial_product(a.dim, (cb - ca).elements())
-    right = b.numerator * binomial_product(b.dim, (ca - cb).elements())
-    return left == right
+    terms = (a.numerator * binomial_product(a.dim, (cb - ca).elements())).terms
+    for g in (ca - cb).elements():
+        terms = _divide_binomial(terms, g)
+        if terms is None:
+            return False
+    return terms == b.numerator.terms
 
 
 @dataclass(frozen=True)
@@ -338,20 +383,6 @@ def parallelepiped_points(generators, closed_flags=None) -> list[Vector]:
         raise InternalCheckFailed(
             f"{len(set(points))} parallelepiped points for determinant {det}")
     return sorted(points)
-
-
-def in_half_open_piece(piece: HalfOpenSimplicialCone, x) -> bool:
-    """Exact membership of a lattice point in a half-open simplicial cone."""
-    gens = piece.generators
-    n = len(gens[0])
-    g_cols = [[gens[j][i] for j in range(n)] for i in range(n)]
-    det = determinant(g_cols)
-    lam_num = matvec(adjugate(g_cols), list(x))
-    for i in range(n):
-        num = lam_num[i] if det > 0 else -lam_num[i]
-        if num < 0 or (num == 0 and not piece.closed_flags[i]):
-            return False
-    return True
 
 
 def cone_genfun(shift, c: Cone) -> RationalGF:

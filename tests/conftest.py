@@ -1,13 +1,16 @@
-"""Shared fixtures: the worked 2-D example, polytopes, and seeded random
-complete fans in dimensions 2 and 3."""
+"""Shared fixtures: the worked 2-D example, polytopes, seeded random
+complete fans in dimensions 2 and 3, and slow references for fast paths."""
 
 import random
+from collections import Counter
 from functools import cmp_to_key
+from itertools import product
 from math import atan2, gcd
 
 import pytest
 
 from toricgf import build_fan, cone_from_rays, lattice_polytope, support_from_ray_values
+from toricgf.genfun import binomial_product
 from toricgf.intlinalg import determinant, dot, primitive_vector
 from toricgf.polyhedral import NotIntegral, NotLinearOnCone
 
@@ -140,6 +143,67 @@ def primitive_edges(radius):
     """The primitive (a, b) with 0 < |a| + |b| <= radius."""
     return [(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)
             if 0 < abs(a) + abs(b) <= radius and gcd(a, b) == 1]
+
+
+CASE_SEED = 20240601
+
+
+def random_battery():
+    """The acceptance suite's deterministic battery of random cases: 170
+    2-D fans and 34 3-D fans with at most two subdivisions."""
+    rng = random.Random(CASE_SEED)
+    cases = []
+    for i in range(170):
+        fan = random_fan_2d(rng)
+        cases.append((fan, random_support_2d(rng, fan)))
+    for i in range(22):
+        fan = random_fan_3d(rng, 0)
+        if i % 6 == 5:
+            # strictly negative values guarantee top cohomology somewhere
+            h = support_from_ray_values(fan, [rng.randint(-2, -1)
+                                              for _ in fan.input_rays])
+        else:
+            h = random_support_3d(rng, fan, spread=rng.choice([1, 1, 2]))
+        cases.append((fan, h))
+    for _ in range(8):
+        fan = random_fan_3d(rng, 1)
+        cases.append((fan, random_support_3d(rng, fan)))
+    for _ in range(4):
+        fan = random_fan_3d(rng, 2)
+        cases.append((fan, random_support_3d(rng, fan)))
+    return cases
+
+
+HEXAGON = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+OCTAGON = ((2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1), (1, 0))
+
+# The polytope corpus: (name, dimension, vertices).
+POLYTOPES = (
+    ("segment", 1, [[0], [2]]),
+    ("square", 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
+    ("triangle-3", 2, [[0, 0], [3, 0], [0, 3]]),
+    ("square-2", 2, [[0, 0], [2, 0], [0, 2], [2, 2]]),
+    ("cube", 3, [list(v) for v in product([0, 1], repeat=3)]),
+    ("octahedron", 3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                       [0, 0, 1], [0, 0, -1]]),
+    # Many-facet cones: non-simplicial normal cones with 6 or 8 facets.
+    ("hexagonal-pyramid", 3, [[x, y, 0] for x, y in HEXAGON] + [[0, 0, 1]]),
+    ("hexagonal-prism", 3, [[x, y, z] for x, y in HEXAGON for z in (0, 1)]),
+    ("octagon", 2, [list(v) for v in OCTAGON]),
+    ("octagon-pyramid", 3, [[x, y, 0] for x, y in OCTAGON] + [[1, 1, 2]]),
+)
+
+
+def cross_multiplied_equal(a, b):
+    """Equality of two rational generating functions by cross-multiplication,
+    with no sign rewrite: the slow reference for ``genfun.rational_equal``.
+    Common factors are cancelled first; the binomials are not zero divisors,
+    so this is sound."""
+    ca = Counter(a.denominator_factors)
+    cb = Counter(b.denominator_factors)
+    left = a.numerator * binomial_product(a.dim, (cb - ca).elements())
+    right = b.numerator * binomial_product(b.dim, (ca - cb).elements())
+    return left == right
 
 
 def total_dims(table):

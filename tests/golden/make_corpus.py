@@ -16,10 +16,10 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
-from itertools import product
 from pathlib import Path
 
-from conftest import random_fan_2d, random_fan_3d, random_support_2d, random_support_3d
+from conftest import (POLYTOPES, random_fan_2d, random_fan_3d, random_support_2d,
+                      random_support_3d)
 from toricgf.cli import FanSpec, emit_spec, main
 
 HERE = Path(__file__).resolve().parent
@@ -28,24 +28,6 @@ SEED = 20261018
 README_FAN = FanSpec(dim=2, rays=((1, 1), (0, 1), (-1, 1), (0, -1)),
                      maximal_cones=((0, 1), (1, 2), (2, 3), (3, 0)),
                      support=(0, -2, 0, -2))
-
-HEXAGON = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
-OCTAGON = ((2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1), (1, 0))
-
-POLYTOPES = (
-    ("segment", 1, [[0], [2]]),
-    ("square", 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
-    ("triangle-3", 2, [[0, 0], [3, 0], [0, 3]]),
-    ("square-2", 2, [[0, 0], [2, 0], [0, 2], [2, 2]]),
-    ("cube", 3, [list(v) for v in product([0, 1], repeat=3)]),
-    ("octahedron", 3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
-                       [0, 0, 1], [0, 0, -1]]),
-    # Many-facet cones: non-simplicial normal cones with 6 or 8 facets.
-    ("hexagonal-pyramid", 3, [[x, y, 0] for x, y in HEXAGON] + [[0, 0, 1]]),
-    ("hexagonal-prism", 3, [[x, y, z] for x, y in HEXAGON for z in (0, 1)]),
-    ("octagon", 2, [list(v) for v in OCTAGON]),
-    ("octagon-pyramid", 3, [[x, y, 0] for x, y in OCTAGON] + [[1, 1, 2]]),
-)
 
 FAN_COMMANDS = (
     ("cohomology",),

@@ -38,10 +38,8 @@ from conftest import (
     example1_support,
     octahedron_fan,
     p2_fan,
-    random_fan_2d,
+    random_battery,
     random_fan_3d,
-    random_support_2d,
-    random_support_3d,
     total_dims,
 )
 
@@ -60,36 +58,9 @@ def _scan(box, member):
 # ----------------------------------------------------------------------
 # Criterion 5/6/7 share one deterministic battery of random cases.
 
-CASE_SEED = 20240601
-
-
-def _random_cases():
-    rng = random.Random(CASE_SEED)
-    cases = []
-    for i in range(170):
-        fan = random_fan_2d(rng)
-        cases.append((fan, random_support_2d(rng, fan)))
-    for i in range(22):
-        fan = random_fan_3d(rng, 0)
-        if i % 6 == 5:
-            # strictly negative values guarantee top cohomology somewhere
-            h = support_from_ray_values(fan, [rng.randint(-2, -1)
-                                              for _ in fan.input_rays])
-        else:
-            h = random_support_3d(rng, fan, spread=rng.choice([1, 1, 2]))
-        cases.append((fan, h))
-    for _ in range(8):
-        fan = random_fan_3d(rng, 1)
-        cases.append((fan, random_support_3d(rng, fan)))
-    for _ in range(4):
-        fan = random_fan_3d(rng, 2)
-        cases.append((fan, random_support_3d(rng, fan)))
-    return cases
-
-
 @pytest.fixture(scope="module")
 def battery():
-    return _random_cases()
+    return random_battery()
 
 
 def test_criterion_1_example_reproduction():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from toricgf import (
     chi_polynomial,
     cohomology_table,
     degree_region,
+    dual_cone,
     graded_cohomology,
     membership,
     normal_fan_of_polytope,
@@ -27,9 +29,12 @@ from toricgf.intlinalg import dot, kernel_basis
 from toricgf.polyhedral import SupportFunction
 
 from conftest import (
+    POLYTOPES,
+    cross_multiplied_equal,
     example1_fan,
     example1_support,
     octahedron_fan,
+    random_battery,
     random_fan_2d,
     random_fan_3d,
     random_support_2d,
@@ -203,6 +208,65 @@ def test_brion_sum_segment():
     expected = LaurentPolynomial(1, {(0,): 1, (1,): 1, (2,): 1})
     assert rational_equal(total, RationalGF.from_polynomial(expected))
 
+
+def _polytope_supports():
+    return [normal_fan_of_polytope(lattice_polytope(dim, verts))[1]
+            for _, dim, verts in POLYTOPES]
+
+
+def test_brion_sum_matches_the_uncanonicalised_sum():
+    # The sign-canonical sum is the same rational function as the plain sum
+    # of the terms, by cross-multiplication; its factors are lex-positive,
+    # one per line of dual edges, so no pair g, -g survives.
+    for h in [h for _, h in random_battery()] + _polytope_supports():
+        terms = brion_terms(h)
+        plain = None
+        for _, gf in terms:
+            plain = gf if plain is None else plain + gf
+        total = brion_sum(h, terms)
+        assert cross_multiplied_equal(total, plain) and rational_equal(plain, total)
+        zero = (0,) * h.fan.ambient_dim
+        assert all(g > zero for g in total.denominator_factors)
+        lines = {max(u, tuple(-x for x in u)) for i in h.fan.maximal_ids
+                 for u in dual_cone(h.fan.cones[i]).rays}
+        assert len(total.denominator_factors) == len(lines)
+
+
+def _doctored(table, b, delta):
+    """The table with the Euler characteristic at degree b moved by delta."""
+    n = table.ambient_dim
+    dims, torsion, chi = table.entries.get(b, ((0,) * (n + 1), ((),) * (n + 1), 0))
+    return replace(table, entries={**table.entries, b: (dims, torsion, chi + delta)})
+
+
+def test_identity_fails_on_a_doctored_chi_coefficient(ex1):
+    rng = random.Random(83)
+    supports = [ex1]
+    for k in range(20):
+        fan = random_fan_3d(rng, k % 3)
+        supports.append(random_support_3d(rng, fan, spread=1 + k % 2))
+    for h in supports:
+        table = cohomology_table(h)
+        terms = brion_terms(h)
+        assert verify_identity(h, table, terms).identity_holds
+        degrees = sorted(table.entries) or [(0,) * h.fan.ambient_dim]
+        for b in (degrees[0], degrees[-1]):
+            for delta in (1, -1):
+                report = verify_identity(h, _doctored(table, b, delta), terms)
+                assert not report.identity_holds
+
+
+def test_headline_fan_identity_with_halved_denominator():
+    # random_fan_3d(Random(1), 12) with spread-2 support: 32 maximal cones
+    # whose 42 dual edge directions lie on 21 lines.  Summed without the
+    # sign rewrite, the denominator had 42 factors and the check took over
+    # 20 s.
+    fan = random_fan_3d(random.Random(1), 12)
+    h = random_support_3d(random.Random(1), fan, spread=2)
+    report = verify_identity(h)
+    assert report.identity_holds
+    assert len(report.lhs.denominator_factors) == 21
+    assert all(c.holds for c in report.corollary_results.values())
 
 def test_verify_identity_example1(ex1):
     rep = verify_identity(ex1)

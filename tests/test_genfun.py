@@ -18,9 +18,24 @@ from toricgf import (
     triangulate_halfopen,
     truncated_series,
 )
-from toricgf.genfun import binomial_product, in_half_open_piece
+from toricgf.genfun import _divide_binomial, binomial_product, sign_canonical
+from toricgf.intlinalg import adjugate, determinant, matvec
 
 from conftest import example1_fan, lattice_polygon_cone, primitive_edges
+
+
+def in_half_open_piece(piece, x) -> bool:
+    """Exact membership of a lattice point in a half-open simplicial cone."""
+    gens = piece.generators
+    n = len(gens[0])
+    g_cols = [[gens[j][i] for j in range(n)] for i in range(n)]
+    det = determinant(g_cols)
+    lam_num = matvec(adjugate(g_cols), list(x))
+    for i in range(n):
+        num = lam_num[i] if det > 0 else -lam_num[i]
+        if num < 0 or (num == 0 and not piece.closed_flags[i]):
+            return False
+    return True
 
 
 def mono(e, c=1):
@@ -105,6 +120,59 @@ def test_rational_equal_equivalence_relation():
         assert rational_equal(base, scaled) and rational_equal(scaled, base)
         assert rational_equal(scaled, other) and rational_equal(base, other)
 
+
+
+def _random_laurent(rng, dim, size=6, spread=3):
+    return LaurentPolynomial(dim, {tuple(rng.randint(-spread, spread) for _ in range(dim)):
+                                   rng.randint(-4, 4) for _ in range(size)})
+
+
+def _random_factor(rng, dim):
+    g = (0,) * dim
+    while not any(g):
+        g = tuple(rng.randint(-2, 2) for _ in range(dim))
+    return g
+
+
+def test_exact_division_round_trips():
+    # (p * (1 - x^g)) / (1 - x^g) = p, for factors of either lex sign.
+    rng = random.Random(73)
+    signs = set()
+    for dim in (1, 2, 3, 4):
+        for _ in range(40):
+            p = _random_laurent(rng, dim)
+            g = _random_factor(rng, dim)
+            signs.add(g > (0,) * dim)
+            s = p * binomial_product(dim, [g])
+            assert _divide_binomial(s.terms, g) == p.terms
+            assert rational_equal(RationalGF(s, (g,)), RationalGF.from_polynomial(p))
+            h = _random_factor(rng, dim)
+            assert rational_equal(RationalGF(s, (g, h)), RationalGF(p, (h,)))
+    assert signs == {True, False}
+
+
+def test_exact_division_reports_a_remainder():
+    rng = random.Random(79)
+    for dim in (1, 2, 3, 4):
+        for _ in range(40):
+            p = _random_laurent(rng, dim)
+            g = _random_factor(rng, dim)
+            # One extra monomial leaves a remainder of +-1 on its line.
+            s = p * binomial_product(dim, [g]) + mono(next(iter(p.terms), (0,) * dim),
+                                                      rng.choice([-1, 1]))
+            assert _divide_binomial(s.terms, g) is None
+            assert not rational_equal(RationalGF(s, (g,)), RationalGF.from_polynomial(p))
+            assert not rational_equal(RationalGF.from_polynomial(p), RationalGF(s, (g,)))
+
+
+def test_sign_canonical_flips_lex_negative_factors():
+    # 1/(1 - x^-1) = -x/(1 - x): the flipped factor moves into the numerator.
+    gf = RationalGF(mono((2, 0)), ((0, 1), (-1, 3), (0, -1)))
+    canon = sign_canonical(gf)
+    assert canon.denominator_factors == ((0, 1), (0, 1), (1, -3))
+    assert canon.numerator == mono((3, -2))
+    assert rational_equal(gf, canon)
+    assert sign_canonical(canon) is canon
 
 def test_triangulate_simplicial_identity():
     c = cone_from_rays(2, [(1, 0), (1, 2)])
