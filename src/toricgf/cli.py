@@ -88,7 +88,7 @@ _ALLOWED_KEYS = {"dim", "rays", "maximal_cones", "support", "polytope"}
 
 
 def _int_vector(v, what):
-    if not isinstance(v, (list, tuple)) or not all(isinstance(x, int) for x in v):
+    if not isinstance(v, (list, tuple)) or not all(type(x) is int for x in v):  # no bool
         raise SchemaError(f"{what} must be a list of integers, got {v!r}")
     return tuple(v)
 
@@ -104,7 +104,7 @@ def parse_spec(text: str) -> FanSpec:
     extra = set(data) - _ALLOWED_KEYS
     if extra:
         raise SchemaError(f"unknown fields: {sorted(extra)}")
-    if "dim" not in data or not isinstance(data["dim"], int) or data["dim"] < 1:
+    if type(data.get("dim")) is not int or data["dim"] < 1:
         raise SchemaError("field 'dim' must be a positive integer")
     dim = data["dim"]
     has_fan = "rays" in data or "maximal_cones" in data or "support" in data

@@ -162,12 +162,16 @@ class LaurentPolynomial:
         return " + ".join(bits)
 
 
+def times_binomials(p: LaurentPolynomial, factors) -> LaurentPolynomial:
+    """p times the product of (1 - x^g) over the factors, by shift and subtract."""
+    for g in factors:
+        p = p - p.shift(g)
+    return p
+
+
 def binomial_product(dim: int, factors) -> LaurentPolynomial:
     """Product of (1 - x^g) over the given factor vectors."""
-    out = LaurentPolynomial.constant(dim, 1)
-    for g in factors:
-        out = out - out.shift(g)
-    return out
+    return times_binomials(LaurentPolynomial.constant(dim, 1), factors)
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,8 @@ class RationalGF:
         ca = Counter(self.denominator_factors)
         cb = Counter(other.denominator_factors)
         common = ca | cb
-        num = (self.numerator * binomial_product(self.dim, (common - ca).elements())
-               + other.numerator * binomial_product(self.dim, (common - cb).elements()))
+        num = (times_binomials(self.numerator, (common - ca).elements())
+               + times_binomials(other.numerator, (common - cb).elements()))
         return RationalGF(num, tuple(common.elements()))
 
     def __repr__(self):
@@ -250,7 +254,7 @@ def rational_equal(a: RationalGF, b: RationalGF) -> bool:
     a, b = sign_canonical(a), sign_canonical(b)
     ca = Counter(a.denominator_factors)
     cb = Counter(b.denominator_factors)
-    terms = (a.numerator * binomial_product(a.dim, (cb - ca).elements())).terms
+    terms = times_binomials(a.numerator, (cb - ca).elements()).terms
     for g in (ca - cb).elements():
         terms = _divide_binomial(terms, g)
         if terms is None:
@@ -422,10 +426,6 @@ class SeriesBox:
         for e in self.coefficients:
             if not all(lo <= x <= hi for x, (lo, hi) in zip(e, self.box)):
                 raise InternalCheckFailed(f"exponent {e} lies outside {self.box}")
-
-    def __eq__(self, other):
-        return (isinstance(other, SeriesBox) and self.box == other.box
-                and self.coefficients == other.coefficients)
 
 
 def box_points(box):

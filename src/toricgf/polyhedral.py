@@ -6,14 +6,15 @@ vectors u with cone = {x : <u, x> >= 0 for all u}.  Linear span constraints
 are folded into the inequality list as +-pairs.  One rule does the geometry:
 a facet is the set of rays tight on one facet normal.  Each normal is the
 cross product of d-1 generators and the span equations of a d-dimensional
-cone, the faces are the facets' ray sets closed under intersection, and the
-inequalities of an intersection or of a normal cone come from the dual
-description, ``dual_cone(cone_from_rays(...))``.  All of it is exact and
-polynomial in the number of rays for a fixed dimension.
+cone, the faces are the facets' ray sets closed under intersection, two cones
+a, b meet in a common face when the summed facet normals of cone(a, -b) cut
+the same face from both, and a normal cone is ``dual_cone(cone_from_rays(...))``.
+All of it is exact and polynomial in the number of rays for a fixed dimension.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -133,8 +134,6 @@ def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = Fals
 
 def dual_cone(c: Cone) -> Cone:
     """The cone of functionals nonnegative on c."""
-    if not c.inequalities:
-        return cone_from_rays(c.ambient_dim, [])
     return cone_from_rays(c.ambient_dim, c.inequalities)
 
 
@@ -201,13 +200,17 @@ class Fan:
                 f"maximal={len(self.maximal_ids)})")
 
 
-def _check_intersections(top: list[Cone], face_sets) -> None:
-    """Pairwise intersections of the listed cones must be common faces; this
-    propagates to all faces automatically."""
+def _check_intersections(top: list[Cone]) -> None:
+    """Pairwise intersections of the listed cones must be common faces (this
+    propagates to all faces): by the separation lemma (Cox, Little and
+    Schenck, 1.2.13), u in relint(a^v & (-b)^v), here the sum of the facet
+    normals of cone(a, -b), must cut the same face from a and from b."""
     for a, b in combinations(top, 2):
-        inter = dual_cone(cone_from_rays(a.ambient_dim, a.inequalities + b.inequalities))
-        key = frozenset(inter.rays)
-        if key not in face_sets[frozenset(a.rays)] or key not in face_sets[frozenset(b.rays)]:
+        gens = sorted(set(a.rays) | {tuple(-x for x in r) for r in b.rays})
+        _, _, facets = _hull_description(gens, a.ambient_dim)
+        u = [sum(col) for col in zip(*facets)] or [0] * a.ambient_dim
+        if ({r for r in a.rays if dot(u, r) == 0}
+                != {r for r in b.rays if dot(u, r) == 0}):
             raise FanAxiomViolation(
                 f"intersection of {a} and {b} is not a common face")
 
@@ -243,12 +246,11 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
 
     # The faces of the listed cones are all the cones of the fan; each is
     # built once, and a listed cone is its own top face.
-    face_sets = {frozenset(c.rays): _face_ray_sets(c) for c in top}
     cones_by_rays = {frozenset(c.rays): c for c in top}
-    for rs in set().union(*face_sets.values()) - cones_by_rays.keys():
+    for rs in set().union(*map(_face_ray_sets, top)) - cones_by_rays.keys():
         cones_by_rays[rs] = cone_from_rays(ambient_dim, sorted(rs))
 
-    _check_intersections(top, face_sets)
+    _check_intersections(top)
 
     ordered = sorted(cones_by_rays.values(), key=lambda c: (c.dim, c.rays))
     fan_rays = {c.rays[0] for c in ordered if c.dim == 1}
@@ -276,15 +278,11 @@ def check_complete(f: Fan) -> CompletenessReport:
     n = f.ambient_dim
     if not f.maximal_ids:
         return CompletenessReport(False, "no full-dimensional cones")
-    maximal = set(f.maximal_ids)
+    parents = Counter(fid for cid in f.maximal_ids for fid in f.facet_ids(cid))
     for i, c in enumerate(f.cones):
-        if c.dim != n - 1:
-            continue
-        parents = [cid for (fid, cid) in f.face_relation
-                   if fid == i and cid in maximal]
-        if len(parents) != 2:
+        if c.dim == n - 1 and parents[i] != 2:
             return CompletenessReport(
-                False, f"ridge {list(c.rays)} lies in {len(parents)} maximal cone(s)")
+                False, f"ridge {list(c.rays)} lies in {parents[i]} maximal cone(s)")
     from .cellular import fan_cell_complex, subcomplex_homology
 
     keep = frozenset(i for i, c in enumerate(f.cones) if c.dim > 0)
@@ -381,8 +379,8 @@ def lattice_polytope(ambient_dim: int, points) -> LatticePolytope:
     diffs = [[p[i] - base[i] for i in range(ambient_dim)] for p in pts[1:]]
     if rank(diffs) != ambient_dim:
         raise DegeneratePolytope(f"points span dimension {rank(diffs)} < {ambient_dim}")
-    vertices = [p for p in pts
-                if _normal_cone(p, pts, ambient_dim).dim == ambient_dim]
+    vertices = [p for p in pts if cone_from_rays(  # p's tangent cone is pointed
+        ambient_dim, [[q[i] - p[i] for i in range(ambient_dim)] for q in pts]).pointed]
     return LatticePolytope(ambient_dim, tuple(sorted(vertices)))
 
 

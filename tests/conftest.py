@@ -4,15 +4,16 @@ complete fans in dimensions 2 and 3, and slow references for fast paths."""
 import random
 from collections import Counter
 from functools import cmp_to_key
-from itertools import product
+from itertools import combinations, product
 from math import atan2, gcd
 
 import pytest
 
-from toricgf import build_fan, cone_from_rays, lattice_polytope, support_from_ray_values
+from toricgf import (build_fan, cone_from_rays, dual_cone, lattice_polytope,
+                     support_from_ray_values)
 from toricgf.genfun import binomial_product
 from toricgf.intlinalg import determinant, dot, primitive_vector
-from toricgf.polyhedral import NotIntegral, NotLinearOnCone
+from toricgf.polyhedral import NotIntegral, NotLinearOnCone, _face_ray_sets
 
 
 def example1_fan():
@@ -204,6 +205,19 @@ def cross_multiplied_equal(a, b):
     left = a.numerator * binomial_product(a.dim, (cb - ca).elements())
     right = b.numerator * binomial_product(b.dim, (ca - cb).elements())
     return left == right
+
+
+def double_hull_meets_in_faces(top):
+    """Whether every two of the given pointed cones meet in a common face, by
+    the double description: the intersection is the dual of the cone on both
+    inequality lists, and its rays must be a face's rays in each.  The slow
+    reference for ``polyhedral._check_intersections``."""
+    faces = [_face_ray_sets(c) for c in top]
+    for (a, fa), (b, fb) in combinations(zip(top, faces), 2):
+        inter = dual_cone(cone_from_rays(a.ambient_dim, a.inequalities + b.inequalities))
+        if frozenset(inter.rays) not in fa or frozenset(inter.rays) not in fb:
+            return False
+    return True
 
 
 def total_dims(table):

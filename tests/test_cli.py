@@ -213,6 +213,17 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("validate", "dim: true\nrays: [[true]]\nmaximal_cones: [[0]]\n"),
+    ("validate", "dim: 1\nrays: [[true]]\nmaximal_cones: [[0]]\n"),
+    ("brion", "dim: 2\nrays: [[1,0],[0,1],[-1,-1]]\n"
+              "maximal_cones: [[0,1],[1,2],[2,0]]\nsupport: [true,0,false]\n"),
+], ids=["dim", "ray", "support"])
+def test_main_rejects_booleans_as_integers(command, doc, tmp_path, capsys):
+    assert main([command, write(tmp_path, doc)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_main_identity_failure_exit_code(tmp_path, capsys, monkeypatch):
     # The identity is a theorem, so force a failing report to pin the exit code.
     import toricgf.cli as cli

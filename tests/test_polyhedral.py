@@ -1,6 +1,7 @@
 import random
 import time
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -21,8 +22,8 @@ from toricgf import (
 )
 from toricgf.intlinalg import dot, matvec, primitive_vector, rank
 
-from conftest import (example1_fan, lattice_polygon_cone, octahedron_fan, primitive_edges,
-                      random_fan_2d, unit_square)
+from conftest import (double_hull_meets_in_faces, example1_fan, lattice_polygon_cone,
+                      octahedron_fan, primitive_edges, random_fan_2d, unit_square)
 
 
 def test_cone_from_rays_basic():
@@ -282,7 +283,7 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
 
     # The pairwise intersection check builds cones of its own; every other
     # call is face building, one per cone of the fan.
-    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, face_sets: None)
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top: None)
     monkeypatch.setattr(polyhedral, "cone_from_rays", counted)
     for fan in fans:
         rays = fan.input_rays
@@ -292,6 +293,97 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
         assert len(built) == len(again.cones)
         assert again.cones == fan.cones
         assert again.face_relation == fan.face_relation
+
+
+def cross_polytope_fan_data(rng, n, subdivisions):
+    """Rays and maximal ray-index lists of the fan over the n-dimensional
+    cross-polytope's faces, after stellar subdivisions of random maximal
+    cones."""
+    rays = [tuple(s * (i == j) for j in range(n)) for s in (1, -1) for i in range(n)]
+    maximal = [[i + n * b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=n)]
+    for _ in range(subdivisions):
+        cone = maximal.pop(rng.randrange(len(maximal)))
+        rays.append(primitive_vector(tuple(sum(rays[i][j] for i in cone) for j in range(n))))
+        maximal += [[len(rays) - 1] + [i for i in cone if i != omit] for omit in cone]
+    return rays, maximal
+
+
+def cone_collections(rng, n, count, max_subdivisions):
+    """Seeded collections of pointed cones in dimension n: complete fans, the
+    same with a cone missing, with an extra cone (a listed one with a ray
+    swapped for another, or on n-1 random rays), and with a ray moved across
+    a wall into a maximal cone that does not have it."""
+    for _ in range(count):
+        rays, maximal = cross_polytope_fan_data(rng, n, rng.randint(0, max_subdivisions))
+        i = rng.randrange(len(rays))
+        into = rng.choice([c for c in maximal if i not in c])
+        moved = list(rays)
+        moved[i] = primitive_vector(tuple(map(sum, zip(*(rays[j] for j in into)))))
+        swapped = list(rng.choice(maximal))
+        swapped[rng.randrange(n)] = rng.choice([j for j in range(len(rays)) if j not in swapped])
+        drop = rng.randrange(len(maximal))
+        variants = [
+            (rays, maximal),
+            (rays, maximal[:drop] + maximal[drop + 1:]),
+            (rays, maximal + [swapped]),
+            (rays, maximal + [rng.sample(range(len(rays)), n - 1)]),
+            (moved, maximal),
+        ]
+        for rs, cones in variants:
+            top = [cone_from_rays(n, [rs[i] for i in c]) for c in cones]
+            if all(c.pointed for c in top):
+                yield top
+
+
+def test_intersection_check_agrees_with_the_double_hull_reference():
+    import toricgf.polyhedral as polyhedral
+
+    rng = random.Random(8)
+    for n, count, depth in ((2, 60, 6), (3, 25, 4), (4, 5, 2)):
+        verdicts = Counter()
+        for top in cone_collections(rng, n, count, depth):
+            try:
+                polyhedral._check_intersections(top)
+                valid = True
+            except FanAxiomViolation:
+                valid = False
+            assert valid == double_hull_meets_in_faces(top), top
+            verdicts[valid] += 1
+        assert verdicts[True] >= count and verdicts[False] >= count, (n, verdicts)
+
+
+def test_build_fan_rejects_crossing_cones_with_no_ray_inside_the_other():
+    # Two triangles of a hexagram, coned from height 1: the cones cross, and
+    # no ray of either lies in the other.
+    rays = [(2, 0, 1), (-1, 2, 1), (-1, -2, 1), (-2, 0, 1), (1, -2, 1), (1, 2, 1)]
+    a = cone_from_rays(3, rays[:3])
+    b = cone_from_rays(3, rays[3:])
+    assert not any(a.contains(r) for r in b.rays) and not any(b.contains(r) for r in a.rays)
+    with pytest.raises(FanAxiomViolation):
+        build_fan(3, rays, [[0, 1, 2], [3, 4, 5]])
+
+
+def test_intersection_check_is_one_hull_per_pair(monkeypatch):
+    import toricgf.polyhedral as polyhedral
+    from conftest import random_fan_3d
+
+    fan = random_fan_3d(random.Random(3), 6)
+    top = [fan.cones[i] for i in fan.maximal_ids]
+    real = polyhedral._hull_description
+    hulls = []
+
+    def counted(gens, n):
+        hulls.append(gens)
+        return real(gens, n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pair check builds no cone")
+
+    monkeypatch.setattr(polyhedral, "_hull_description", counted)
+    monkeypatch.setattr(polyhedral, "dual_cone", forbidden)
+    monkeypatch.setattr(polyhedral, "cone_from_rays", forbidden)
+    polyhedral._check_intersections(top)
+    assert len(hulls) == len(top) * (len(top) - 1) // 2
 
 
 def test_check_complete_example1():
@@ -427,6 +519,25 @@ def test_normal_fan_always_complete():
 def test_lattice_polytope_drops_non_vertices():
     p = lattice_polytope(2, [[0, 0], [2, 0], [1, 0], [0, 2], [1, 1]])
     assert p.vertices == ((0, 0), (0, 2), (2, 0))
+
+
+def test_vertex_test_agrees_with_the_normal_cone_dimension():
+    from toricgf.polyhedral import _normal_cone
+
+    rng = random.Random(17)
+    checked = 0
+    for n in (2, 3):
+        for _ in range(40):
+            pts = {tuple(rng.randint(-2, 2) for _ in range(n))
+                   for _ in range(rng.randint(n + 1, 3 * n + 3))}
+            try:
+                p = lattice_polytope(n, pts)
+            except DegeneratePolytope:
+                continue
+            assert list(p.vertices) == sorted(q for q in pts
+                                              if _normal_cone(q, sorted(pts), n).dim == n)
+            checked += 1
+    assert checked >= 60
 
 
 def test_lattice_polytope_degenerate():
