@@ -96,7 +96,7 @@ def _int_vector(v, what):
 def parse_spec(text: str) -> FanSpec:
     """Parse and validate an input document."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise SchemaError(f"syntax error: {exc}") from exc
     if not isinstance(data, dict):

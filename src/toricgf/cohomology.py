@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
+from operator import add
 
 from .cellular import fan_cell_complex, subcomplex_homology
 from .genfun import (LaurentPolynomial, RationalGF, box_points, cone_genfun, rational_equal,
@@ -58,8 +59,7 @@ def membership(h: SupportFunction, sigma_id: int, b) -> bool:
     cone accepts every degree.  This is the per-cone reference that the
     sign-pattern sweep replaces.
     """
-    hs = h.linear_part(sigma_id)
-    shifted = tuple(x + y for x, y in zip(b, hs))
+    shifted = tuple(map(add, b, h.linear_parts[sigma_id]))
     return all(dot(shifted, r) >= 0 for r in h.fan.cones[sigma_id].rays)
 
 

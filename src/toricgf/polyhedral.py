@@ -7,8 +7,9 @@ are folded into the inequality list as +-pairs.  One rule does the geometry:
 a facet is the set of rays tight on one facet normal.  Each normal is the
 cross product of d-1 generators and the span equations of a d-dimensional
 cone, the faces are the facets' ray sets closed under intersection, two cones
-a, b meet in a common face when the summed facet normals of cone(a, -b) cut
-the same face from both, and a normal cone is ``dual_cone(cone_from_rays(...))``.
+a, b meet in a common face when a u >= 0 on a and <= 0 on b (their own summed
+inequalities first, else the facet normals of cone(a, -b)) cuts the same face
+from both, and a normal cone is ``dual_cone(cone_from_rays(...))``.
 All of it is exact and polynomial in the number of rays for a fixed dimension.
 """
 
@@ -200,17 +201,31 @@ class Fan:
                 f"maximal={len(self.maximal_ids)})")
 
 
+def _cuts(normals, a: Cone, b: Cone):
+    """The rays of a and of b on the hyperplane of u, the sum of the normals."""
+    u = [sum(col) for col in zip(*normals)] or [0] * a.ambient_dim
+    return {r for r in a.rays if dot(u, r) == 0}, {r for r in b.rays if dot(u, r) == 0}
+
+
 def _check_intersections(top: list[Cone]) -> None:
     """Pairwise intersections of the listed cones must be common faces (this
-    propagates to all faces): by the separation lemma (Cox, Little and
-    Schenck, 1.2.13), u in relint(a^v & (-b)^v), here the sum of the facet
+    propagates to all faces).  For u >= 0 on a and <= 0 on b, a & b is
+    cone(S_a) & cone(S_b), S the rays on u's hyperplane: a common face when
+    S_a == S_b, and {0} when either is empty.  A first u sums the listed
+    inequalities of a that are <= 0 on b and the negated ones of b that are
+    <= 0 on a.  A pair it leaves open goes to the separation lemma (Cox,
+    Little and Schenck, 1.2.13): u in relint(a^v & (-b)^v), the summed facet
     normals of cone(a, -b), must cut the same face from a and from b."""
     for a, b in combinations(top, 2):
+        normals = [v for v in a.inequalities if all(dot(v, r) <= 0 for r in b.rays)]
+        normals += [tuple(-x for x in w) for w in b.inequalities
+                    if all(dot(w, r) <= 0 for r in a.rays)]
+        on_a, on_b = _cuts(normals, a, b)
+        if on_a == on_b or not on_a or not on_b:
+            continue
         gens = sorted(set(a.rays) | {tuple(-x for x in r) for r in b.rays})
-        _, _, facets = _hull_description(gens, a.ambient_dim)
-        u = [sum(col) for col in zip(*facets)] or [0] * a.ambient_dim
-        if ({r for r in a.rays if dot(u, r) == 0}
-                != {r for r in b.rays if dot(u, r) == 0}):
+        on_a, on_b = _cuts(_hull_description(gens, a.ambient_dim)[2], a, b)
+        if on_a != on_b:
             raise FanAxiomViolation(
                 f"intersection of {a} and {b} is not a common face")
 

@@ -82,6 +82,22 @@ def test_parse_spec_syntax_error():
         parse_spec("dim: [unclosed\n")
 
 
+def test_libyaml_and_python_loaders_read_every_golden_spec_alike():
+    # parse_spec reads with libyaml's loader where PyYAML has it; the pure
+    # Python loader must give the same document, booleans and all.
+    from pathlib import Path
+
+    import yaml
+
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    corpus = json.loads((Path(__file__).parent / "golden" / "machine_corpus.json").read_text())
+    specs = {case["spec"] for case in corpus} | {EX1_DOC, SQUARE_DOC, "dim: true\nrays: [[true]]\n"}
+    for text in specs:
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert repr(fast) == repr(yaml.safe_load(text)), text
+
+
 def test_spec_roundtrip():
     for doc in (EX1_DOC, SQUARE_DOC):
         spec = parse_spec(doc)

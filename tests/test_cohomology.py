@@ -425,6 +425,16 @@ def test_deep_random_fans_build(deep_fans):
         assert check_complete(fan).complete
 
 
+def test_deeper_random_fans_build():
+    # 24 subdivisions: 56 maximal cones, 1,540 pairs for the pair check.
+    from toricgf import check_complete
+
+    for seed in range(10):
+        fan = random_fan_3d(random.Random(seed), 24)
+        assert len(fan.maximal_ids) == 56
+        assert check_complete(fan).complete
+
+
 def test_sweep_matches_per_cone_membership_on_deep_fans(deep_fans):
     rng = random.Random(61)
     for fan in deep_fans:

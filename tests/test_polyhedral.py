@@ -23,7 +23,8 @@ from toricgf import (
 from toricgf.intlinalg import dot, matvec, primitive_vector, rank
 
 from conftest import (double_hull_meets_in_faces, example1_fan, lattice_polygon_cone,
-                      octahedron_fan, primitive_edges, random_fan_2d, unit_square)
+                      octahedron_fan, primitive_edges, random_fan_2d, random_fan_3d,
+                      unit_square)
 
 
 def test_cone_from_rays_basic():
@@ -363,11 +364,43 @@ def test_build_fan_rejects_crossing_cones_with_no_ray_inside_the_other():
         build_fan(3, rays, [[0, 1, 2], [3, 4, 5]])
 
 
-def test_intersection_check_is_one_hull_per_pair(monkeypatch):
-    import toricgf.polyhedral as polyhedral
-    from conftest import random_fan_3d
+SQUARE = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]
+SQUARE_4D = [r + (0,) for r in SQUARE] + [(0, 0, 1, 1), (0, 0, 1, -1), (1, 0, 1, -1)]
 
-    fan = random_fan_3d(random.Random(3), 6)
+
+@pytest.mark.parametrize("dim, rays, maximal", [
+    (3, SQUARE, [[0, 1, 2, 3], [0, 2]]),
+    (4, SQUARE_4D, [[0, 1, 2, 3, 4], [0, 2, 5, 6]]),
+], ids=["cone-over-a-square", "4d-across-a-square-facet"])
+def test_build_fan_rejects_cones_meeting_in_a_diagonal_of_a_square(dim, rays, maximal):
+    # The two cones meet in the cone over a diagonal of a square face of the
+    # first: its rays are rays of both, but it is not a face of the first.
+    # The pair check sees the cones in the listed order; try both.
+    for order in (maximal, maximal[::-1]):
+        with pytest.raises(FanAxiomViolation):
+            build_fan(dim, rays, order)
+
+
+# The octahedron fan with two barycentric subdivisions drawn by Random(7): a
+# benchmark pool fan on which six pairs need the hull.
+POOL_FAN7 = (
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1),
+     (-1, 1, -1), (1, -1, 1)],
+    [[0, 1, 2], [0, 1, 5], [0, 4, 5], [3, 1, 2], [3, 4, 2], [3, 4, 5],
+     [6, 1, 5], [6, 3, 5], [6, 3, 1], [7, 4, 2], [7, 0, 2], [7, 0, 4]],
+)
+
+
+@pytest.mark.parametrize("make_fan, hull_count", [
+    (lambda: random_fan_3d(random.Random(3), 6), 0),
+    (lambda: build_fan(3, *POOL_FAN7), 6),
+    (lambda: random_fan_3d(random.Random(1), 12), 18),
+], ids=["random-3-depth-6", "pool-fan7-d2", "random-1-depth-12"])
+def test_intersection_check_hulls_only_the_pairs_the_listed_normals_miss(
+        monkeypatch, make_fan, hull_count):
+    import toricgf.polyhedral as polyhedral
+
+    fan = make_fan()
     top = [fan.cones[i] for i in fan.maximal_ids]
     real = polyhedral._hull_description
     hulls = []
@@ -383,7 +416,45 @@ def test_intersection_check_is_one_hull_per_pair(monkeypatch):
     monkeypatch.setattr(polyhedral, "dual_cone", forbidden)
     monkeypatch.setattr(polyhedral, "cone_from_rays", forbidden)
     polyhedral._check_intersections(top)
-    assert len(hulls) == len(top) * (len(top) - 1) // 2
+    assert len(hulls) == hull_count
+
+
+def test_listed_normals_certify_only_pairs_that_meet_in_a_common_face(monkeypatch):
+    # Wherever the pair check accepts without a hull, the double-hull
+    # reference agrees: every distinct pair of the agreement test's battery.
+    import toricgf.polyhedral as polyhedral
+
+    class Fallback(Exception):
+        pass
+
+    def fallback(gens, n):
+        raise Fallback
+
+    rng = random.Random(8)
+    pairs = {}
+    for n, count, depth in ((2, 60, 6), (3, 25, 4), (4, 5, 2)):
+        for top in cone_collections(rng, n, count, depth):
+            pairs.update(((a.rays, b.rays), (a, b)) for a, b in combinations(top, 2))
+    cheap = {}
+    with monkeypatch.context() as m:
+        m.setattr(polyhedral, "_hull_description", fallback)
+        for key, pair in pairs.items():
+            try:
+                polyhedral._check_intersections(list(pair))
+                cheap[key] = True
+            except Fallback:
+                cheap[key] = False
+    verdicts = Counter()
+    for key, (a, b) in pairs.items():
+        valid = double_hull_meets_in_faces([a, b])
+        assert valid or not cheap[key], (a, b)
+        verdicts[a.ambient_dim, cheap[key], valid] += 1
+    # Most valid pairs are certified, and every dimension has violations;
+    # in 2-D the listed normals certify every valid pair.
+    for n in (2, 3, 4):
+        assert verdicts[n, True, True] > verdicts[n, False, True], verdicts
+        assert verdicts[n, False, False] > 0, verdicts
+    assert verdicts[3, False, True] and verdicts[4, False, True], verdicts
 
 
 def test_check_complete_example1():
