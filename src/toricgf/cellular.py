@@ -3,8 +3,9 @@
 Each nonzero cone of the fan meets the sphere in one closed cell of
 dimension dim(cone) - 1; the empty cell sits in degree -1 and carries the
 augmentation.  Incidence numbers come from comparing chosen orientations of
-the cells, and reduced homology is read off integer boundary matrices via
-Smith normal form.
+the cells, each fixed once per cell, and are computed only on the face
+relation, where the boundary matrices have their sole nonzero entries.
+Reduced homology is read off those integer matrices via Smith normal form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .intlinalg import (
     invariant_factors,
     is_zero_matrix,
     matmul,
-    rank,
     rank_mod_p,
 )
 from .polyhedral import Fan
@@ -30,8 +30,8 @@ class NotFaceClosed(Exception):
 
 
 class NoIncidenceWitness(Exception):
-    """No ray of a cone extends the basis of its facet to a basis of the
-    cone, which means the rank computations behind the fan are wrong."""
+    """A facet's basis plus a ray of the cone off the facet is singular,
+    which means the rank computations behind the fan are wrong."""
 
 
 @dataclass
@@ -47,6 +47,7 @@ class CellComplex:
     basis: dict[int, tuple]
     cells_by_degree: dict[int, tuple[int, ...]]
     _incidence: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    _orientation: dict[int, tuple] = field(default_factory=dict, repr=False)
     _homology: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -64,10 +65,8 @@ def cell_complex(f: Fan) -> CellComplex:
         if c.dim == 0:
             continue
         b = greedy_basis(c.rays)
-        if c.dim == n and n >= 2:
-            cols = [[b[j][i2] for j in range(n)] for i2 in range(n)]
-            if determinant(cols) < 0:
-                b[0], b[1] = b[1], b[0]
+        if c.dim == n and n >= 2 and _minor(b, range(n)) < 0:
+            b[0], b[1] = b[1], b[0]
         basis[i] = tuple(b)
         cells[c.dim - 1].append(i)
     return CellComplex(fan=f, basis=basis,
@@ -85,18 +84,28 @@ def fan_cell_complex(f: Fan) -> CellComplex:
     return cc
 
 
+def _minor(cols, rows) -> int:
+    """Determinant of the columns restricted to the given rows."""
+    return determinant([[col[r] for col in cols] for r in rows])
+
+
 def _first_independent_rows(cols, d, n):
-    """Lexicographically first row subset on which the column set is invertible."""
+    """Lexicographically first row subset on which the column set is
+    invertible, with that nonzero minor."""
     for rows in combinations(range(n), d):
-        sub = [[col[r] for col in cols] for r in rows]
-        if determinant(sub) != 0:
-            return rows
+        minor = _minor(cols, rows)
+        if minor != 0:
+            return rows, minor
     raise InternalCheckFailed("columns are not independent")
 
 
 def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
     """Incidence number of the cells of two cones; 0 unless tau is a facet
-    of sigma.  Rays are incident to the empty cell with coefficient 1."""
+    of sigma.  Rays are incident to the empty cell with coefficient 1.
+
+    The sign compares sigma's basis with tau's basis plus the first ray of
+    sigma that is not a ray of tau, which lies off span(tau) because tau is
+    a face, on the first rows where sigma's basis is invertible."""
     key = (sigma_id, tau_id)
     cached = cc._incidence.get(key)
     if cached is not None:
@@ -107,23 +116,17 @@ def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
     elif tau_id == cc.empty_cell:
         result = 1
     else:
-        sigma = fan.cones[sigma_id]
-        n = fan.ambient_dim
-        d = sigma.dim
-        bs = cc.basis[sigma_id]
-        bt = cc.basis[tau_id]
-        tau_rays = [list(r) for r in bt]
-        w = next((r for r in sigma.rays if rank(tau_rays + [list(r)]) == d), None)
-        if w is None:
+        tau_rays = fan.cones[tau_id].rays
+        w = next((r for r in fan.cones[sigma_id].rays if r not in tau_rays), None)
+        orientation = cc._orientation.get(sigma_id)
+        if orientation is None:
+            orientation = cc._orientation[sigma_id] = _first_independent_rows(
+                cc.basis[sigma_id], fan.cones[sigma_id].dim, fan.ambient_dim)
+        rows, det_s = orientation
+        det_c = 0 if w is None else _minor((*cc.basis[tau_id], w), rows)
+        if det_c == 0:
             raise NoIncidenceWitness(
                 f"no ray of cone {sigma_id} extends the basis of its facet {tau_id}")
-        cand = list(bt) + [w]
-        rows = _first_independent_rows(bs, d, n)
-        det_s = determinant([[v[r] for v in bs] for r in rows])
-        det_c = determinant([[v[r] for v in cand] for r in rows])
-        if det_c == 0:
-            raise InternalCheckFailed(
-                f"facet {tau_id} basis plus witness is singular in cone {sigma_id}")
         result = 1 if (det_s > 0) == (det_c > 0) else -1
     cc._incidence[key] = result
     return result
@@ -163,8 +166,15 @@ def chain_complex(cc: CellComplex, keep) -> ChainComplex:
     cells = {d: [i for i in ids if d < 0 or i in keep]
              for d, ids in cc.cells_by_degree.items()}
     ranks = {d: len(ids) for d, ids in cells.items()}
-    boundaries = {d: [[incidence(cc, s, t) for s in cells[d]] for t in cells[d - 1]]
-                  for d in range(0, n)}
+    boundaries = {}
+    for d in range(0, n):
+        # Only a cell's facets meet it; every facet of a kept cell is kept.
+        row_of = {t: k for k, t in enumerate(cells[d - 1])}
+        mat = [[0] * len(cells[d]) for _ in row_of]
+        for j, s in enumerate(cells[d]):
+            for t in fan.facet_ids(s):
+                mat[row_of[t]][j] = incidence(cc, s, t)
+        boundaries[d] = mat
     for d in range(0, n - 1):
         lower, upper = boundaries[d], boundaries[d + 1]
         if lower and upper and lower[0] and upper[0] \

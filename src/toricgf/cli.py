@@ -22,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, asdict
+from math import isqrt
 
 import yaml
 
@@ -432,8 +433,10 @@ def _parse_coefficients(text: str) -> int | None:
             p = int(text.split(":", 1)[1])
         except ValueError:
             p = 0
-        if p < 2:
-            raise SchemaError(f"bad characteristic in {text!r}")
+        # Z/p is a field, and universal coefficients hold, only for p prime;
+        # below 2^31 trial division decides that in a few milliseconds.
+        if not 1 < p < 2 ** 31 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            raise SchemaError(f"bad characteristic in {text!r}: p must be a prime below 2^31")
         return p
     raise SchemaError(f"unknown coefficient field {text!r}")
 

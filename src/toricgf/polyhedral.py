@@ -9,14 +9,16 @@ cross product of d-1 generators and the span equations of a d-dimensional
 cone, the faces are the facets' ray sets closed under intersection, two cones
 a, b meet in a common face when a u >= 0 on a and <= 0 on b (their own summed
 inequalities first, else the facet normals of cone(a, -b)) cuts the same face
-from both, and a normal cone is ``dual_cone(cone_from_rays(...))``.
-All of it is exact and polynomial in the number of rays for a fixed dimension.
+from both, and a normal cone is ``dual_cone(cone_from_rays(...))``.  A face
+of a listed cone is built from its ray set by the hull alone, and takes its
+linear part from a parent.  All of it is exact and polynomial in the number
+of rays for a fixed dimension.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .intlinalg import (
@@ -111,26 +113,28 @@ def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = Fals
     for g in gens:
         if len(g) != ambient_dim:
             raise ValueError(f"generator {g} does not live in dimension {ambient_dim}")
-    d, equations, facets = _hull_description(gens, ambient_dim)
-    ineqs = list(facets)
-    for e in sorted(equations):
-        ineqs.append(tuple(e))
-        ineqs.append(tuple(-x for x in e))
-    pointed = rank([list(u) for u in ineqs]) == ambient_dim if ineqs else ambient_dim == 0
+    hull = _face(ambient_dim, gens)
+    ineqs = hull.inequalities
+    pointed = rank(ineqs) == ambient_dim if ineqs else ambient_dim == 0
     if require_pointed and not pointed:
         raise NonPointedCone(f"generators {gens} span a cone containing a line")
-    if pointed:
-        rays = []
-        for g in gens:
-            tight = [list(u) for u in facets if dot(u, g) == 0]
-            tight += [list(e) for e in equations]
-            if rank(tight) == ambient_dim - 1:
-                rays.append(g)
-        rays = sorted(rays)
-    else:
-        rays = gens
+    if not pointed:
+        return replace(hull, pointed=False)
+    # A generator is extreme when the inequalities tight on it have rank n - 1.
+    return replace(hull, rays=tuple(
+        g for g in gens if rank([u for u in ineqs if dot(u, g) == 0]) == ambient_dim - 1))
+
+
+def _face(ambient_dim: int, ray_set) -> Cone:
+    """The face of a pointed cone with the given ray set, equal to
+    ``cone_from_rays(ambient_dim, ray_set)``: a face of a pointed cone is
+    pointed and its rays are extreme, so the hull alone describes it.  The
+    inequalities are the facet normals, then each span equation as a +- pair."""
+    rays = sorted(ray_set)
+    d, equations, facets = _hull_description(rays, ambient_dim)
+    pairs = (v for e in sorted(equations) for v in (tuple(e), tuple(-x for x in e)))
     return Cone(ambient_dim=ambient_dim, rays=tuple(rays),
-                inequalities=tuple(ineqs), dim=d, pointed=pointed)
+                inequalities=(*facets, *pairs), dim=d, pointed=True)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -158,7 +162,7 @@ def _face_ray_sets(c: Cone) -> set[frozenset[Vector]]:
 
 def face_lattice(c: Cone) -> list[tuple[Cone, int]]:
     """All faces of a strongly convex cone, including c and the zero cone."""
-    faces = sorted((cone_from_rays(c.ambient_dim, sorted(rs)) for rs in _face_ray_sets(c)),
+    faces = sorted((_face(c.ambient_dim, rs) for rs in _face_ray_sets(c)),
                    key=lambda f: (f.dim, f.rays))
     return [(f, f.dim) for f in faces]
 
@@ -263,7 +267,7 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     # built once, and a listed cone is its own top face.
     cones_by_rays = {frozenset(c.rays): c for c in top}
     for rs in set().union(*map(_face_ray_sets, top)) - cones_by_rays.keys():
-        cones_by_rays[rs] = cone_from_rays(ambient_dim, sorted(rs))
+        cones_by_rays[rs] = _face(ambient_dim, rs)
 
     _check_intersections(top)
 
@@ -329,7 +333,8 @@ class SupportFunction:
 
 
 def support_from_ray_values(f: Fan, values) -> SupportFunction:
-    """Solve for an integral linear functional on every cone of the fan.
+    """An integral linear functional on every cone of the fan, solved on the
+    cones that are faces of no other and inherited by their faces.
 
     ``values`` is aligned with the ray list the fan was built from.  Raises
     NotLinearOnCone when no common functional exists on some cone and
@@ -340,11 +345,16 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
         raise ValueError(
             f"expected {len(f.input_rays)} ray values, got {len(values)}")
     by_ray = dict(zip(f.input_rays, (int(v) for v in values)))
+    # A cone with a parent takes the parent's functional, which restricts to
+    # one on the face; only the cones that are faces of none get solved.  Ids
+    # grow with dimension, so every parent is done before its faces.
+    parent = dict(sorted(f.face_relation, reverse=True))
     parts: dict[int, Vector] = {}
-    for i, c in enumerate(f.cones):
-        if c.dim == 0:
-            parts[i] = (0,) * f.ambient_dim
+    for i in reversed(range(len(f.cones))):
+        if i in parent:
+            parts[i] = parts[parent[i]]
             continue
+        c = f.cones[i]
         a = [list(r) for r in c.rays]
         b = [by_ray[r] for r in c.rays]
         h = solve_integral(a, b)
@@ -355,8 +365,8 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
             raise NotLinearOnCone(
                 f"values {b} on cone {list(c.rays)} admit no linear functional")
         parts[i] = h
-    # Representatives of a face and its parent agree on the face by
-    # construction; spell the consistency check out anyway.
+    # Every parent's functional must agree with the one its face inherited:
+    # both take the ray values on the face's rays.
     for fid, cid in f.face_relation:
         for r in f.cones[fid].rays:
             if dot(parts[fid], r) != dot(parts[cid], r):

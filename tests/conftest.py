@@ -12,7 +12,7 @@ import pytest
 from toricgf import (build_fan, cone_from_rays, dual_cone, lattice_polytope,
                      support_from_ray_values)
 from toricgf.genfun import binomial_product
-from toricgf.intlinalg import determinant, dot, primitive_vector
+from toricgf.intlinalg import determinant, dot, primitive_vector, rank
 from toricgf.polyhedral import NotIntegral, NotLinearOnCone, _face_ray_sets
 
 
@@ -122,6 +122,19 @@ def random_fan_3d(rng: random.Random, subdivisions: int = 0):
     return fan
 
 
+def cross_polytope_fan_data(rng, n, subdivisions):
+    """Rays and maximal ray-index lists of the fan over the n-dimensional
+    cross-polytope's faces, after stellar subdivisions of random maximal
+    cones."""
+    rays = [tuple(s * (i == j) for j in range(n)) for s in (1, -1) for i in range(n)]
+    maximal = [[i + n * b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=n)]
+    for _ in range(subdivisions):
+        cone = maximal.pop(rng.randrange(len(maximal)))
+        rays.append(primitive_vector(tuple(sum(rays[i][j] for i in cone) for j in range(n))))
+        maximal += [[len(rays) - 1] + [i for i in cone if i != omit] for omit in cone]
+    return rays, maximal
+
+
 def random_support_3d(rng: random.Random, fan, spread: int = 1):
     values = [rng.randint(-spread, spread) for _ in fan.input_rays]
     return support_from_ray_values(fan, values)
@@ -220,6 +233,42 @@ def double_hull_meets_in_faces(top):
     return True
 
 
+def dense_boundaries(cc, keep):
+    """The boundary matrices of a subcomplex with one incidence per (cell,
+    lower cell) pair, each found from scratch: the witness is the first ray
+    that raises the rank of the facet's basis, and the cell's rows and minor
+    are recomputed per pair.  The slow reference for ``chain_complex`` and
+    ``incidence``."""
+    fan, n = cc.fan, cc.fan.ambient_dim
+
+    def sign(s, t):
+        if (t, s) not in fan.face_relation:
+            return 0
+        if t == cc.empty_cell:
+            return 1
+        bs, bt, d = cc.basis[s], list(cc.basis[t]), fan.cones[s].dim
+        w = next(r for r in fan.cones[s].rays if rank(bt + [r]) == d)
+        rows = next(rows for rows in combinations(range(n), d)
+                    if determinant([[v[r] for v in bs] for r in rows]))
+        det_s = determinant([[v[r] for v in bs] for r in rows])
+        det_c = determinant([[v[r] for v in bt + [w]] for r in rows])
+        return 1 if (det_s > 0) == (det_c > 0) else -1
+
+    cells = {d: [i for i in ids if d < 0 or i in keep] for d, ids in cc.cells_by_degree.items()}
+    return {d: [[sign(s, t) for s in cells[d]] for t in cells[d - 1]] for d in range(n)}
+
+
+def face_closure(fan, ids):
+    """The nonzero cones that are faces of the given cones."""
+    keep, todo = set(), list(ids)
+    while todo:
+        i = todo.pop()
+        if i not in keep and fan.cones[i].dim > 0:
+            keep.add(i)
+            todo.extend(fan.facet_ids(i))
+    return frozenset(keep)
+
+
 def total_dims(table):
     """Per-degree sums of the cohomology dimensions over a table's entries."""
     return tuple(sum(dims[k] for dims, _, _ in table.entries.values())
@@ -229,3 +278,16 @@ def total_dims(table):
 @pytest.fixture
 def ex1():
     return example1_support()
+
+
+DEEP_SEEDS = range(30)
+DEEP_DEPTHS = (8, 12)
+
+
+@pytest.fixture(scope="session")
+def deep_fans():
+    """random_fan_3d at both 8 and 12 subdivisions for every seed; the
+    shallow fans of the other tests hid a rank fault that made about two
+    thirds of these fail to build."""
+    return [random_fan_3d(random.Random(seed), depth)
+            for seed in DEEP_SEEDS for depth in DEEP_DEPTHS]

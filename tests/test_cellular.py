@@ -15,6 +15,7 @@ from toricgf.intlinalg import is_zero_matrix, matmul
 
 from conftest import (
     example1_fan,
+    face_closure,
     octahedron_fan,
     random_fan_2d,
     random_fan_3d,
@@ -250,8 +251,34 @@ def test_incidence_without_witness_is_a_named_error(monkeypatch):
     fan = example1_fan()
     cc = cell_complex(fan)
     sid = fan.maximal_ids[0]
-    tau = fan.facet_ids(sid)[0]
-    real_rank = cellular.rank
-    monkeypatch.setattr(cellular, "rank", lambda rows: real_rank(rows) - 1)
+    tau, other = fan.facet_ids(sid)
+    # The first incidence fixes sigma's orientation; after it the only
+    # determinant left is that of tau's basis plus the witness, and a fault
+    # makes it singular.
+    assert incidence(cc, sid, other) in (1, -1)
+    monkeypatch.setattr(cellular, "determinant", lambda rows: 0)
     with pytest.raises(cellular.NoIncidenceWitness):
         incidence(cc, sid, tau)
+
+
+def test_chain_complex_computes_incidences_only_on_the_face_relation(monkeypatch):
+    import toricgf.cellular as cellular
+
+    real = cellular.incidence
+    calls = []
+
+    def counted(cc, sigma_id, tau_id):
+        calls.append((sigma_id, tau_id))
+        return real(cc, sigma_id, tau_id)
+
+    monkeypatch.setattr(cellular, "incidence", counted)
+    rng = random.Random(12)
+    fans = [example1_fan(), octahedron_fan(), random_fan_2d(rng)]
+    fans += [random_fan_3d(random.Random(seed), 12) for seed in range(3)]
+    for fan in fans:
+        cc = cell_complex(fan)
+        for keep in (nonzero_ids(fan), face_closure(fan, rng.sample(fan.maximal_ids, 2)),
+                     face_closure(fan, fan.ray_ids[:3])):
+            calls.clear()
+            chain_complex(cc, keep)
+            assert sorted(calls) == sorted((s, t) for s in keep for t in fan.facet_ids(s))

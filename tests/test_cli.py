@@ -296,12 +296,31 @@ def test_main_negative_values_in_both_argv_forms(tmp_path, capsys):
 
 
 def test_main_incidence_fault_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    # A faulty basis for every ray, the zero vector, makes each facet basis
+    # plus witness singular in the 2-D cones.
     import toricgf.cellular as cellular
 
-    real_rank = cellular.rank
-    monkeypatch.setattr(cellular, "rank", lambda rows: real_rank(rows) - 1)
+    real_basis = cellular.greedy_basis
+    monkeypatch.setattr(cellular, "greedy_basis", lambda rays: real_basis(rays)
+                        if len(rays) > 1 else [(0,) * len(rays[0])])
     assert main(["brion", write(tmp_path, EX1_DOC)]) == 1
     assert capsys.readouterr().err.startswith("error: NoIncidenceWitness")
+
+
+@pytest.mark.parametrize("p,code", [(4, 2), (9, 2), (1, 2), (2, 0), (3, 0), (5, 0), (7, 0)])
+def test_main_accepts_only_a_prime_characteristic(p, code, tmp_path, capsys):
+    # Z/4 and Z/9 are not fields: universal coefficients would mislabel them.
+    assert main(["cohomology", write(tmp_path, EX1_DOC), "--coefficients", f"modp:{p}"]) == code
+    assert ("p must be a prime" in capsys.readouterr().err) == (code == 2)
+
+
+def test_main_non_integral_face_of_a_non_simplicial_cone_exits_1(tmp_path, capsys):
+    # The face cone((1,1,1), (-1,1,1)) of the cone over the square needs x = 1/2.
+    doc = ("dim: 3\nrays: [[1,1,1],[-1,1,1],[-1,-1,1],[1,-1,1],[0,0,-1]]\n"
+           "maximal_cones: [[0,1,2,3],[0,1,4],[1,2,4],[2,3,4],[3,0,4]]\n"
+           "support: [1,0,0,1,0]\n")
+    assert main(["cohomology", write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: NotIntegral")
 
 
 def _count_calls(monkeypatch, calls, fn_name, *modules):

@@ -29,6 +29,8 @@ from toricgf.intlinalg import dot, kernel_basis
 from toricgf.polyhedral import SupportFunction
 
 from conftest import (
+    DEEP_DEPTHS,
+    DEEP_SEEDS,
     POLYTOPES,
     cross_multiplied_equal,
     example1_fan,
@@ -402,19 +404,6 @@ def test_mod_p_dimensions():
     table_2 = cohomology_table(h, p=2)
     assert {k: v[0] for k, v in table_q.entries.items()} == \
         {k: v[0] for k, v in table_2.entries.items()}
-
-
-DEEP_SEEDS = range(30)
-DEEP_DEPTHS = (8, 12)
-
-
-@pytest.fixture(scope="module")
-def deep_fans():
-    """random_fan_3d at both 8 and 12 subdivisions for every seed; the
-    shallow fans of the other tests hid a rank fault that made about two
-    thirds of these fail to build."""
-    return [random_fan_3d(random.Random(seed), depth)
-            for seed in DEEP_SEEDS for depth in DEEP_DEPTHS]
 
 
 def test_deep_random_fans_build(deep_fans):

@@ -1,7 +1,7 @@
 import random
 import time
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -22,8 +22,8 @@ from toricgf import (
 )
 from toricgf.intlinalg import dot, matvec, primitive_vector, rank
 
-from conftest import (double_hull_meets_in_faces, example1_fan, lattice_polygon_cone,
-                      octahedron_fan, primitive_edges, random_fan_2d, random_fan_3d,
+from conftest import (POLYTOPES, cross_polytope_fan_data, double_hull_meets_in_faces,
+                      example1_fan, lattice_polygon_cone, octahedron_fan, octahedron_fan_data, primitive_edges, random_fan_2d, random_fan_3d,
                       unit_square)
 
 
@@ -275,38 +275,88 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
                         [[0, 1, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
     fans = [octahedron_fan(), pyramid] + [random_fan_3d(random.Random(seed), 6)
                                           for seed in range(4)]
-    real = polyhedral.cone_from_rays
+    real = polyhedral._face
     built = []
 
-    def counted(*args, **kwargs):
-        built.append(args[1])
-        return real(*args, **kwargs)
+    def counted(ambient_dim, ray_set):
+        built.append(frozenset(ray_set))
+        return real(ambient_dim, ray_set)
 
-    # The pairwise intersection check builds cones of its own; every other
-    # call is face building, one per cone of the fan.
+    # The pairwise intersection check hulls pairs of its own; every face
+    # route call is face building, one per cone of the fan: a listed cone's
+    # through cone_from_rays, every other face's directly.
     monkeypatch.setattr(polyhedral, "_check_intersections", lambda top: None)
-    monkeypatch.setattr(polyhedral, "cone_from_rays", counted)
+    monkeypatch.setattr(polyhedral, "_face", counted)
     for fan in fans:
         rays = fan.input_rays
         maximal = [[rays.index(r) for r in fan.cones[i].rays] for i in fan.maximal_ids]
         built.clear()
         again = polyhedral.build_fan(3, rays, maximal)
         assert len(built) == len(again.cones)
+        assert set(built) == {frozenset(c.rays) for c in again.cones}
         assert again.cones == fan.cones
         assert again.face_relation == fan.face_relation
 
 
-def cross_polytope_fan_data(rng, n, subdivisions):
-    """Rays and maximal ray-index lists of the fan over the n-dimensional
-    cross-polytope's faces, after stellar subdivisions of random maximal
-    cones."""
-    rays = [tuple(s * (i == j) for j in range(n)) for s in (1, -1) for i in range(n)]
-    maximal = [[i + n * b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=n)]
-    for _ in range(subdivisions):
-        cone = maximal.pop(rng.randrange(len(maximal)))
-        rays.append(primitive_vector(tuple(sum(rays[i][j] for i in cone) for j in range(n))))
-        maximal += [[len(rays) - 1] + [i for i in cone if i != omit] for omit in cone]
-    return rays, maximal
+PYRAMID = ([(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, -1)],
+           [[0, 1, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+
+
+def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
+    # A listed cone costs one rank for its hull, one for pointedness and one
+    # per generator for its extreme rays; any other face only its hull's, and
+    # the zero cone none.
+    import toricgf.polyhedral as polyhedral
+
+    real = polyhedral.rank
+    ranks = []
+
+    def counted(rows):
+        ranks.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top: None)
+    monkeypatch.setattr(polyhedral, "rank", counted)
+    data = [octahedron_fan_data(), PYRAMID]
+    data += [cross_polytope_fan_data(random.Random(seed), 4, seed) for seed in range(3)]
+    for seed in range(3):
+        fan = random_fan_3d(random.Random(seed), 12)
+        data.append((fan.input_rays, [[fan.input_rays.index(r) for r in fan.cones[i].rays]
+                                      for i in fan.maximal_ids]))
+    for rays, maximal in data:
+        ranks.clear()
+        fan = polyhedral.build_fan(len(rays[0]), rays, maximal)
+        listed = sum(2 + len(cone) for cone in maximal)
+        assert len(ranks) == listed + len(fan.cones) - len(maximal) - 1
+
+
+def test_support_solves_only_the_maximal_cones(monkeypatch):
+    # Every other cone inherits a parent's linear part; only the maximal
+    # cones, the polytopes' normal fans' included, solve a system.
+    import toricgf.polyhedral as polyhedral
+
+    real = polyhedral.solve_integral
+    solved = []
+
+    def counted(a, b):
+        solved.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(polyhedral, "solve_integral", counted)
+    rng = random.Random(31)
+    cases = [(octahedron_fan(), [1, -1, 0, 2, 0, 1]),
+             (build_fan(3, *PYRAMID), [1, 1, 1, 1, 0])]
+    for seed in range(4):
+        fan = random_fan_3d(random.Random(seed), 12)
+        cases.append((fan, [rng.randint(-2, 2) for _ in fan.input_rays]))
+    for fan, values in cases:
+        solved.clear()
+        support_from_ray_values(fan, values)
+        assert len(solved) == len(fan.maximal_ids)
+    for _, dim, verts in POLYTOPES:
+        solved.clear()
+        fan, _ = normal_fan_of_polytope(lattice_polytope(dim, verts))
+        assert len(solved) == len(fan.maximal_ids)
 
 
 def cone_collections(rng, n, count, max_subdivisions):
@@ -520,6 +570,15 @@ def test_support_not_linear_on_cone():
     fan = build_fan(3, rays, maximal)
     with pytest.raises(NotLinearOnCone):
         support_from_ray_values(fan, [2, 0, 0, 0, 0])
+
+
+def test_support_non_integral_face_of_a_non_simplicial_cone():
+    # On the pyramid over a square the values 1, 0 on (1,1,1), (-1,1,1) force
+    # x = 1/2 on their common face, a face of the cone over the square, which
+    # is linear (1 + 0 == 0 + 1) but not integral, and of a simplicial cone.
+    fan = build_fan(3, *PYRAMID)
+    with pytest.raises(NotIntegral):
+        support_from_ray_values(fan, [1, 0, 0, 1, 0])
 
 
 def test_support_face_consistency_invariant():
