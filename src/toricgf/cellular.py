@@ -156,11 +156,12 @@ def chain_complex(cc: CellComplex, keep) -> ChainComplex:
     fan = cc.fan
     n = fan.ambient_dim
     keep = frozenset(keep)
+    empty = cc.empty_cell
     for i in keep:
         if fan.cones[i].dim == 0:
             raise ValueError("the zero cone is not a cell; it is always implied")
         for fid in fan.facet_ids(i):
-            if fid != cc.empty_cell and fid not in keep:
+            if fid != empty and fid not in keep:
                 raise NotFaceClosed(
                     f"cone {i} is kept but its facet {fid} is not")
     cells = {d: [i for i in ids if d < 0 or i in keep]

@@ -21,7 +21,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from math import isqrt
 
 import yaml
@@ -343,8 +343,9 @@ def format_polynomial(terms) -> str:
 def emit_report(report: Report, fmt: str = "text") -> bytes:
     """Render a report; the machine format is stable JSON that round-trips."""
     if fmt == "machine":
-        data = asdict(report)
-        data.pop("timing_ms")
+        # The fields are plain JSON data already; asdict would deep-copy them.
+        data = {f.name: getattr(report, f.name) for f in fields(report)
+                if f.name != "timing_ms"}
         return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")

@@ -11,12 +11,16 @@ of Euler characteristics, and this module checks that identity exactly.
 Degrees are swept by their sign pattern in the ray hyperplane arrangement.
 Because <h_sigma, r> = h(r) for every ray r of sigma, a cone lies in the
 degree-b subcomplex exactly when all its rays satisfy <b, r> + h(r) >= 0.
-So a degree costs one on-ray bitmask, and a cone is kept when its own ray
-mask is a subset of it.  A ``SweepIndex`` per support function memoises,
-per distinct mask, the kept cones, the signed count, the homology and the
-cohomology per coefficient field.  ``cohomology_table`` is a run's single
-pass: it keeps the first degree of each distinct subcomplex of its region,
-and the Euler polynomial, the identity check and the corollaries read it.
+So a degree has one on-ray bitmask, and a cone is kept when its own ray
+mask is a subset of it.  The box is swept one line of the last coordinate
+at a time: on a line each ray's condition is a single threshold, so the
+masks along it come in runs, found by sorting at most one threshold per
+ray.  A ``SweepIndex`` per support function memoises, per distinct mask,
+the kept cones, the signed count, the homology and the cohomology per
+coefficient field.  ``cohomology_table`` is a run's single pass, one lookup
+per run: it keeps the first degree of each distinct subcomplex of its
+region, and the Euler polynomial, the identity check and the corollaries
+read it.
 The corollaries and the CLI's oracle check the table against
 ``reference_subcomplex``, which tests dual membership cone by cone and so
 does not go through the sweep.
@@ -25,15 +29,13 @@ does not go through the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
 from operator import add
 
 from .cellular import fan_cell_complex, subcomplex_homology
 from .genfun import (LaurentPolynomial, RationalGF, box_points, cone_genfun, rational_equal,
                      sign_canonical)
-from .intlinalg import InternalCheckFailed, adjugate, determinant, dot, matvec
+from .intlinalg import InternalCheckFailed, cross_product, dot
 from .polyhedral import SupportFunction, dual_cone
 
 
@@ -112,8 +114,47 @@ class SweepIndex:
                 m |= bit
         return m
 
-    def subcomplex(self, b) -> Subcomplex:
-        m = self.mask(b)
+    def line_runs(self, box):
+        """For each prefix of the box in box order, the prefix and the runs
+        (first, end, mask) of equal masks on its line of the last axis, where
+        index i is the degree prefix + (lo + i,) and a run ends before end.
+
+        With s = <prefix, r'> + h(r), where r' drops the last entry c of r,
+        the ray is on over the whole line when c = 0 and s >= 0, from index
+        -(s // c) - lo on when c > 0, and up to index s // -c - lo when c < 0.
+        """
+        *head, (lo, hi) = box
+        width = hi - lo + 1
+        up = [(bit, r[:-1], r[-1], v) for bit, r, v in self._rays if r[-1] > 0]
+        down = [(bit, r[:-1], -r[-1], v) for bit, r, v in self._rays if r[-1] < 0]
+        flat = [(bit, r[:-1], v) for bit, r, v in self._rays if r[-1] == 0]
+        for prefix in box_points(head):
+            m, flips = 0, {}
+            for bit, r, c, v in up:
+                k = -((dot(prefix, r) + v) // c) - lo  # on from index k
+                if k <= 0:
+                    m |= bit
+                elif k < width:
+                    flips[k] = flips.get(k, 0) | bit
+            for bit, r, c, v in down:
+                k = (dot(prefix, r) + v) // c - lo + 1  # on before index k
+                if k > 0:
+                    m |= bit
+                    if k < width:
+                        flips[k] = flips.get(k, 0) | bit
+            for bit, r, v in flat:
+                if dot(prefix, r) + v >= 0:
+                    m |= bit
+            runs, first = [], 0
+            for k in sorted(flips):
+                runs.append((first, k, m))
+                m ^= flips[k]
+                first = k
+            runs.append((first, width, m))
+            yield prefix, runs
+
+    def lookup(self, m: int) -> Subcomplex:
+        """The subcomplex of the cones whose rays are all on in mask m."""
         sub = self._memo.get(m)
         if sub is None:
             keep, signed = [], 0
@@ -124,6 +165,9 @@ class SweepIndex:
                         keep.append(i)
             sub = self._memo[m] = Subcomplex(frozenset(keep), signed)
         return sub
+
+    def subcomplex(self, b) -> Subcomplex:
+        return self.lookup(self.mask(b))
 
     def cohomology(self, sub: Subcomplex, p: int | None = None):
         """(dims, torsion, chi) of a subcomplex over Q, or over F_p when p
@@ -189,6 +233,11 @@ class DegreeRegion:
 
     box: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        if not self.box or any(type(lo) is not int or type(hi) is not int or lo > hi
+                               for lo, hi in self.box):
+            raise ValueError(f"degree box {self.box!r} needs integer axes with lo <= hi")
+
     @property
     def candidates(self) -> tuple[tuple[int, ...], ...]:
         return tuple(box_points(self.box))
@@ -196,43 +245,55 @@ class DegreeRegion:
 
 def degree_region(h: SupportFunction) -> DegreeRegion:
     """Integer bounding box of the vertices of the arrangement of the
-    hyperplanes <a, v> = -h(v) over the rays v of the fan."""
+    hyperplanes <a, v> = -h(v) over the rays v of the fan.
+
+    Each (n-1)-subset of rays has one cross product, shared by the n-subsets
+    that contain it: for an n-subset r_0 .. r_{n-1}, det = <r_0, x(rest)>,
+    and by Cramer's rule the vertex is sum_i (-1)^i (-h(r_i)) x(subset
+    without r_i) / det, floored and ceiled by integer division.
+    """
     fan = h.fan
     n = fan.ambient_dim
     rays = fan.rays
+    rhs = [-h.value(r) for r in rays]
+    cross = {sub: cross_product([rays[i] for i in sub])
+             for sub in combinations(range(len(rays)), n - 1)}
     vertices = []
-    for subset in combinations(rays, n):
-        a = [list(r) for r in subset]
-        det = determinant(a)
-        if det == 0:
-            continue
-        rhs = [-h.value(r) for r in subset]
-        sol = matvec(adjugate(a), rhs)
-        vertices.append(tuple(Fraction(x, det) for x in sol))
+    for subset in combinations(range(len(rays)), n):
+        det = dot(rays[subset[0]], cross[subset[1:]])
+        if det:
+            terms = [[(-1) ** i * rhs[k] * c for c in cross[subset[:i] + subset[i + 1:]]]
+                     for i, k in enumerate(subset)]
+            vertices.append((det, [sum(col) for col in zip(*terms)]))
     if not vertices:
         raise NoArrangementVertices(
             "fewer than n independent ray hyperplanes; fan cannot be complete")
-    box = tuple((floor(min(v[i] for v in vertices)),
-                 ceil(max(v[i] for v in vertices))) for i in range(n))
-    return DegreeRegion(box=box)
-
-
-def _shell_points(box):
-    expanded = [(lo - 1, hi + 1) for lo, hi in box]
-    for pt in box_points(expanded):
-        if any(x == lo or x == hi for x, (lo, hi) in zip(pt, expanded)):
-            yield pt
+    return DegreeRegion(box=tuple((min(x[j] // det for det, x in vertices),
+                                   max(-(-x[j] // det) for det, x in vertices))
+                                  for j in range(n)))
 
 
 def check_shell(h: SupportFunction, box) -> None:
     """Every lattice point on the shell around the box must have a zero
-    signed count; otherwise the degree region missed contributions."""
+    signed count; otherwise the degree region missed contributions.
+
+    The widened box is swept line by line: a line whose prefix lies outside
+    the box is all shell, any other line meets the shell at its two ends.
+    The first failing degree in box order is reported.
+    """
     idx = sweep_index(h)
-    for pt in _shell_points(box):
-        count = idx.subcomplex(pt).signed_count
-        if count != 0:
-            raise ShellCheckFailed(
-                f"nonzero signed count {count} at shell degree {pt}")
+    wide = [(lo - 1, hi + 1) for lo, hi in box]
+    lo, hi = wide[-1]
+    for prefix, runs in idx.line_runs(wide):
+        if all(a < x < b for x, (a, b) in zip(prefix, wide)):
+            shell = [(0, runs[0][2]), (hi - lo, runs[-1][2])]
+        else:
+            shell = [(first, m) for first, _, m in runs]
+        for i, m in shell:
+            count = idx.lookup(m).signed_count
+            if count != 0:
+                raise ShellCheckFailed(
+                    f"nonzero signed count {count} at shell degree {(*prefix, lo + i)}")
 
 
 @dataclass
@@ -254,7 +315,8 @@ class CohomologyTable:
 def cohomology_table(h: SupportFunction, p: int | None = None,
                      region: DegreeRegion | None = None) -> CohomologyTable:
     """Graded cohomology at every candidate degree, with the shell check:
-    one subcomplex lookup per degree of the region (derived when not given).
+    one subcomplex lookup per run of equal masks on each line of the region
+    (derived when not given).
 
     Each distinct subcomplex's Euler characteristic is recomputed
     independently through the signed cone count and checked equal,
@@ -264,14 +326,17 @@ def cohomology_table(h: SupportFunction, p: int | None = None,
         region = degree_region(h)
     check_shell(h, region.box)
     idx = sweep_index(h)
+    lo = region.box[-1][0]
     firsts: dict[Subcomplex, tuple[int, ...]] = {}
     entries = {}
-    for b in box_points(region.box):
-        sub = idx.subcomplex(b)
-        firsts.setdefault(sub, b)
-        dims, torsion, chi = idx.cohomology(sub, p)
-        if any(dims) or any(torsion):
-            entries[b] = (dims, torsion, chi)
+    for prefix, runs in idx.line_runs(region.box):
+        for first, end, m in runs:
+            sub = idx.lookup(m)
+            firsts.setdefault(sub, (*prefix, lo + first))
+            dims, torsion, chi = idx.cohomology(sub, p)
+            if any(dims) or any(torsion):
+                for t in range(lo + first, lo + end):
+                    entries[(*prefix, t)] = (dims, torsion, chi)
     return CohomologyTable(ambient_dim=h.fan.ambient_dim, entries=entries,
                            region=region,
                            subcomplexes=tuple((b, sub) for sub, b in firsts.items()))

@@ -205,13 +205,19 @@ def _smith(a: Matrix, track: bool):
 
     t = 0
     while t < min(rows, cols):
-        # Smallest nonzero pivot in the trailing submatrix limits entry growth.
-        pivot = None
+        # Smallest nonzero pivot in the trailing submatrix limits entry growth;
+        # the first one in row order, so the scan may stop at a unit.
+        pivot, least = None, 0
         for i in range(t, rows):
+            row = m[i]
             for j in range(t, cols):
-                x = m[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    pivot, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:

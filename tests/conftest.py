@@ -3,16 +3,17 @@ complete fans in dimensions 2 and 3, and slow references for fast paths."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
-from math import atan2, gcd
+from math import atan2, ceil, floor, gcd
 
 import pytest
 
 from toricgf import (build_fan, cone_from_rays, dual_cone, lattice_polytope,
-                     support_from_ray_values)
-from toricgf.genfun import binomial_product
-from toricgf.intlinalg import determinant, dot, primitive_vector, rank
+                     normal_fan_of_polytope, support_from_ray_values)
+from toricgf.genfun import binomial_product, box_points
+from toricgf.intlinalg import adjugate, determinant, dot, matvec, primitive_vector, rank
 from toricgf.polyhedral import NotIntegral, NotLinearOnCone, _face_ray_sets
 
 
@@ -138,6 +139,21 @@ def cross_polytope_fan_data(rng, n, subdivisions):
 def random_support_3d(rng: random.Random, fan, spread: int = 1):
     values = [rng.randint(-spread, spread) for _ in fan.input_rays]
     return support_from_ray_values(fan, values)
+
+
+def cross_polytope_battery():
+    """The 4-D cross-polytope fan after 0-4 stellar subdivisions, three seeded
+    fans per depth.  Every cone stays unimodular, so any values are a
+    support function."""
+    rng = random.Random(404)
+    cases = []
+    for subdivisions in range(5):
+        for _ in range(3):
+            rays, maximal = cross_polytope_fan_data(rng, 4, subdivisions)
+            fan = build_fan(4, rays, maximal)
+            values = [rng.randint(-2, 2) for _ in rays]
+            cases.append((fan, support_from_ray_values(fan, values)))
+    return cases
 
 
 def lattice_polygon_cone(edges):
@@ -269,6 +285,36 @@ def face_closure(fan, ids):
     return frozenset(keep)
 
 
+def adjugate_degree_region(h):
+    """The bounding box of the ray hyperplane arrangement's vertices, one
+    determinant, adjugate and ``Fraction`` per n-subset of rays.  The slow
+    reference for ``cohomology.degree_region``."""
+    n = h.fan.ambient_dim
+    vertices = []
+    for subset in combinations(h.fan.rays, n):
+        a = [list(r) for r in subset]
+        det = determinant(a)
+        if det:
+            sol = matvec(adjugate(a), [-h.value(r) for r in subset])
+            vertices.append(tuple(Fraction(x, det) for x in sol))
+    return tuple((floor(min(v[i] for v in vertices)), ceil(max(v[i] for v in vertices)))
+                 for i in range(n))
+
+
+def first_shell_failure(idx, box):
+    """The first degree in box order on the shell around the box whose
+    per-point mask has a nonzero signed count, with that count, or None.
+    The slow reference for ``cohomology.check_shell``."""
+    *head, (lo, hi) = wide = [(lo - 1, hi + 1) for lo, hi in box]
+    for prefix in box_points(head):
+        inner = all(a < x < b for x, (a, b) in zip(prefix, wide))
+        for t in (lo, hi) if inner else range(lo, hi + 1):
+            count = idx.subcomplex((*prefix, t)).signed_count
+            if count:
+                return (*prefix, t), count
+    return None
+
+
 def total_dims(table):
     """Per-degree sums of the cohomology dimensions over a table's entries."""
     return tuple(sum(dims[k] for dims, _, _ in table.entries.values())
@@ -291,3 +337,19 @@ def deep_fans():
     thirds of these fail to build."""
     return [random_fan_3d(random.Random(seed), depth)
             for seed in DEEP_SEEDS for depth in DEEP_DEPTHS]
+
+
+def fan_battery(name, request):
+    """(fan, support) pairs of one agreement battery: the acceptance suite's
+    random cases, the deep 3-D fans with spread-2 support, the polytope
+    corpus's normal fans, or the seeded 4-D cross-polytope fans."""
+    if name == "acceptance":
+        return random_battery()
+    if name == "deep":
+        rng = random.Random(77)
+        return [(fan, random_support_3d(rng, fan, spread=2))
+                for fan in request.getfixturevalue("deep_fans")]
+    if name == "polytopes":
+        return [normal_fan_of_polytope(lattice_polytope(dim, verts))
+                for _, dim, verts in POLYTOPES]
+    return cross_polytope_battery()

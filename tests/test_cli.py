@@ -307,6 +307,13 @@ def test_main_incidence_fault_is_a_domain_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: NoIncidenceWitness")
 
 
+@pytest.mark.parametrize("box", ["3:1,0:0", "0:0,1:-1"])
+def test_main_rejects_an_empty_box_axis(box, tmp_path, capsys):
+    # A SchemaError from the box parser, before any DegreeRegion is built.
+    assert main(["cohomology", write(tmp_path, EX1_DOC), f"--box={box}"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: empty box interval")
+
+
 @pytest.mark.parametrize("p,code", [(4, 2), (9, 2), (1, 2), (2, 0), (3, 0), (5, 0), (7, 0)])
 def test_main_accepts_only_a_prime_characteristic(p, code, tmp_path, capsys):
     # Z/4 and Z/9 are not fields: universal coefficients would mislabel them.
@@ -352,18 +359,27 @@ def test_brion_builds_each_stage_once(argv, tmp_path, capsys, monkeypatch):
     _count_calls(monkeypatch, calls, "brion_terms", cohomology, cli)
     _count_calls(monkeypatch, calls, "cone_genfun", genfun, cohomology)
     _count_calls(monkeypatch, calls, "mask", cohomology.SweepIndex)
+    real_runs = cohomology.SweepIndex.line_runs
+
+    def counted_runs(self, box):
+        for line in real_runs(self, box):
+            calls["line_runs lines"] = calls.get("line_runs lines", 0) + 1
+            yield line
+
+    monkeypatch.setattr(cohomology.SweepIndex, "line_runs", counted_runs)
     assert main([argv[0], write(tmp_path, EX1_DOC), *argv[1:], "--format", "machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["oracle"]["signed_counts_match"]
-    # The report's box is the box the table, the identity and the oracle read.
-    candidates = shell = 1
-    for lo, hi in report["region"]:
-        candidates *= hi - lo + 1
-        shell *= hi - lo + 3
-    shell -= candidates
+    # The report's box is the box the table, the identity and the oracle read:
+    # one line per prefix of the shell's widened box, one per prefix of the
+    # box, and no per-point mask.
+    lines = wide_lines = 1
+    for lo, hi in report["region"][:-1]:
+        lines *= hi - lo + 1
+        wide_lines *= hi - lo + 3
     assert calls == {"cell_complex": 1, "cohomology_table": 1, "brion_terms": 1,
                      "cone_genfun": report["fan"]["num_maximal"],
-                     "mask": candidates + shell}
+                     "line_runs lines": wide_lines + lines}
     if "--box=-1:1,-1:2" in argv:
         assert report["region"] == [[-1, 1], [-1, 2]]
 
@@ -380,19 +396,32 @@ def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: InternalCheckFailed: Euler characteristic")
 
 
+def _flip_in_line_runs(real, bit, degree):
+    """A ``SweepIndex.line_runs`` that flips mask bit ``bit`` at ``degree``
+    alone, by splitting the run that holds it, in every box the sweep reads."""
+
+    def flipped(self, box):
+        lo = box[-1][0]
+        for prefix, runs in real(self, box):
+            if tuple(prefix) == degree[:-1]:
+                i = degree[-1] - lo
+                runs = [part for first, end, m in runs
+                        for part in ([(first, i, m), (i, i + 1, m ^ bit), (i + 1, end, m)]
+                                     if first <= i < end else [(first, end, m)])
+                        if part[0] < part[1]]
+            yield prefix, runs
+
+    return flipped
+
+
 def test_oracle_signed_counts_bypass_the_sweep(tmp_path, capsys, monkeypatch):
     import toricgf.cohomology as cohomology
 
     # One ray's bit flipped at one degree: the table, its chi and the Euler
     # cross-check all read the same wrong subcomplex, so only the per-cone
     # membership count can see it.
-    real = cohomology.SweepIndex.mask
-
-    def flipped(self, b):
-        m = real(self, b)
-        return m ^ 1 if tuple(b) == (-2, 0) else m
-
-    monkeypatch.setattr(cohomology.SweepIndex, "mask", flipped)
+    monkeypatch.setattr(cohomology.SweepIndex, "line_runs",
+                        _flip_in_line_runs(cohomology.SweepIndex.line_runs, 1, (-2, 0)))
     code = main(["cohomology", write(tmp_path, EX1_DOC), "--oracle", "--format", "machine"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -410,13 +439,8 @@ def test_corollaries_check_the_sweep_against_membership(bit, degree, failing,
 
     # One ray's bit flipped at the first degree of a subcomplex: the table and
     # its chi read the wrong subcomplex, the per-cone reference does not.
-    real = cohomology.SweepIndex.mask
-
-    def flipped(self, b):
-        m = real(self, b)
-        return m ^ bit if tuple(b) == degree else m
-
-    monkeypatch.setattr(cohomology.SweepIndex, "mask", flipped)
+    monkeypatch.setattr(cohomology.SweepIndex, "line_runs",
+                        _flip_in_line_runs(cohomology.SweepIndex.line_runs, bit, degree))
     code = main(["brion", write(tmp_path, EX1_DOC), "--format", "machine"])
     report = json.loads(capsys.readouterr().out)
     assert code == 3

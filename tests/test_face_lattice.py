@@ -8,41 +8,15 @@ import random
 
 import pytest
 
-from toricgf import (build_fan, cell_complex, chain_complex, cone_from_rays,
-                     lattice_polytope, normal_fan_of_polytope, support_from_ray_values)
+from toricgf import cell_complex, chain_complex, cone_from_rays
 from toricgf.intlinalg import dot
 
-from conftest import (POLYTOPES, cross_polytope_fan_data, dense_boundaries, face_closure,
-                      random_battery, random_support_3d)
-
-
-def cross_polytope_battery():
-    """The 4-D cross-polytope fan after 0-4 stellar subdivisions, three seeded
-    fans per depth.  Every cone stays unimodular, so any values are a
-    support function."""
-    rng = random.Random(404)
-    cases = []
-    for subdivisions in range(5):
-        for _ in range(3):
-            rays, maximal = cross_polytope_fan_data(rng, 4, subdivisions)
-            fan = build_fan(4, rays, maximal)
-            values = [rng.randint(-2, 2) for _ in rays]
-            cases.append((fan, support_from_ray_values(fan, values)))
-    return cases
+from conftest import dense_boundaries, face_closure, fan_battery
 
 
 @pytest.fixture(scope="module", params=["acceptance", "deep", "polytopes", "cross4d"])
 def battery(request):
-    if request.param == "acceptance":
-        return random_battery()
-    if request.param == "deep":
-        rng = random.Random(77)
-        return [(fan, random_support_3d(rng, fan, spread=2))
-                for fan in request.getfixturevalue("deep_fans")]
-    if request.param == "polytopes":
-        return [normal_fan_of_polytope(lattice_polytope(dim, verts))
-                for _, dim, verts in POLYTOPES]
-    return cross_polytope_battery()
+    return fan_battery(request.param, request)
 
 
 def test_every_face_equals_cone_from_rays(battery):
