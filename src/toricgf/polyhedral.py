@@ -6,20 +6,25 @@ vectors u with cone = {x : <u, x> >= 0 for all u}.  Linear span constraints
 are folded into the inequality list as +-pairs.  One rule does the geometry:
 a facet is the set of rays tight on one facet normal.  Each normal is the
 cross product of d-1 generators and the span equations of a d-dimensional
-cone, the faces are the facets' ray sets closed under intersection, two cones
-a, b meet in a common face when a u >= 0 on a and <= 0 on b (their own summed
-inequalities first, else the facet normals of cone(a, -b)) cuts the same face
-from both, and a normal cone is ``dual_cone(cone_from_rays(...))``.  A face
-of a listed cone is built from its ray set by the hull alone, and takes its
-linear part from a parent.  All of it is exact and polynomial in the number
-of rays for a fixed dimension.
+cone, and the faces are the facets' ray sets closed under intersection.  A
+fan is built from ray sets and ray bitmasks: a face of a listed cone is its
+ray set and its rank, and is hulled only when its inequalities are read; two
+listed cones a, b meet in a common face when a u >= 0 on a and <= 0 on b
+(their own summed inequalities first, read off per-inequality ray masks,
+else the facet normals of cone(a, -b)) cuts the same face from both; and
+the face relation compares ray masks one dimension apart.  The dual of a
+pointed cone swaps its two descriptions.  All of it is exact and polynomial
+in the number of rays for a fixed dimension.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .intlinalg import (
     InternalCheckFailed,
@@ -56,18 +61,26 @@ class DegeneratePolytope(Exception):
 
 @dataclass(frozen=True)
 class Cone:
-    """A rational polyhedral cone with both descriptions precomputed.
+    """A rational polyhedral cone in a double description.
 
     ``rays`` is the minimal generating set (the extreme rays) when the cone
     is pointed; for non-pointed cones it is a primitive generating set that
-    includes both directions of each line.
+    includes both directions of each line.  ``inequalities`` is hulled from
+    the rays when first read, unless it was given; ``==`` compares the rays.
     """
 
     ambient_dim: int
     rays: tuple[Vector, ...]
-    inequalities: tuple[Vector, ...]
     dim: int
     pointed: bool
+    _inequalities: tuple[Vector, ...] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def inequalities(self) -> tuple[Vector, ...]:
+        if self._inequalities is None:
+            object.__setattr__(self, "_inequalities",
+                               _face(self.ambient_dim, self.rays).inequalities)
+        return self._inequalities
 
     def contains(self, x) -> bool:
         return all(dot(u, x) >= 0 for u in self.inequalities)
@@ -133,13 +146,19 @@ def _face(ambient_dim: int, ray_set) -> Cone:
     rays = sorted(ray_set)
     d, equations, facets = _hull_description(rays, ambient_dim)
     pairs = (v for e in sorted(equations) for v in (tuple(e), tuple(-x for x in e)))
-    return Cone(ambient_dim=ambient_dim, rays=tuple(rays),
-                inequalities=(*facets, *pairs), dim=d, pointed=True)
+    return Cone(ambient_dim=ambient_dim, rays=tuple(rays), dim=d, pointed=True,
+                _inequalities=(*facets, *pairs))
 
 
 def dual_cone(c: Cone) -> Cone:
-    """The cone of functionals nonnegative on c."""
-    return cone_from_rays(c.ambient_dim, c.inequalities)
+    """The cone of functionals nonnegative on c.  A pointed c's two
+    descriptions swap (Fukuda and Prodon, "Double description method
+    revisited", 1996); only a non-pointed c is hulled."""
+    n = c.ambient_dim
+    if not c.pointed:
+        return cone_from_rays(n, c.inequalities)
+    return Cone(ambient_dim=n, rays=tuple(sorted(set(c.inequalities))), dim=n,
+                pointed=c.dim == n, _inequalities=tuple(sorted(c.rays)))
 
 
 def _face_ray_sets(c: Cone) -> set[frozenset[Vector]]:
@@ -216,15 +235,24 @@ def _check_intersections(top: list[Cone]) -> None:
     propagates to all faces).  For u >= 0 on a and <= 0 on b, a & b is
     cone(S_a) & cone(S_b), S the rays on u's hyperplane: a common face when
     S_a == S_b, and {0} when either is empty.  A first u sums the listed
-    inequalities of a that are <= 0 on b and the negated ones of b that are
-    <= 0 on a.  A pair it leaves open goes to the separation lemma (Cox,
-    Little and Schenck, 1.2.13): u in relint(a^v & (-b)^v), the summed facet
-    normals of cone(a, -b), must cut the same face from a and from b."""
-    for a, b in combinations(top, 2):
-        normals = [v for v in a.inequalities if all(dot(v, r) <= 0 for r in b.rays)]
-        normals += [tuple(-x for x in w) for w in b.inequalities
-                    if all(dot(w, r) <= 0 for r in a.rays)]
-        on_a, on_b = _cuts(normals, a, b)
+    inequalities v of a that are <= 0 on b and the negated ones of b that are
+    <= 0 on a.  Every term is >= 0 on a and <= 0 on b, so S is the rays where
+    each vanishes: ray masks Z(v) (<v, r> = 0) and N(v) (<v, r> <= 0), made
+    once per v, decide it.  A pair it leaves open goes to the separation
+    lemma (Cox, Little and Schenck, 1.2.13): u in relint(a^v & (-b)^v), the
+    summed facet normals of cone(a, -b), must cut the same face from both."""
+    bit = {r: 1 << i for i, r in enumerate(sorted({r for c in top for r in c.rays}))}
+
+    def sign_masks(v):
+        values = [(dot(v, r), b) for r, b in bit.items()]
+        return sum(b for x, b in values if x == 0), sum(b for x, b in values if x <= 0)
+
+    masks = [(sum(bit[r] for r in c.rays), [sign_masks(v) for v in c.inequalities])
+             for c in top]
+    for (a, (ma, sa)), (b, (mb, sb)) in combinations(zip(top, masks), 2):
+        tight = reduce(and_, [zero for zero, nonpos in sa if not mb & ~nonpos]
+                       + [zero for zero, nonpos in sb if not ma & ~nonpos], ~0)
+        on_a, on_b = ma & tight, mb & tight
         if on_a == on_b or not on_a or not on_b:
             continue
         gens = sorted(set(a.rays) | {tuple(-x for x in r) for r in b.rays})
@@ -263,11 +291,14 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         missing = sorted(set(range(len(ray_list))) - used)
         raise ValueError(f"rays {missing} are not used by any maximal cone")
 
-    # The faces of the listed cones are all the cones of the fan; each is
-    # built once, and a listed cone is its own top face.
+    # The faces of the listed cones are all the cones of the fan, and a
+    # listed cone is its own top face.  Any other face is pointed with its
+    # ray set as extreme rays: it is its rays and rank, hulled when read.
     cones_by_rays = {frozenset(c.rays): c for c in top}
     for rs in set().union(*map(_face_ray_sets, top)) - cones_by_rays.keys():
-        cones_by_rays[rs] = _face(ambient_dim, rs)
+        face = tuple(sorted(rs))
+        cones_by_rays[rs] = Cone(ambient_dim=ambient_dim, rays=face,
+                                 dim=rank(face) if face else 0, pointed=True)
 
     _check_intersections(top)
 
@@ -279,9 +310,12 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
                 f"listed ray {v} is a redundant generator, not a ray of the fan")
     # In a fan, a cone one dimension lower whose rays are among c's is a
     # face of c: both are faces of maximal cones meeting in a common face.
-    keys = [frozenset(c.rays) for c in ordered]
-    relation = {(j, i) for i, c in enumerate(ordered) for j, f in enumerate(ordered)
-                if f.dim == c.dim - 1 and keys[j] <= keys[i]}
+    bit = {r: 1 << i for i, r in enumerate(ray_list)}
+    masks = [sum(bit[r] for r in c.rays) for c in ordered]
+    dims = [c.dim for c in ordered]
+    relation = {(j, i) for i, d in enumerate(dims)
+                for j in range(bisect_left(dims, d - 1), bisect_left(dims, d))
+                if not masks[j] & ~masks[i]}
     return Fan(ambient_dim, ordered, relation, tuple(ray_list))
 
 

@@ -14,7 +14,8 @@ from toricgf import (build_fan, cone_from_rays, dual_cone, lattice_polytope,
                      normal_fan_of_polytope, support_from_ray_values)
 from toricgf.genfun import binomial_product, box_points
 from toricgf.intlinalg import adjugate, determinant, dot, matvec, primitive_vector, rank
-from toricgf.polyhedral import NotIntegral, NotLinearOnCone, _face_ray_sets
+from toricgf import polyhedral
+from toricgf.polyhedral import FanAxiomViolation, NotIntegral, NotLinearOnCone, _face_ray_sets
 
 
 def example1_fan():
@@ -247,6 +248,41 @@ def double_hull_meets_in_faces(top):
         if frozenset(inter.rays) not in fa or frozenset(inter.rays) not in fb:
             return False
     return True
+
+
+def per_pair_check_intersections(top):
+    """The fan axiom pair check with its first certificate summed per pair:
+    the inequalities of a that are <= 0 on every ray of b, minus those of b
+    that are <= 0 on every ray of a, dotted with the rays of both.  A pair it
+    leaves open goes to the same separation-lemma hull.  The slow reference
+    for the ray-mask certificate of ``polyhedral._check_intersections``."""
+    for a, b in combinations(top, 2):
+        normals = [v for v in a.inequalities if all(dot(v, r) <= 0 for r in b.rays)]
+        normals += [tuple(-x for x in w) for w in b.inequalities
+                    if all(dot(w, r) <= 0 for r in a.rays)]
+        on_a, on_b = polyhedral._cuts(normals, a, b)
+        if on_a == on_b or not on_a or not on_b:
+            continue
+        gens = sorted(set(a.rays) | {tuple(-x for x in r) for r in b.rays})
+        on_a, on_b = polyhedral._cuts(
+            polyhedral._hull_description(gens, a.ambient_dim)[2], a, b)
+        if on_a != on_b:
+            raise FanAxiomViolation(f"intersection of {a} and {b} is not a common face")
+
+
+def subset_face_relation(fan):
+    """Every (face, cone) pair one dimension apart whose ray sets nest, over
+    all ordered pairs of cones: the slow reference for ``build_fan``'s face
+    relation."""
+    keys = [frozenset(c.rays) for c in fan.cones]
+    return {(j, i) for i, c in enumerate(fan.cones) for j, f in enumerate(fan.cones)
+            if f.dim == c.dim - 1 and keys[j] <= keys[i]}
+
+
+def fan3d_brion_pool():
+    """The benchmark's 15 subdivided octahedron fans: fan i has 2, 2 or 3
+    barycentric subdivisions drawn by Random(i)."""
+    return [random_fan_3d(random.Random(i), (2, 2, 3)[i % 3]) for i in range(15)]
 
 
 def dense_boundaries(cc, keep):

@@ -11,7 +11,7 @@ from toricgf import (
     reduced_homology,
 )
 from toricgf.cellular import homology_dims_mod_p, subcomplex_homology
-from toricgf.intlinalg import is_zero_matrix, matmul
+from toricgf.intlinalg import InternalCheckFailed, is_zero_matrix, matmul
 
 from conftest import (
     example1_fan,
@@ -282,3 +282,18 @@ def test_chain_complex_computes_incidences_only_on_the_face_relation(monkeypatch
             calls.clear()
             chain_complex(cc, keep)
             assert sorted(calls) == sorted((s, t) for s in keep for t in fan.facet_ids(s))
+
+
+@pytest.mark.parametrize("keep", ["all", "one-ray"])
+def test_flipped_incidence_fails_the_first_homology(keep):
+    # d∘d = 0 is checked once on the whole complex, so a wrong sign is caught
+    # by the first homology, even of a subcomplex that misses its cell.
+    fan = octahedron_fan()
+    cc = cell_complex(fan)
+    sid = fan.maximal_ids[0]
+    tau = fan.facet_ids(sid)[0]
+    cc._incidence[sid, tau] = -incidence(cc, sid, tau)
+    ids = nonzero_ids(fan) if keep == "all" else face_closure(fan, fan.ray_ids[-1:])
+    assert (sid in ids) == (keep == "all")
+    with pytest.raises(InternalCheckFailed, match="boundary of boundary"):
+        subcomplex_homology(cc, ids)

@@ -23,8 +23,9 @@ from toricgf import (
 from toricgf.intlinalg import dot, matvec, primitive_vector, rank
 
 from conftest import (POLYTOPES, cross_polytope_fan_data, double_hull_meets_in_faces,
-                      example1_fan, lattice_polygon_cone, octahedron_fan, octahedron_fan_data, primitive_edges, random_fan_2d, random_fan_3d,
-                      unit_square)
+                      example1_fan, fan3d_brion_pool, lattice_polygon_cone, octahedron_fan,
+                      octahedron_fan_data, per_pair_check_intersections, primitive_edges,
+                      random_fan_2d, random_fan_3d, unit_square)
 
 
 def test_cone_from_rays_basic():
@@ -282,9 +283,10 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
         built.append(frozenset(ray_set))
         return real(ambient_dim, ray_set)
 
-    # The pairwise intersection check hulls pairs of its own; every face
-    # route call is face building, one per cone of the fan: a listed cone's
-    # through cone_from_rays, every other face's directly.
+    # The pairwise intersection check hulls pairs of its own.  At build time
+    # only the listed cones take the face route, through cone_from_rays;
+    # every other face is its ray set and rank, hulled by the first read of
+    # its inequalities and never again.
     monkeypatch.setattr(polyhedral, "_check_intersections", lambda top: None)
     monkeypatch.setattr(polyhedral, "_face", counted)
     for fan in fans:
@@ -292,10 +294,19 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
         maximal = [[rays.index(r) for r in fan.cones[i].rays] for i in fan.maximal_ids]
         built.clear()
         again = polyhedral.build_fan(3, rays, maximal)
-        assert len(built) == len(again.cones)
-        assert set(built) == {frozenset(c.rays) for c in again.cones}
+        listed = Counter(frozenset(again.cones[i].rays) for i in again.maximal_ids)
+        assert Counter(built) == listed
         assert again.cones == fan.cones
         assert again.face_relation == fan.face_relation
+        for c in again.cones:
+            if frozenset(c.rays) in listed:
+                continue
+            built.clear()
+            first = c.inequalities
+            assert built == [frozenset(c.rays)]
+            assert c.inequalities == first
+            assert built == [frozenset(c.rays)]
+            assert first == real(3, c.rays).inequalities
 
 
 PYRAMID = ([(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, -1)],
@@ -304,8 +315,8 @@ PYRAMID = ([(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, -1)],
 
 def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
     # A listed cone costs one rank for its hull, one for pointedness and one
-    # per generator for its extreme rays; any other face only its hull's, and
-    # the zero cone none.
+    # per generator for its extreme rays; any other face one for its
+    # dimension, and the zero cone none.
     import toricgf.polyhedral as polyhedral
 
     real = polyhedral.rank
@@ -505,6 +516,130 @@ def test_listed_normals_certify_only_pairs_that_meet_in_a_common_face(monkeypatc
         assert verdicts[n, True, True] > verdicts[n, False, True], verdicts
         assert verdicts[n, False, False] > 0, verdicts
     assert verdicts[3, False, True] and verdicts[4, False, True], verdicts
+
+
+@pytest.mark.parametrize("make_fans, hulled, pairs", [
+    (lambda: [random_fan_3d(random.Random(3), 6)], 0, 190),
+    (lambda: [random_fan_3d(random.Random(1), 12)], 18, 496),
+    (lambda: [random_fan_3d(random.Random(1), 24)], 26, 1540),
+    (fan3d_brion_pool, 12, 1115),
+], ids=["random-3-depth-6", "random-1-depth-12", "random-1-depth-24", "fan3d-brion-pool"])
+def test_mask_certificate_hulls_the_pairs_the_per_pair_reference_hulls(
+        monkeypatch, make_fans, hulled, pairs):
+    import toricgf.polyhedral as polyhedral
+
+    tops = [[fan.cones[i] for i in fan.maximal_ids] for fan in make_fans()]
+    real = polyhedral._hull_description
+    hulls = []
+
+    def counted(gens, n):
+        hulls.append(tuple(gens))
+        return real(gens, n)
+
+    monkeypatch.setattr(polyhedral, "_hull_description", counted)
+    routes = []
+    for check in (polyhedral._check_intersections, per_pair_check_intersections):
+        hulls.clear()
+        for top in tops:
+            check(top)
+        routes.append(list(hulls))
+    assert routes[0] == routes[1]
+    assert len(routes[0]) == hulled
+    assert sum(len(top) * (len(top) - 1) // 2 for top in tops) == pairs
+
+
+def pair_check_witness(check, top):
+    try:
+        check(top)
+    except FanAxiomViolation as e:
+        return str(e)
+    return None
+
+
+OCTAHEDRON_RAY_MOVED = ([(-1, -1, -1)] + octahedron_fan_data()[0][1:], octahedron_fan_data()[1])
+
+
+@pytest.mark.parametrize("dim, rays, maximal, valid", [
+    (3, *OCTAHEDRON_RAY_MOVED, False),
+    (2, [(1, 0), (1, 1), (0, 1)], [[0, 1], [0, 2]], False),
+    (3, SQUARE, [[0, 1, 2, 3], [0, 2]], False),
+    (2, [(1, 1), (0, 1), (-1, 1), (0, -1)], [[0, 1], [1, 2], [2, 3]], True),
+], ids=["ray-moved-across-a-wall", "overlapping-cones", "diagonal-of-a-square",
+        "incomplete-fan"])
+def test_mask_certificate_raises_the_per_pair_reference_witness(dim, rays, maximal, valid):
+    import toricgf.polyhedral as polyhedral
+
+    top = [cone_from_rays(dim, [rays[i] for i in c]) for c in maximal]
+    witness = pair_check_witness(polyhedral._check_intersections, top)
+    assert witness == pair_check_witness(per_pair_check_intersections, top)
+    assert (witness is None) == valid
+
+
+def test_mask_certificate_agrees_with_the_per_pair_reference_on_broken_collections():
+    import toricgf.polyhedral as polyhedral
+
+    rng = random.Random(8)
+    verdicts = Counter()
+    for n, count, depth in ((2, 60, 6), (3, 25, 4), (4, 5, 2)):
+        for top in cone_collections(rng, n, count, depth):
+            witness = pair_check_witness(polyhedral._check_intersections, top)
+            assert witness == pair_check_witness(per_pair_check_intersections, top), top
+            verdicts[n, witness is None] += 1
+    for n in (2, 3, 4):
+        assert verdicts[n, True] and verdicts[n, False], verdicts
+
+
+@pytest.mark.parametrize("gens", [
+    [],
+    [(1, 2, 3)],
+    [(1, 0, 0), (1, 1, 0)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+], ids=["zero-cone", "ray", "2d-cone-in-3d", "orthant"])
+def test_dual_of_a_pointed_cone_swaps_its_descriptions(monkeypatch, gens):
+    import toricgf.polyhedral as polyhedral
+
+    c = cone_from_rays(3, gens)
+    ref = cone_from_rays(3, c.inequalities)
+    hulled = []
+    monkeypatch.setattr(polyhedral, "cone_from_rays",
+                        lambda *args, **kwargs: hulled.append(args))
+    d = dual_cone(c)
+    assert not hulled
+    assert d == ref and d.inequalities == ref.inequalities
+    assert d.dim == 3 and d.pointed == (c.dim == 3)
+
+
+def test_dual_of_a_non_pointed_cone_is_hulled(monkeypatch):
+    import toricgf.polyhedral as polyhedral
+
+    half_space = cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)])
+    assert not half_space.pointed
+    real = polyhedral.cone_from_rays
+    hulled = []
+
+    def counted(n, generators, **kwargs):
+        hulled.append(generators)
+        return real(n, generators, **kwargs)
+
+    monkeypatch.setattr(polyhedral, "cone_from_rays", counted)
+    d = dual_cone(half_space)
+    assert hulled == [half_space.inequalities]
+    ref = real(3, half_space.inequalities)
+    assert d == ref and d.inequalities == ref.inequalities
+    assert d.rays == ((0, 0, 1),) and d.pointed and d.dim == 1
+
+
+def test_dual_of_a_tangent_cone_equals_the_hulled_dual():
+    checked = 0
+    for _, n, verts in POLYTOPES:
+        p = lattice_polytope(n, verts)
+        for w in p.vertices:
+            c = cone_from_rays(n, [tuple(q[i] - w[i] for i in range(n)) for q in p.vertices])
+            assert c.pointed
+            d, ref = dual_cone(c), cone_from_rays(n, c.inequalities)
+            assert d == ref and d.inequalities == ref.inequalities
+            checked += 1
+    assert checked >= 50
 
 
 def test_check_complete_example1():
