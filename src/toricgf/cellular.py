@@ -2,11 +2,12 @@
 
 Each nonzero cone of the fan meets the sphere in one closed cell of
 dimension dim(cone) - 1; the empty cell sits in degree -1 and carries the
-augmentation.  Incidence numbers come from comparing chosen orientations of
-the cells, each fixed once per cell, and are computed only on the face
-relation, where the boundary matrices have their sole nonzero entries and
-where d∘d = 0 is checked, once per complex.  Reduced homology is read off
-those integer matrices via Smith normal form.
+augmentation.  An incidence number is the sign of a permutation of the
+cell's basis, as on every simplicial cell, or else compares two
+determinants.  Incidences are computed only on the face relation, where the
+boundary matrices have their sole nonzero entries and where d∘d = 0 is
+checked, once per complex.  Reduced homology is read off those integer
+matrices via Smith normal form.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def cell_complex(f: Fan) -> CellComplex:
 
 def fan_cell_complex(f: Fan) -> CellComplex:
     """The fan's cell complex, built on first use and then kept on the fan,
-    so that the completeness check and every later homology share one set
-    of incidences and one homology memo."""
+    so that every homology of a run shares one set of incidences and one
+    homology memo."""
     cc = getattr(f, "_cell_complex", None)
     if cc is None:
         cc = cell_complex(f)
@@ -104,9 +105,12 @@ def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
     """Incidence number of the cells of two cones; 0 unless tau is a facet
     of sigma.  Rays are incident to the empty cell with coefficient 1.
 
-    The sign compares sigma's basis with tau's basis plus the first ray of
+    The sign compares sigma's basis with tau's basis plus the first ray w of
     sigma that is not a ray of tau, which lies off span(tau) because tau is
-    a face, on the first rows where sigma's basis is invertible."""
+    a face.  When tau's basis plus w rearranges sigma's, as on a simplicial
+    cell, it is the sign of that permutation (Munkres, *Elements of
+    Algebraic Topology*, §5); otherwise the two determinants are compared on
+    the first rows where sigma's basis is invertible."""
     key = (sigma_id, tau_id)
     cached = cc._incidence.get(key)
     if cached is not None:
@@ -119,16 +123,23 @@ def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
     else:
         tau_rays = fan.cones[tau_id].rays
         w = next((r for r in fan.cones[sigma_id].rays if r not in tau_rays), None)
-        orientation = cc._orientation.get(sigma_id)
-        if orientation is None:
-            orientation = cc._orientation[sigma_id] = _first_independent_rows(
-                cc.basis[sigma_id], fan.cones[sigma_id].dim, fan.ambient_dim)
-        rows, det_s = orientation
-        det_c = 0 if w is None else _minor((*cc.basis[tau_id], w), rows)
-        if det_c == 0:
-            raise NoIncidenceWitness(
-                f"no ray of cone {sigma_id} extends the basis of its facet {tau_id}")
-        result = 1 if (det_s > 0) == (det_c > 0) else -1
+        cols = (*cc.basis[tau_id], w)
+        position = {r: k for k, r in enumerate(cc.basis[sigma_id])}
+        if len(cols) == len(position) and position.keys() == set(cols):
+            perm = [position[r] for r in cols]
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            result = -1 if inversions % 2 else 1
+        else:
+            orientation = cc._orientation.get(sigma_id)
+            if orientation is None:
+                orientation = cc._orientation[sigma_id] = _first_independent_rows(
+                    cc.basis[sigma_id], fan.cones[sigma_id].dim, fan.ambient_dim)
+            rows, det_s = orientation
+            det_c = 0 if w is None else _minor(cols, rows)
+            if det_c == 0:
+                raise NoIncidenceWitness(
+                    f"no ray of cone {sigma_id} extends the basis of its facet {tau_id}")
+            result = 1 if (det_s > 0) == (det_c > 0) else -1
     cc._incidence[key] = result
     return result
 

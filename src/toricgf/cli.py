@@ -482,16 +482,23 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else argv))
 
     try:
-        text = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
+        if args.spec == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.spec, encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return 2
 
     try:
         spec = parse_spec(text)
         flags = Flags(
-            degree=_parse_degree(args.degree) if args.degree else None,
-            box=_parse_box(args.box) if args.box else None,
+            degree=None if args.degree is None else _parse_degree(args.degree),
+            box=None if args.box is None else _parse_box(args.box),
             oracle=args.oracle,
             p=_parse_coefficients(args.coefficients),
         )

@@ -112,6 +112,8 @@ def cross_product(rows) -> Vector:
 
 def greedy_basis(vectors) -> list[Vector]:
     """Maximal linearly independent subset, scanning in the given order."""
+    if rank(vectors) == len(vectors):
+        return list(vectors)
     basis: list[Vector] = []
     r = 0
     for v in vectors:

@@ -20,7 +20,6 @@ in the number of rays for a fixed dimension.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import combinations
@@ -127,6 +126,9 @@ def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = Fals
         if len(g) != ambient_dim:
             raise ValueError(f"generator {g} does not live in dimension {ambient_dim}")
     hull = _face(ambient_dim, gens)
+    if hull.dim == len(gens):
+        # Independent generators: the cone is pointed and each is extreme.
+        return hull
     ineqs = hull.inequalities
     pointed = rank(ineqs) == ambient_dim if ineqs else ambient_dim == 0
     if require_pointed and not pointed:
@@ -326,27 +328,34 @@ class CompletenessReport:
 
 
 def check_complete(f: Fan) -> CompletenessReport:
-    """A fan is complete iff every ridge lies in exactly two maximal cones
-    and the induced cell complex is a homology sphere."""
+    """A fan is complete iff every ridge lies in exactly two maximal cones:
+    by the fan axioms, which ``build_fan`` checks, those lie on opposite
+    sides of it and an interior point lies in one maximal cone only, so the
+    support less the codimension-2 cones is open and closed in R^n less
+    them (De Loera, Rambau and Santos, *Triangulations*, ch. 4).  Both
+    axiom consequences are checked, and raise InternalCheckFailed."""
     n = f.ambient_dim
     if not f.maximal_ids:
         return CompletenessReport(False, "no full-dimensional cones")
-    parents = Counter(fid for cid in f.maximal_ids for fid in f.facet_ids(cid))
-    for i, c in enumerate(f.cones):
-        if c.dim == n - 1 and parents[i] != 2:
+    parents = {i: [] for i, c in enumerate(f.cones) if c.dim == n - 1}
+    for cid in f.maximal_ids:
+        for fid in f.facet_ids(cid):
+            parents[fid].append(cid)
+    for i, ids in parents.items():
+        if len(ids) != 2:
             return CompletenessReport(
-                False, f"ridge {list(c.rays)} lies in {parents[i]} maximal cone(s)")
-    from .cellular import fan_cell_complex, subcomplex_homology
-
-    keep = frozenset(i for i, c in enumerate(f.cones) if c.dim > 0)
-    hom = subcomplex_homology(fan_cell_complex(f), keep)
-    for d in range(-1, n):
-        expected = 1 if d == n - 1 else 0
-        if hom.betti[d] != expected:
-            return CompletenessReport(
-                False, f"reduced homology rank {hom.betti[d]} in degree {d}")
-        if hom.torsion[d]:
-            return CompletenessReport(False, f"torsion in homology degree {d}")
+                False, f"ridge {list(f.cones[i].rays)} lies in {len(ids)} maximal cone(s)")
+    for i, (a, b) in parents.items():
+        ridge = f.cones[i].rays
+        u = next(u for u in f.cones[a].inequalities if all(dot(u, r) == 0 for r in ridge))
+        w = next(r for r in f.cones[b].rays if r not in ridge)
+        if dot(u, w) >= 0:
+            raise InternalCheckFailed(
+                f"the maximal cones on ridge {list(ridge)} lie on one side of it")
+    first, *others = (f.cones[j] for j in f.maximal_ids)
+    point = [sum(col) for col in zip(*first.rays)]
+    if any(c.contains(point) for c in others):
+        raise InternalCheckFailed(f"an interior point of {first} lies in another maximal cone")
     return CompletenessReport(True)
 
 

@@ -3,6 +3,7 @@ complete fans in dimensions 2 and 3, and slow references for fast paths."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
@@ -14,8 +15,9 @@ from toricgf import (build_fan, cone_from_rays, dual_cone, lattice_polytope,
                      normal_fan_of_polytope, support_from_ray_values)
 from toricgf.genfun import binomial_product, box_points
 from toricgf.intlinalg import adjugate, determinant, dot, matvec, primitive_vector, rank
-from toricgf import polyhedral
-from toricgf.polyhedral import FanAxiomViolation, NotIntegral, NotLinearOnCone, _face_ray_sets
+from toricgf import cellular, polyhedral
+from toricgf.polyhedral import (CompletenessReport, FanAxiomViolation, NotIntegral,
+                                NotLinearOnCone, _face_ray_sets)
 
 
 def example1_fan():
@@ -308,6 +310,54 @@ def dense_boundaries(cc, keep):
 
     cells = {d: [i for i in ids if d < 0 or i in keep] for d, ids in cc.cells_by_degree.items()}
     return {d: [[sign(s, t) for s in cells[d]] for t in cells[d - 1]] for d in range(n)}
+
+
+def minor_incidence(cc, s, t):
+    """The incidence of a facet t of s with no permutation shortcut: det of
+    t's basis plus the first ray of s off t against det of s's basis, on the
+    first rows where s's basis is invertible.  The slow reference for the
+    parity path of ``incidence``."""
+    fan = cc.fan
+    w = next(r for r in fan.cones[s].rays if r not in fan.cones[t].rays)
+    rows, det_s = cellular._first_independent_rows(
+        cc.basis[s], fan.cones[s].dim, fan.ambient_dim)
+    det_c = cellular._minor((*cc.basis[t], w), rows)
+    assert det_c != 0
+    return 1 if (det_s > 0) == (det_c > 0) else -1
+
+
+def general_cone_from_rays(n, generators):
+    """``cone_from_rays`` with no shortcut for independent generators: the
+    hull, one rank for pointedness and one per generator for extremality."""
+    gens = sorted({primitive_vector(tuple(g)) for g in generators if any(g)})
+    hull = polyhedral._face(n, gens)
+    ineqs = hull.inequalities
+    if not (rank(ineqs) == n if ineqs else n == 0):
+        return replace(hull, pointed=False)
+    return replace(hull, rays=tuple(
+        g for g in gens if rank([u for u in ineqs if dot(u, g) == 0]) == n - 1))
+
+
+def sphere_homology_completeness(fan):
+    """Completeness by the ridge counts and the homology of the sphere cell
+    complex, which must be that of S^(n-1).  The slow reference for
+    ``check_complete``'s ridge certificate."""
+    n = fan.ambient_dim
+    if not fan.maximal_ids:
+        return CompletenessReport(False, "no full-dimensional cones")
+    parents = Counter(fid for cid in fan.maximal_ids for fid in fan.facet_ids(cid))
+    for i, c in enumerate(fan.cones):
+        if c.dim == n - 1 and parents[i] != 2:
+            return CompletenessReport(
+                False, f"ridge {list(c.rays)} lies in {parents[i]} maximal cone(s)")
+    keep = frozenset(i for i, c in enumerate(fan.cones) if c.dim > 0)
+    hom = cellular.subcomplex_homology(cellular.cell_complex(fan), keep)
+    for d in range(-1, n):
+        if hom.betti[d] != (1 if d == n - 1 else 0):
+            return CompletenessReport(False, f"reduced homology rank {hom.betti[d]} in degree {d}")
+        if hom.torsion[d]:
+            return CompletenessReport(False, f"torsion in homology degree {d}")
+    return CompletenessReport(True)
 
 
 def face_closure(fan, ids):

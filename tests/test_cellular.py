@@ -8,6 +8,8 @@ from toricgf import (
     cell_complex,
     chain_complex,
     incidence,
+    lattice_polytope,
+    normal_fan_of_polytope,
     reduced_homology,
 )
 from toricgf.cellular import homology_dims_mod_p, subcomplex_homology
@@ -248,14 +250,21 @@ def test_betti_mod_p_matches_chain_level_reference():
 def test_incidence_without_witness_is_a_named_error(monkeypatch):
     import toricgf.cellular as cellular
 
-    fan = example1_fan()
+    # A maximal cone of the octahedron's normal fan, the fan over the cube's
+    # faces, has four rays, so its basis is three of them, and its last two
+    # facets' bases plus the witness are not a rearrangement of it: they take
+    # the determinant path.
+    fan, _ = normal_fan_of_polytope(lattice_polytope(3, [
+        [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]))
     cc = cell_complex(fan)
     sid = fan.maximal_ids[0]
-    tau, other = fan.facet_ids(sid)
+    *_, other, tau = fan.facet_ids(sid)
+    assert len(fan.cones[sid].rays) == 4
     # The first incidence fixes sigma's orientation; after it the only
     # determinant left is that of tau's basis plus the witness, and a fault
     # makes it singular.
     assert incidence(cc, sid, other) in (1, -1)
+    assert sid in cc._orientation
     monkeypatch.setattr(cellular, "determinant", lambda rows: 0)
     with pytest.raises(cellular.NoIncidenceWitness):
         incidence(cc, sid, tau)

@@ -314,6 +314,39 @@ def test_main_rejects_an_empty_box_axis(box, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: empty box interval")
 
 
+@pytest.mark.parametrize("flag,message", [("--degree=", "bad degree"), ("--box=", "bad box")])
+def test_main_rejects_an_empty_flag_value(flag, message, tmp_path, capsys):
+    # An empty value is not an absent flag: it must not fall back to the
+    # whole table.
+    assert main(["cohomology", write(tmp_path, EX1_DOC), flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: {message}")
+
+
+def test_main_reports_a_spec_that_is_not_utf8_as_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "spec.fan"
+    path.write_bytes(b"\xff\xfe" + EX1_DOC.encode("utf-16-le"))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (("validate",), 0),
+    (("cohomology", "--degree=-1,0"), 1),
+    (("cohomology", "--degree", "0,0", "--coefficients", "modp:3"), 1),
+], ids=["validate", "degree", "degree-modp3"])
+def test_chain_complexes_per_run(argv, calls, tmp_path, capsys, monkeypatch):
+    # Completeness needs no cell complex; a one-degree query builds the
+    # chain complex of that degree's subcomplex and nothing else.
+    import toricgf.cellular as cellular
+
+    counted = {}
+    _count_calls(monkeypatch, counted, "chain_complex", cellular)
+    assert main([argv[0], write(tmp_path, EX1_DOC), *argv[1:]]) == 0
+    assert counted.get("chain_complex", 0) == calls
+
+
 @pytest.mark.parametrize("p,code", [(4, 2), (9, 2), (1, 2), (2, 0), (3, 0), (5, 0), (7, 0)])
 def test_main_accepts_only_a_prime_characteristic(p, code, tmp_path, capsys):
     # Z/4 and Z/9 are not fields: universal coefficients would mislabel them.

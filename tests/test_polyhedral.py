@@ -314,9 +314,9 @@ PYRAMID = ([(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, -1)],
 
 
 def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
-    # A listed cone costs one rank for its hull, one for pointedness and one
-    # per generator for its extreme rays; any other face one for its
-    # dimension, and the zero cone none.
+    # A simplicial listed cone costs one rank, for its hull; any other listed
+    # cone also one for pointedness and one per generator for its extreme
+    # rays; any other face one for its dimension, and the zero cone none.
     import toricgf.polyhedral as polyhedral
 
     real = polyhedral.rank
@@ -336,8 +336,9 @@ def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
                                       for i in fan.maximal_ids]))
     for rays, maximal in data:
         ranks.clear()
-        fan = polyhedral.build_fan(len(rays[0]), rays, maximal)
-        listed = sum(2 + len(cone) for cone in maximal)
+        n = len(rays[0])
+        fan = polyhedral.build_fan(n, rays, maximal)
+        listed = sum(1 if len(cone) == n else 2 + len(cone) for cone in maximal)
         assert len(ranks) == listed + len(fan.cones) - len(maximal) - 1
 
 
