@@ -22,8 +22,10 @@ per run: it keeps the first degree of each distinct subcomplex of its
 region, and the Euler polynomial, the identity check and the corollaries
 read it.
 The corollaries and the CLI's oracle check the table against
-``reference_subcomplex``, which tests dual membership cone by cone and so
-does not go through the sweep.
+``reference_subcomplex``, which decides dual membership for every cone from
+the linear parts and so does not go through the sweep: per support
+function each cone keeps its bounds -<h_sigma, r> over its rays r, and per
+degree <b, r> is computed once per ray.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def membership(h: SupportFunction, sigma_id: int, b) -> bool:
     """Whether b + h_sigma lies in the dual cone of sigma.
 
     The dual is cut out by pairing against the rays of sigma, so the zero
-    cone accepts every degree.  This is the per-cone reference that the
+    cone accepts every degree.  This is the per-cone definition that
+    ``reference_subcomplex`` decides for every cone at once, and that the
     sign-pattern sweep replaces.
     """
     shifted = tuple(map(add, b, h.linear_parts[sigma_id]))
@@ -83,13 +86,49 @@ class Subcomplex:
 
 
 def reference_subcomplex(h: SupportFunction, b) -> Subcomplex:
-    """The degree-b subcomplex from ``membership`` on every cone, with its
-    signed count: the reference the sweep is checked against."""
-    fan = h.fan
-    n = fan.ambient_dim
-    members = [i for i in range(len(fan.cones)) if membership(h, i, b)]
-    return Subcomplex(frozenset(i for i in members if fan.cones[i].dim),
-                      sum((-1) ** (n - fan.cones[i].dim) for i in members))
+    """The degree-b subcomplex by dual membership on every cone, with its
+    signed count: the reference the sweep is checked against.  <b, r> is
+    computed once per ray and compared once with each bound of
+    ``_reference_bounds``; a cone is a member when it meets all of its own,
+    which is ``membership``.  It shares no code with the sweep, so that a
+    fault in either shows as a disagreement."""
+    rays, bounds, cones = _reference_bounds(h)
+    pairing = [dot(b, r) for r in rays]
+    met = 0
+    for k, t, bit in bounds:
+        if pairing[k] >= t:
+            met |= bit
+    keep, signed = [], 0
+    for i, (need, sign) in enumerate(cones):
+        if need & met == need:
+            signed += sign
+            if need:
+                keep.append(i)
+    return Subcomplex(frozenset(keep), signed)
+
+
+def _reference_bounds(h: SupportFunction) -> tuple:
+    """The fan's rays; the distinct bounds (k, -<h_sigma, r_k>, bit) over
+    the cones sigma and their rays r_k, k the ray's index, each with a bit;
+    and per cone the mask of its bounds and (-1)^codim.  b + h_sigma is in
+    the dual of sigma when <b, r_k> reaches each of sigma's bounds.  The
+    bounds come from the linear parts, not from the ray values the sweep
+    reads; built on first use and kept on h."""
+    ref = getattr(h, "_reference", None)
+    if ref is None:
+        fan = h.fan
+        n = fan.ambient_dim
+        index = {r: k for k, r in enumerate(fan.rays)}
+        bits: dict[tuple[int, int], int] = {}
+        cones = []
+        for i, c in enumerate(fan.cones):
+            need = 0
+            for r in c.rays:
+                need |= bits.setdefault((index[r], -dot(h.linear_parts[i], r)), 1 << len(bits))
+            cones.append((need, (-1) ** (n - c.dim)))
+        ref = h._reference = (fan.rays, tuple((k, t, bit) for (k, t), bit in bits.items()),
+                              tuple(cones))
+    return ref
 
 
 class SweepIndex:

@@ -351,7 +351,9 @@ def parallelepiped_points(generators, closed_flags=None) -> list[Vector]:
 
     The parallelepiped is {sum lambda_i g_i} with lambda_i in [0,1) where
     the facet opposite g_i is closed and (0,1] where it is open.  The point
-    count always equals |det(generators)|.
+    count always equals |det(generators)|.  A unimodular parallelepiped
+    holds one point, every lambda_i at its closed end: the sum of the
+    generators whose facet is open.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -366,6 +368,22 @@ def parallelepiped_points(generators, closed_flags=None) -> list[Vector]:
     det = determinant(g_cols)
     if det == 0:
         raise DependentGenerators(f"generators {gens} are linearly dependent")
+    if abs(det) == 1:
+        points = [tuple(sum(g[i] for g, closed in zip(gens, closed_flags) if not closed)
+                        for i in range(n))]
+    else:
+        points = _smith_parallelepiped_points(g_cols, det, closed_flags)
+    if len(set(points)) != abs(det):
+        raise InternalCheckFailed(
+            f"{len(set(points))} parallelepiped points for determinant {det}")
+    return sorted(points)
+
+
+def _smith_parallelepiped_points(g_cols, det, closed_flags) -> list[Vector]:
+    """The parallelepiped's points for any nonzero determinant: one per
+    residue of Z^n modulo the generators, read off the Smith form and moved
+    into the half-open window with the adjugate."""
+    n = len(g_cols)
     adj = adjugate(g_cols)
     snf = smith_normal_form(g_cols)
     uinv = unimodular_inverse(snf.U)
@@ -383,10 +401,7 @@ def parallelepiped_points(generators, closed_flags=None) -> list[Vector]:
         pt = tuple(x[i] - sum(g_cols[i][j] * shift[j] for j in range(n))
                    for i in range(n))
         points.append(pt)
-    if len(set(points)) != abs(det):
-        raise InternalCheckFailed(
-            f"{len(set(points))} parallelepiped points for determinant {det}")
-    return sorted(points)
+    return points
 
 
 def cone_genfun(shift, c: Cone) -> RationalGF:

@@ -200,11 +200,16 @@ class Fan:
         self.input_rays = input_rays
         self.maximal_ids = tuple(i for i, c in enumerate(cones) if c.dim == ambient_dim)
         self.ray_ids = tuple(i for i, c in enumerate(cones) if c.dim == 1)
-        self._facets_of: dict[int, tuple[int, ...]] = {}
+        # Per cone id, the ids of its facets and of the cones it is a facet of.
+        facets: list[list[int]] = [[] for _ in self.cones]
+        cofacets: list[list[int]] = [[] for _ in self.cones]
         for fid, cid in sorted(face_relation):
-            self._facets_of.setdefault(cid, ())
-            self._facets_of[cid] += (fid,)
+            facets[cid].append(fid)
+            cofacets[fid].append(cid)
+        self._facets_of = tuple(map(tuple, facets))
+        self._cofacets_of = tuple(map(tuple, cofacets))
         self._by_rays = {frozenset(c.rays): i for i, c in enumerate(self.cones)}
+        self._zero_id = self._by_rays.get(frozenset())
 
     @property
     def rays(self) -> tuple[Vector, ...]:
@@ -212,14 +217,16 @@ class Fan:
         return tuple(self.cones[i].rays[0] for i in self.ray_ids)
 
     def facet_ids(self, cone_id: int) -> tuple[int, ...]:
-        return self._facets_of.get(cone_id, ())
+        return self._facets_of[cone_id]
 
     def cone_id(self, rays) -> int:
         return self._by_rays[frozenset(tuple(r) for r in rays)]
 
     @property
     def zero_id(self) -> int:
-        return self.cone_id(())
+        if self._zero_id is None:
+            raise KeyError("the fan has no zero cone")
+        return self._zero_id
 
     def __repr__(self):
         return (f"Fan(dim={self.ambient_dim}, cones={len(self.cones)}, "

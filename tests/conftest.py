@@ -287,6 +287,17 @@ def fan3d_brion_pool():
     return [random_fan_3d(random.Random(i), (2, 2, 3)[i % 3]) for i in range(15)]
 
 
+def fan3d_brion_pool_supports():
+    """The benchmark's fan pool with its base support values: after fan i,
+    the same Random(i) draws one value in [-2, 2] per ray."""
+    cases = []
+    for i in range(15):
+        rng = random.Random(i)
+        fan = random_fan_3d(rng, (2, 2, 3)[i % 3])
+        cases.append((fan, random_support_3d(rng, fan, spread=2)))
+    return cases
+
+
 def dense_boundaries(cc, keep):
     """The boundary matrices of a subcomplex with one incidence per (cell,
     lower cell) pair, each found from scratch: the witness is the first ray
@@ -427,10 +438,13 @@ def deep_fans():
 
 def fan_battery(name, request):
     """(fan, support) pairs of one agreement battery: the acceptance suite's
-    random cases, the deep 3-D fans with spread-2 support, the polytope
-    corpus's normal fans, or the seeded 4-D cross-polytope fans."""
+    random cases, the benchmark's fan pool, the deep 3-D fans with spread-2
+    support, the polytope corpus's normal fans, or the seeded 4-D
+    cross-polytope fans."""
     if name == "acceptance":
         return random_battery()
+    if name == "pool":
+        return fan3d_brion_pool_supports()
     if name == "deep":
         rng = random.Random(77)
         return [(fan, random_support_3d(rng, fan, spread=2))

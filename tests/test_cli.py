@@ -337,14 +337,15 @@ def test_main_reports_a_spec_that_is_not_utf8_as_a_parse_error(tmp_path, capsys)
     (("cohomology", "--degree", "0,0", "--coefficients", "modp:3"), 1),
 ], ids=["validate", "degree", "degree-modp3"])
 def test_chain_complexes_per_run(argv, calls, tmp_path, capsys, monkeypatch):
-    # Completeness needs no cell complex; a one-degree query builds the
-    # chain complex of that degree's subcomplex and nothing else.
+    # Completeness needs no cell complex; a one-degree query takes the
+    # homology of one chain complex, the free-pair remainder of that
+    # degree's subcomplex, and nothing else.
     import toricgf.cellular as cellular
 
     counted = {}
-    _count_calls(monkeypatch, counted, "chain_complex", cellular)
+    _count_calls(monkeypatch, counted, "reduced_homology", cellular)
     assert main([argv[0], write(tmp_path, EX1_DOC), *argv[1:]]) == 0
-    assert counted.get("chain_complex", 0) == calls
+    assert counted.get("reduced_homology", 0) == calls
 
 
 @pytest.mark.parametrize("p,code", [(4, 2), (9, 2), (1, 2), (2, 0), (3, 0), (5, 0), (7, 0)])
@@ -481,8 +482,7 @@ def test_corollaries_check_the_sweep_against_membership(bit, degree, failing,
     assert all(str(degree) in report["corollaries"][name]["witness"] for name in failing)
 
 
-def test_corollaries_make_one_membership_per_cone_and_distinct_subcomplex(
-        tmp_path, capsys, monkeypatch):
+def test_corollaries_make_one_reference_per_distinct_subcomplex(tmp_path, capsys, monkeypatch):
     import toricgf.cohomology as cohomology
     from toricgf.genfun import box_points
 
@@ -490,11 +490,22 @@ def test_corollaries_make_one_membership_per_cone_and_distinct_subcomplex(
     fan = build_fan(spec.dim, spec.rays, spec.maximal_cones)
     h = support_from_ray_values(fan, spec.support)
     region = cohomology.degree_region(h).box
-    distinct = {frozenset(i for i in range(len(fan.cones)) if cohomology.membership(h, i, b))
-                for b in box_points(region)}
-    calls = {}
-    _count_calls(monkeypatch, calls, "membership", cohomology)
+
+    def members(b):
+        return frozenset(i for i in range(len(fan.cones)) if cohomology.membership(h, i, b))
+
+    distinct = {members(b) for b in box_points(region)}
+    real = cohomology.reference_subcomplex
+    degrees = []
+
+    def counted(h, b):
+        degrees.append(b)
+        return real(h, b)
+
+    monkeypatch.setattr(cohomology, "reference_subcomplex", counted)
     assert main(["brion", write(tmp_path, EX1_DOC), "--format", "machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["region"] == [list(r) for r in region]
-    assert calls == {"membership": len(fan.cones) * len(distinct)}
+    # One reference per distinct subcomplex: no two at the same subcomplex.
+    assert len(degrees) == len(distinct)
+    assert {members(b) for b in degrees} == distinct

@@ -18,10 +18,12 @@ from toricgf import (
     triangulate_halfopen,
     truncated_series,
 )
-from toricgf.genfun import _divide_binomial, binomial_product, sign_canonical
+from toricgf import lattice_polytope, normal_fan_of_polytope
+from toricgf.genfun import (_divide_binomial, _smith_parallelepiped_points, binomial_product,
+                            sign_canonical)
 from toricgf.intlinalg import adjugate, determinant, matvec
 
-from conftest import example1_fan, lattice_polygon_cone, primitive_edges
+from conftest import POLYTOPES, example1_fan, lattice_polygon_cone, primitive_edges
 
 
 def in_half_open_piece(piece, x) -> bool:
@@ -264,6 +266,48 @@ def test_parallelepiped_flags_preserve_count():
             if ok:
                 expected.append(pt)
         assert sorted(expected) == pts
+
+
+def smith_parallelepiped(gens, flags):
+    """The parallelepiped's points by the Smith form path, whatever the
+    determinant."""
+    n = len(gens)
+    g_cols = [[gens[j][i] for j in range(n)] for i in range(n)]
+    return sorted(_smith_parallelepiped_points(g_cols, determinant(g_cols), flags))
+
+
+def random_unimodular(rng, n):
+    """A product of random row additions, swaps and sign flips."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-3, 3)
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i], rows[j] = rows[j], [-x for x in rows[i]]
+    return [tuple(r) for r in rows]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unimodular_parallelepiped_equals_the_smith_path(n):
+    rng = random.Random(1400 + n)
+    for _ in range(30):
+        gens = random_unimodular(rng, n)
+        assert abs(determinant(gens)) == 1
+        for flags in product((True, False), repeat=n):
+            assert parallelepiped_points(gens, flags) == smith_parallelepiped(gens, flags)
+
+
+def test_polytope_corpus_pieces_equal_the_smith_path():
+    unimodular = 0
+    for _, dim, verts in POLYTOPES:
+        fan, _ = normal_fan_of_polytope(lattice_polytope(dim, verts))
+        for i in fan.maximal_ids:
+            for piece in triangulate_halfopen(dual_cone(fan.cones[i])):
+                gens, flags = piece.generators, piece.closed_flags
+                unimodular += abs(determinant(gens)) == 1
+                assert parallelepiped_points(gens, flags) == smith_parallelepiped(gens, flags)
+    assert unimodular > 0
 
 
 def test_parallelepiped_rejects_dependent():
