@@ -45,11 +45,13 @@ from .genfun import (
     LaurentPolynomial,
     NotFullDimensional,
     NotPointed,
+    PolynomialSum,
     RationalGF,
     SeriesBox,
     cone_genfun,
     expand_in_box,
     parallelepiped_points,
+    polynomial_sum,
     rational_equal,
     triangulate_halfopen,
     truncated_series,

@@ -243,9 +243,27 @@ def _run_oracle(h, table, terms, chi, box) -> dict:
             "signed_counts_match": counts_ok}
 
 
+def _check_flags(command: str, flags: Flags) -> None:
+    """Reject the flags that the command would ignore: ``--degree`` is for
+    ``cohomology`` only, and ``--box`` and ``--oracle`` need a table, which
+    neither ``validate`` nor a one-degree query builds."""
+    ignored = []
+    if flags.degree is not None and command != "cohomology":
+        ignored.append("--degree")
+    if command == "validate" or flags.degree is not None:
+        if flags.box is not None:
+            ignored.append("--box")
+        if flags.oracle:
+            ignored.append("--oracle")
+    if ignored:
+        raise SchemaError(f"'{command}' ignores {', '.join(ignored)}"
+                          + (" with --degree" if command == "cohomology" else ""))
+
+
 def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
     """Execute a command against a parsed spec and return its report."""
     flags = flags or Flags()
+    _check_flags(command, flags)
     t0 = time.monotonic()
     fan, support = _build(spec)
     completeness = check_complete(fan)

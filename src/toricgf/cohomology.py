@@ -21,6 +21,10 @@ coefficient field.  ``cohomology_table`` is a run's single pass, one lookup
 per run: it keeps the first degree of each distinct subcomplex of its
 region, and the Euler polynomial, the identity check and the corollaries
 read it.
+The identity is checked by ``genfun.polynomial_sum``: the sign-canonical
+terms are added one at a time, and each denominator factor is divided out
+once the last term that carries it is in, so the sum is never brought over
+the whole common denominator; ``brion_sum`` still builds that, on demand.
 The corollaries and the CLI's oracle check the table against
 ``reference_subcomplex``, which decides dual membership for every cone from
 the linear parts and so does not go through the sweep: per support
@@ -30,12 +34,13 @@ degree <b, r> is computed once per ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import add
 
 from .cellular import fan_cell_complex, subcomplex_homology
-from .genfun import (LaurentPolynomial, RationalGF, box_points, cone_genfun, rational_equal,
+from .genfun import (LaurentPolynomial, RationalGF, box_points, cone_genfun, polynomial_sum,
                      sign_canonical)
 from .intlinalg import InternalCheckFailed, cross_product, dot
 from .polyhedral import SupportFunction, dual_cone
@@ -405,7 +410,8 @@ def brion_sum(h: SupportFunction, terms=None) -> RationalGF:
     denominator, each term in sign-canonical form first so that the opposite
     dual edges of adjacent cones share one factor.  Lower-dimensional cones
     never contribute: their duals contain lines and have no rational lattice
-    series here."""
+    series here.  ``verify_identity`` does not build this sum; it is the
+    reference for ``polynomial_sum`` and the report's ``lhs``."""
     if terms is None:
         terms = brion_terms(h)
     total = None
@@ -425,11 +431,22 @@ class CorollaryResult:
 
 @dataclass
 class VerificationReport:
+    """The identity verdict, chi, the corollaries and the region, with the
+    peaks of ``polynomial_sum``: the most denominator factors it held open
+    and the most terms its partial numerator had.  ``lhs``, the whole sum
+    over one common denominator, is built by ``brion_sum`` on first read."""
+
     identity_holds: bool
     chi_polynomial: LaurentPolynomial
-    lhs: RationalGF
     corollary_results: dict[str, CorollaryResult]
     region: DegreeRegion
+    peak_open_factors: int
+    peak_numerator_terms: int
+    terms: list[tuple[int, RationalGF]] = field(repr=False, compare=False)
+
+    @cached_property
+    def lhs(self) -> RationalGF:
+        return brion_sum(None, self.terms)
 
 
 def _check_corollaries(h: SupportFunction, table: CohomologyTable,
@@ -469,7 +486,10 @@ def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
                     terms: list[tuple[int, RationalGF]] | None = None
                     ) -> VerificationReport:
     """Check that the maximal cone sum equals the Euler characteristic
-    polynomial, together with the structural corollaries.
+    polynomial, together with the structural corollaries.  The sum is
+    ``polynomial_sum`` of the terms, which divides each denominator factor
+    out as soon as its last term is in; the identity holds when that is a
+    polynomial and equals chi.
 
     A caller that has already built the table, over any region and any
     coefficient field, or the Brion terms, passes them in; otherwise the
@@ -483,8 +503,9 @@ def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
     chi = chi_polynomial(h, table)
     if terms is None:
         terms = brion_terms(h)
-    lhs = brion_sum(h, terms)
-    identity = rational_equal(lhs, RationalGF.from_polynomial(chi))
-    return VerificationReport(identity_holds=identity, chi_polynomial=chi,
-                              lhs=lhs, corollary_results=_check_corollaries(h, table, chi),
-                              region=table.region)
+    summed = polynomial_sum(gf for _, gf in terms)
+    return VerificationReport(identity_holds=summed.total == chi, chi_polynomial=chi,
+                              corollary_results=_check_corollaries(h, table, chi),
+                              region=table.region,
+                              peak_open_factors=summed.peak_open_factors,
+                              peak_numerator_terms=summed.peak_numerator_terms, terms=terms)

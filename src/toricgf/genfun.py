@@ -5,7 +5,10 @@ RationalGF is a numerator together with a multiset of primitive vectors g,
 each standing for a denominator factor (1 - x^g); no polynomial gcd
 cancellation is ever attempted.  Equality is decided in sign-canonical form,
 every g lex-positive, by exact division by the binomials that only one side
-has.  Generating functions of shifted full-dimensional
+has.  ``polynomial_sum`` decides whether a sum of such functions is a
+Laurent polynomial, and finds it, in one pass: it adds the sign-canonical
+terms one at a time and divides out each binomial once the last term that
+carries its line is in.  Generating functions of shifted full-dimensional
 pointed cones are assembled from a disjoint half-open triangulation, one
 fundamental parallelepiped per simplicial piece.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, product
+from operator import add
 
 from .intlinalg import (
     InternalCheckFailed,
@@ -164,9 +168,23 @@ class LaurentPolynomial:
 
 def times_binomials(p: LaurentPolynomial, factors) -> LaurentPolynomial:
     """p times the product of (1 - x^g) over the factors, by shift and subtract."""
+    terms = p.terms
     for g in factors:
-        p = p - p.shift(g)
-    return p
+        terms = _times_binomial(terms, g)
+    return LaurentPolynomial(p.dim, terms)
+
+
+def _times_binomial(terms: dict[Vector, int], g: Vector) -> dict[Vector, int]:
+    """The terms of a polynomial times (1 - x^g)."""
+    out = dict(terms)
+    for e, c in terms.items():
+        e = tuple(map(add, e, g))
+        c = out.get(e, 0) - c
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
 
 
 def binomial_product(dim: int, factors) -> LaurentPolynomial:
@@ -225,20 +243,30 @@ def _divide_binomial(terms: dict[Vector, int], g: Vector) -> dict[Vector, int] |
     Q(e) is the sum of S(e - j*g) over j >= 0: a prefix sum along each line
     of step g, which must end at zero."""
     i = next(k for k, x in enumerate(g) if x)
-    lines: dict[Vector, list[tuple[int, int]]] = {}
+    gi = g[i]
+    lines: dict[Vector, list[tuple[int, int, Vector]]] = {}
     for e, c in terms.items():
-        t = e[i] // g[i]
-        lines.setdefault(tuple(x - t * y for x, y in zip(e, g)), []).append((t, c))
+        t = e[i] // gi
+        base = tuple([x - t * y for x, y in zip(e, g)])
+        steps = lines.get(base)
+        if steps is None:
+            lines[base] = [(t, c, e)]
+        else:
+            steps.append((t, c, e))
     out = {}
-    for base, steps in lines.items():
-        steps.sort()
+    for steps in lines.values():
+        steps.sort()  # t is distinct on a line
         run = 0
-        for (t, c), (t_next, _) in zip(steps, steps[1:]):
+        t, c, e = steps[0]
+        for t_next, c_next, e_next in steps[1:]:
             run += c
             if run:
-                for s in range(t, t_next):
-                    out[tuple(x + s * y for x, y in zip(base, g))] = run
-        if run + steps[-1][1]:
+                out[e] = run
+                for _ in range(t + 1, t_next):
+                    e = tuple(map(add, e, g))
+                    out[e] = run
+            t, c, e = t_next, c_next, e_next
+        if run + c:
             return None
     return out
 
@@ -260,6 +288,85 @@ def rational_equal(a: RationalGF, b: RationalGF) -> bool:
         if terms is None:
             return False
     return terms == b.numerator.terms
+
+
+@dataclass(frozen=True)
+class PolynomialSum:
+    """The sum of rational generating functions as a Laurent polynomial, or
+    None when it is not one, with the most factors the pass held open at
+    once and the most terms its partial numerator had."""
+
+    total: LaurentPolynomial | None
+    peak_open_factors: int
+    peak_numerator_terms: int
+
+
+def polynomial_sum(gfs) -> PolynomialSum:
+    """The sum of the generating functions, decided to be a Laurent
+    polynomial or not in one pass.
+
+    Each term is put in sign-canonical form and added to a partial numerator
+    over the factors open so far, by shift and subtract.  Once the last term
+    with a factor on a line through g is in, the partial numerator is divided
+    by each open binomial on that line.  The terms still to come have no
+    factor on that line, so they are regular along each {x^g = 1}: if the
+    total is a polynomial, the partial sum has no pole there either and the
+    division is exact.  A remainder therefore means the sum is not a
+    polynomial, and when no division leaves one the last numerator is the
+    total.  The next term is the one that leaves the fewest factors open,
+    by index on a tie; this keeps the partial numerator small.
+    """
+    terms = [sign_canonical(gf) for gf in gfs]
+    if not terms:
+        raise ValueError("an empty sum has no dimension")
+    factors = [Counter(gf.denominator_factors) for gf in terms]
+    line_of = {g: primitive_vector(g) for fac in factors for g in fac}
+    lines = [{line_of[g] for g in fac} for fac in factors]
+    carriers = Counter(line for ls in lines for line in ls)
+    on_line: dict[Vector, list[Vector]] = {}
+    for g, line in line_of.items():
+        on_line.setdefault(line, []).append(g)
+    numerator: dict[Vector, int] = {}
+    opened: dict[Vector, int] = {}
+    peak_open = peak_terms = 0
+
+    def left_open(k):
+        """How many more factors are open after adding term k and closing
+        the lines it is the last to carry."""
+        fac = factors[k]
+        n = sum(c - opened.get(g, 0) for g, c in fac.items() if c > opened.get(g, 0))
+        for line in lines[k]:
+            if carriers[line] == 1:
+                n -= sum(max(opened.get(g, 0), fac.get(g, 0)) for g in on_line[line])
+        return n
+
+    todo = list(range(len(terms)))
+    while todo:
+        k = min(todo, key=left_open)
+        todo.remove(k)
+        fac, own = factors[k], terms[k].numerator.terms
+        merged = {**opened, **{g: max(c, opened.get(g, 0)) for g, c in fac.items()}}
+        for g, c in merged.items():
+            for _ in range(opened.get(g, 0), c):
+                numerator = _times_binomial(numerator, g)
+            for _ in range(fac.get(g, 0), c):
+                own = _times_binomial(own, g)
+        opened = merged
+        for e, c in own.items():
+            c += numerator.get(e, 0)
+            if c:
+                numerator[e] = c
+            else:
+                del numerator[e]
+        peak_open = max(peak_open, sum(opened.values()))
+        peak_terms = max(peak_terms, len(numerator))
+        carriers.subtract(lines[k])
+        for g in [g for g in opened if carriers[line_of[g]] == 0]:
+            for _ in range(opened.pop(g)):
+                numerator = _divide_binomial(numerator, g)
+                if numerator is None:
+                    return PolynomialSum(None, peak_open, peak_terms)
+    return PolynomialSum(LaurentPolynomial(terms[0].dim, numerator), peak_open, peak_terms)
 
 
 @dataclass(frozen=True)

@@ -418,6 +418,41 @@ def test_brion_builds_each_stage_once(argv, tmp_path, capsys, monkeypatch):
         assert report["region"] == [[-1, 1], [-1, 2]]
 
 
+@pytest.mark.parametrize("command, doc", [("brion", EX1_DOC), ("polytope", SQUARE_DOC)])
+def test_brion_builds_no_common_denominator_sum(command, doc, tmp_path, capsys, monkeypatch):
+    # The identity is one polynomial_sum; brion_sum and rational_equal are
+    # the reference and are not called.
+    import toricgf
+    import toricgf.cohomology as cohomology
+    import toricgf.genfun as genfun
+
+    calls = {}
+    _count_calls(monkeypatch, calls, "brion_sum", cohomology, toricgf)
+    _count_calls(monkeypatch, calls, "rational_equal", genfun, toricgf)
+    _count_calls(monkeypatch, calls, "polynomial_sum", genfun, cohomology, toricgf)
+    assert main([command, write(tmp_path, doc), "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["identity_holds"] is True
+    assert calls == {"polynomial_sum": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ("brion", "--degree=0,0"),
+    ("polytope", "--degree=0,0"),
+    ("polytope", "--degree=0,0,0"),
+    ("cohomology", "--degree=0,0", "--box=-1:1,-1:1"),
+    ("cohomology", "--degree=0,0", "--oracle"),
+    ("validate", "--degree=0,0"),
+    ("validate", "--box=0:1,0:1"),
+    ("validate", "--oracle"),
+    ("validate", "--degree=0", "--box=0:1", "--oracle"),
+])
+def test_main_rejects_flags_the_command_ignores(argv, tmp_path, capsys):
+    doc = SQUARE_DOC if argv[0] == "polytope" else EX1_DOC
+    assert main([argv[0], write(tmp_path, doc), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and "ignores" in err
+
+
 def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     import toricgf.cellular as cellular
 

@@ -256,6 +256,8 @@ def test_identity_fails_on_a_doctored_chi_coefficient(ex1):
             for delta in (1, -1):
                 report = verify_identity(h, _doctored(table, b, delta), terms)
                 assert not report.identity_holds
+                assert not rational_equal(report.lhs,
+                                          RationalGF.from_polynomial(report.chi_polynomial))
 
 
 def test_headline_fan_identity_with_halved_denominator():
@@ -269,6 +271,22 @@ def test_headline_fan_identity_with_halved_denominator():
     assert report.identity_holds
     assert len(report.lhs.denominator_factors) == 21
     assert all(c.holds for c in report.corollary_results.values())
+
+
+@pytest.mark.parametrize("k, peaks", [(12, (8, 427)), (24, (11, 1540))])
+def test_headline_fan_identity_in_one_pass(k, peaks):
+    # random_fan_3d(Random(1), k) with spread-2 support.  At k=24 (56 maximal
+    # cones) the sum over the whole common denominator had 41 factors and
+    # 155,710 numerator terms; the one pass holds at most 11 factors and
+    # 1,540 terms, and builds no lhs unless it is read.
+    fan = random_fan_3d(random.Random(1), k)
+    h = random_support_3d(random.Random(1), fan, spread=2)
+    report = verify_identity(h)
+    assert report.identity_holds
+    assert all(c.holds for c in report.corollary_results.values())
+    assert (report.peak_open_factors, report.peak_numerator_terms) == peaks
+    assert "lhs" not in vars(report)
+
 
 def test_verify_identity_example1(ex1):
     rep = verify_identity(ex1)

@@ -14,13 +14,14 @@ from toricgf import (
     dual_cone,
     expand_in_box,
     parallelepiped_points,
+    polynomial_sum,
     rational_equal,
     triangulate_halfopen,
     truncated_series,
 )
 from toricgf import lattice_polytope, normal_fan_of_polytope
 from toricgf.genfun import (_divide_binomial, _smith_parallelepiped_points, binomial_product,
-                            sign_canonical)
+                            sign_canonical, times_binomials)
 from toricgf.intlinalg import adjugate, determinant, matvec
 
 from conftest import POLYTOPES, example1_fan, lattice_polygon_cone, primitive_edges
@@ -175,6 +176,97 @@ def test_sign_canonical_flips_lex_negative_factors():
     assert canon.numerator == mono((3, -2))
     assert rational_equal(gf, canon)
     assert sign_canonical(canon) is canon
+
+def test_polynomial_sum_reads_flipped_factors():
+    # 1/(1 - x) + 1/(1 - x^-1) = 1: Brion's formula for a point on a line.
+    x = mono((1,))
+    one = polynomial_sum([RationalGF(mono((0,)), ((1,),)), RationalGF(mono((0,)), ((-1,),))])
+    assert one.total == 1
+    # The pass held one factor and, before dividing it out, the numerator 1 - x.
+    assert (one.peak_open_factors, one.peak_numerator_terms) == (1, 2)
+    # The same sum with each term in the other sign form.
+    assert polynomial_sum([RationalGF(-1 * mono((-1,)), ((-1,),)), RationalGF(-x, ((1,),))]
+                          ).total == 1
+    # The product of two such sums: four terms over a non-canonical quadrant each.
+    quadrants = [RationalGF(mono((0, 0)), ((a, 0), (0, b))) for a in (1, -1) for b in (1, -1)]
+    assert polynomial_sum(quadrants).total == 1
+
+
+def test_polynomial_sum_with_a_squared_factor():
+    # 1/(1 - x)^2 - 1/(1 - x) - x/(1 - x)^2 = 0, with (1 - x) open twice.
+    x = mono((1,))
+    gfs = [RationalGF(mono((0,)), ((1,), (1,))), RationalGF(-1 * mono((0,)), ((1,),)),
+           RationalGF(-x, ((1,), (1,)))]
+    summed = polynomial_sum(gfs)
+    assert summed.total == 0 and summed.peak_open_factors == 2
+    # x^2/(1 - x)^2 is 1/(1 - x^-1)^2; without its last term the sum is
+    # x/(1 - x)^2, which is not a polynomial.
+    assert polynomial_sum([RationalGF(mono((0,)), ((-1,), (-1,))), *gfs[1:]]).total is None
+    assert polynomial_sum(gfs[:2]).total is None
+
+
+def test_polynomial_sum_is_none_when_the_sum_has_a_pole():
+    assert polynomial_sum([RationalGF(mono((0,)), ((1,),))]).total is None
+    point = [RationalGF(mono((0,)), ((1,),)), RationalGF(mono((0,)), ((-1,),))]
+    assert polynomial_sum(point + [RationalGF(mono((3,)), ((1,),))]).total is None
+    # 1/(1 - x^2) - 1/(1 - x) = -x/(1 - x^2).
+    assert polynomial_sum([RationalGF(mono((0,)), ((2,),)),
+                           RationalGF(-1 * mono((0,)), ((1,),))]).total is None
+
+
+def test_polynomial_sum_closes_a_line_after_its_last_factor():
+    # (1 + x)/(1 - x^2) - 1/(1 - x) = 0, though (1 - x^2) alone leaves a
+    # remainder on 1 + x: the line of (1,) closes only after both terms.
+    assert polynomial_sum([RationalGF(mono((0,)) + mono((1,)), ((2,),)),
+                           RationalGF(-1 * mono((0,)), ((1,),))]).total == 0
+
+
+def test_polynomial_sum_of_no_terms():
+    with pytest.raises(ValueError):
+        polynomial_sum([])
+
+
+def _flipped(rng, gf):
+    """gf with each factor g rewritten at random as -x^-g/(1 - x^-g)."""
+    num, factors = gf.numerator, []
+    for g in gf.denominator_factors:
+        if rng.random() < 0.5:
+            g = tuple(-x for x in g)
+            num = num.shift(g).scale(-1)
+        factors.append(g)
+    return RationalGF(num, tuple(factors))
+
+
+def _terms_summing_to(rng, p, dim):
+    """Shuffled terms whose sum is p, each factor in a random sign form: p
+    over one binomial, and three pairs r/D and -r*E/(D*E) for random
+    factor lists D and E, which may repeat a factor or a line."""
+    g = _random_factor(rng, dim)
+    terms = [RationalGF(times_binomials(p, [g]), (g,))]
+    for _ in range(3):
+        d = [_random_factor(rng, dim) for _ in range(rng.randint(1, 2))]
+        e = [_random_factor(rng, dim) for _ in range(rng.randint(0, 2))]
+        r = _random_laurent(rng, dim)
+        terms += [RationalGF(r, tuple(d)), RationalGF(times_binomials(-r, e), tuple(d + e))]
+    return [_flipped(rng, gf) for gf in rng.sample(terms, len(terms))]
+
+
+def test_polynomial_sum_agrees_with_the_plain_sum_on_random_terms():
+    rng = random.Random(89)
+    for dim in (1, 2, 3):
+        for _ in range(30):
+            p = _random_laurent(rng, dim)
+            gfs = _terms_summing_to(rng, p, dim)
+            assert polynomial_sum(gfs).total == p
+            # One monomial more over a term's denominator adds a pole.
+            k = rng.randrange(len(gfs))
+            gfs[k] = RationalGF(gfs[k].numerator + mono((0,) * dim), gfs[k].denominator_factors)
+            plain = gfs[0]
+            for gf in gfs[1:]:
+                plain = plain + gf
+            assert not rational_equal(plain, RationalGF.from_polynomial(p))
+            assert polynomial_sum(gfs).total is None
+
 
 def test_triangulate_simplicial_identity():
     c = cone_from_rays(2, [(1, 0), (1, 2)])
