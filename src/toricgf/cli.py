@@ -86,6 +86,7 @@ class FanSpec:
 
 
 _ALLOWED_KEYS = {"dim", "rays", "maximal_cones", "support", "polytope"}
+_FLAT_LINE = re.compile(r"(dim|rays|maximal_cones|support|polytope): ([-0-9\[\], ]+)")
 
 
 def _int_vector(v, what):
@@ -94,12 +95,29 @@ def _int_vector(v, what):
     return tuple(v)
 
 
+def _read_flat(text: str) -> dict | None:
+    """The mapping of a document whose every line is ``key: value``, an allowed
+    key and integers in JSON arrays, as PyYAML reads it; None for any other.
+    Only '\\n' splits lines: PyYAML rejects '\\x0c', which splitlines splits on."""
+    data = {}
+    for line in text.removesuffix("\n").split("\n"):
+        if not (m := _FLAT_LINE.fullmatch(line)):
+            return None
+        try:
+            data[m[1]] = json.loads(m[2])
+        except (ValueError, RecursionError):  # PyYAML decides these
+            return None
+    return data
+
+
 def parse_spec(text: str) -> FanSpec:
     """Parse and validate an input document."""
-    try:
-        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"syntax error: {exc}") from exc
+    data = _read_flat(text)
+    if data is None:
+        try:
+            data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: past int's digit limit
+            raise SchemaError(f"syntax error: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("document must be a key-value mapping")
     extra = set(data) - _ALLOWED_KEYS

@@ -433,12 +433,19 @@ def triangulate_halfopen(c: Cone) -> list[HalfOpenSimplicialCone]:
 
     A deterministic rational reference point in the interior decides which
     shared facets stay closed: the piece on the same side as the reference
-    keeps the facet.
+    keeps the facet, so a simplicial cone is one piece closed on every facet.
     """
     if not c.pointed:
         raise NotPointed(f"{c} contains a line")
     if c.dim != c.ambient_dim:
         raise NotFullDimensional(f"{c} has dimension {c.dim} < {c.ambient_dim}")
+    if c.dim == len(c.rays):
+        return [HalfOpenSimplicialCone(c.rays, (True,) * c.dim)]
+    return _reference_point_pieces(c)
+
+
+def _reference_point_pieces(c: Cone) -> list[HalfOpenSimplicialCone]:
+    """``triangulate_halfopen`` through a reference point, for any cone."""
     simplices = _triangulate_rays(c)
     normals = [_inward_normals(gens) for gens in simplices]
     for weights in _reference_weights(len(c.rays)):

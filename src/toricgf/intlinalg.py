@@ -105,6 +105,11 @@ def cross_product(rows) -> Vector:
     It is orthogonal to every row, and nonzero exactly when the rows are
     linearly independent.
     """
+    if len(rows) == 1 and len(rows[0]) == 2:
+        return (rows[0][1], -rows[0][0])
+    if len(rows) == 2 and len(rows[0]) == 3:
+        (a, b, c), (d, e, f) = rows
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
     k = len(rows)
     minors = (_bareiss([[*row[:i], *row[i + 1:]] for row in rows]) for i in range(k + 1))
     return tuple((-1) ** i * pivot if r == k else 0 for i, (r, pivot) in enumerate(minors))
@@ -288,13 +293,28 @@ def rank_mod_p(a: Matrix, p: int) -> int:
 
 
 def solve_integral(a: Matrix, b) -> Vector | None:
-    """One integer solution x of a @ x == b, or None if none exists."""
+    """One integer solution x of a @ x == b, or None if none exists; for a
+    square a with det != 0 it is sum (-1)^i b_i C_i / det, C_i the cross
+    product of the rows but row i, and other systems use the Smith form."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(b) != rows:
         raise ValueError("right hand side length does not match row count")
     if rows == 0:
         return tuple([0] * cols)
+    if rows == cols:
+        crosses = [cross_product(a[:i] + a[i + 1:]) for i in range(rows)]
+        det = dot(a[0], crosses[0])
+        if det:
+            signed = [(-1) ** i * bi for i, bi in enumerate(b)]
+            x = [dot(signed, col) for col in zip(*crosses)]
+            return None if any(xj % det for xj in x) else tuple(xj // det for xj in x)
+    return _smith_solve(a, b)
+
+
+def _smith_solve(a: Matrix, b) -> Vector | None:
+    """The Smith form route of ``solve_integral``, for any nonempty system."""
+    rows, cols = len(a), len(a[0])
     res = smith_normal_form(a)
     c = matvec(res.U, list(b))
     y = [0] * cols

@@ -1,5 +1,7 @@
 import json
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from toricgf.cli import (
     run,
 )
 from toricgf.polyhedral import build_fan, support_from_ray_values
+
+from conftest import fan3d_brion_pool
 
 EX1_DOC = """\
 dim: 2
@@ -96,6 +100,88 @@ def test_libyaml_and_python_loaders_read_every_golden_spec_alike():
     for text in specs:
         fast = yaml.load(text, Loader=yaml.CSafeLoader)
         assert repr(fast) == repr(yaml.safe_load(text)), text
+
+
+GOLDEN_SPECS = [case["spec"] for case in json.loads(
+    (Path(__file__).parent / "golden" / "machine_corpus.json").read_text())]
+
+
+def test_flat_documents_never_reach_pyyaml(monkeypatch):
+    # The golden specs, and what emit_spec writes for them and for the
+    # benchmark's fan pool, are flat: the line reader reads them all.
+    import yaml
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PyYAML read a flat document")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    specs = [parse_spec(text) for text in GOLDEN_SPECS]
+    assert len(specs) == 87
+    specs += [FanSpec(dim=3, rays=fan.input_rays,
+                      maximal_cones=tuple(tuple(fan.input_rays.index(r) for r in fan.cones[i].rays)
+                                          for i in fan.maximal_ids),
+                      support=tuple(range(len(fan.input_rays))))
+              for fan in fan3d_brion_pool()]
+    for spec in specs:
+        assert parse_spec(emit_spec(spec)) == spec
+
+
+def fuzz_value(rng, depth):
+    """An integer literal (negative, zero with a sign, leading zeros, or past
+    int's digit limit) or a JSON-style array of them, with random spacing."""
+    if depth and rng.random() < 0.5:
+        items = [fuzz_value(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+        return "[" + rng.choice((",", ", ", " ,")).join(items) + "]"
+    r = rng.random()
+    if r < 0.03:
+        return "1" * 5000
+    if r < 0.06:
+        return "0" + str(rng.randint(0, 9))
+    return "-0" if r < 0.1 else str(rng.randint(-30, 30))
+
+
+def fuzz_document(rng):
+    """A flat document of allowed and unknown keys, with duplicate keys and
+    blank lines, then a few characters from a small alphabet put in or taken
+    out."""
+    keys = ("dim", "rays", "maximal_cones", "support", "polytope") * 4 + ("dims", "Color")
+    lines = [f"{rng.choice(keys)}{rng.choice((': ',) * 4 + (':  ', ':'))}{fuzz_value(rng, 2)}"
+             for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.2:
+        lines.append(rng.choice(lines))
+    if rng.random() < 0.1:
+        lines.insert(rng.randint(0, len(lines)), "")
+    doc = "\n".join(lines) + rng.choice(("\n", "\n", "\n", "", "\n\n"))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        # Half of the edits go to the end of a line, where a line break that
+        # PyYAML does not know would split a flat document into flat lines.
+        ends = [j for j, ch in enumerate(doc) if ch == "\n"] + [len(doc)]
+        i = rng.choice(ends) if rng.random() < 0.5 else rng.randint(0, len(doc))
+        if rng.random() < 0.7:
+            doc = doc[:i] + rng.choice("\r\t\x0c#_ -0[],:\n") + doc[i:]
+        else:
+            doc = doc[:i] + doc[i + 1:]
+    return doc
+
+
+def test_flat_reader_reads_what_pyyaml_reads():
+    import yaml
+
+    from toricgf.cli import _read_flat
+
+    loaders = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+    rng = random.Random(1603)
+    accepted = declined = 0
+    for _ in range(3000):
+        doc = fuzz_document(rng)
+        data = _read_flat(doc)
+        if data is None:
+            declined += 1
+            continue
+        accepted += 1
+        for loader in loaders:
+            assert repr(yaml.load(doc, Loader=loader)) == repr(data), doc
+    assert accepted > 400 and declined > 1500, (accepted, declined)
 
 
 def test_spec_roundtrip():
@@ -227,6 +313,19 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert main(["brion", str(tmp_path / "missing.fan")]) == 2
     capsys.readouterr()
+
+
+LONG = "1" * 5000
+LONG_SUPPORT = EX1_DOC.replace("support: [0,-2,0,-2]", f"support: [0,-2,0,{LONG}]")
+
+
+@pytest.mark.parametrize("doc", [f"dim: {LONG}\n", LONG_SUPPORT, "# a comment\n" + LONG_SUPPORT],
+                         ids=["dim", "support", "not-flat"])
+def test_main_rejects_integers_past_the_digit_limit(doc, tmp_path, capsys):
+    # int() refuses a literal of more than 4,300 digits with a ValueError,
+    # in the line reader and in PyYAML alike: a parse error, not a traceback.
+    assert main(["validate", write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 @pytest.mark.parametrize("command,doc", [

@@ -20,11 +20,13 @@ from toricgf import (
     truncated_series,
 )
 from toricgf import lattice_polytope, normal_fan_of_polytope
-from toricgf.genfun import (_divide_binomial, _smith_parallelepiped_points, binomial_product,
-                            sign_canonical, times_binomials)
+from toricgf.genfun import (_divide_binomial, _reference_point_pieces,
+                            _smith_parallelepiped_points, binomial_product, sign_canonical,
+                            times_binomials)
 from toricgf.intlinalg import adjugate, determinant, matvec
 
-from conftest import POLYTOPES, example1_fan, lattice_polygon_cone, primitive_edges
+from conftest import (POLYTOPES, example1_fan, fan3d_brion_pool, fan_battery,
+                      lattice_polygon_cone, primitive_edges)
 
 
 def in_half_open_piece(piece, x) -> bool:
@@ -321,6 +323,45 @@ def test_reference_point_keeps_the_prime_windows():
     assert list(islice(weights, 41))[-1] == [181, 191, 193, 197]
     assert next(weights) == [1, 1, 1, 1]
     assert next(weights) == [1, 2, 4, 8]
+
+
+# Polytopes whose vertex cones are simplicial but not unimodular.
+NON_UNIMODULAR = (
+    (3, [[0, 0, 0], [5, 0, 0], [0, 7, 0], [0, 0, 11]]),  # simplex-5-7-11
+    (3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 3]]),   # reeve-3
+    (2, [[0, 0], [4, 0], [0, 3]]),                       # triangle-4-3
+)
+
+
+@pytest.mark.parametrize("battery", ["acceptance", "pool", "deep", "polytopes", "cross4d"])
+def test_simplicial_piece_equals_the_reference_point_path(battery, request):
+    fans = [h.fan for _, h in fan_battery(battery, request)]
+    if battery == "polytopes":
+        fans += [normal_fan_of_polytope(lattice_polytope(dim, verts))[0]
+                 for dim, verts in NON_UNIMODULAR]
+    simplicial = non_unimodular = 0
+    for fan in fans:
+        for c in (cone for i in fan.maximal_ids
+                  for cone in (fan.cones[i], dual_cone(fan.cones[i]))):
+            if c.dim == len(c.rays) == c.ambient_dim:
+                assert triangulate_halfopen(c) == _reference_point_pieces(c), c
+                simplicial += 1
+                non_unimodular += abs(determinant([list(r) for r in c.rays])) > 1
+    assert simplicial
+    if battery == "polytopes":
+        assert non_unimodular >= 8
+
+
+def test_brion_cones_of_the_pool_compute_no_facet_normals(monkeypatch):
+    from toricgf import genfun, support_from_ray_values
+
+    real, calls = genfun._inward_normals, []
+    monkeypatch.setattr(genfun, "_inward_normals", lambda gens: calls.append(gens) or real(gens))
+    for fan in fan3d_brion_pool():
+        h = support_from_ray_values(fan, [0] * len(fan.input_rays))
+        for i in fan.maximal_ids:
+            cone_genfun(tuple(-x for x in h.linear_part(i)), dual_cone(fan.cones[i]))
+    assert calls == []
 
 
 def test_triangulate_requires_pointed_full_dim():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from toricgf.intlinalg import (
+    _smith_solve,
     cross_product,
     determinant,
     identity_matrix,
@@ -218,3 +219,56 @@ def test_cross_product_is_the_signed_minor_vector():
         x = [rng.randint(-3, 3) for _ in range(k + 1)]
         assert determinant([list(r) for r in rows] + [x]) == \
             (-1) ** k * sum(a * b for a, b in zip(x, u))
+
+
+def dependent_or_random_rows(rng, k):
+    """k rows in Z^(k+1): random ones, or with the last a multiple of the
+    first (or zero), so that they are dependent."""
+    rows = [tuple(rng.randint(-9, 9) for _ in range(k + 1)) for _ in range(k)]
+    if k > 1 and rng.random() < 0.3:
+        m = rng.randint(-2, 2)
+        rows[-1] = tuple(m * x for x in rows[0])
+    return rows
+
+
+def bareiss_minors(rows):
+    """The signed maximal minors of k rows in Z^(k+1), each a Bareiss
+    determinant: the path ``cross_product`` takes beyond Z^3."""
+    k = len(rows)
+    return tuple((-1) ** i * determinant([[*r[:i], *r[i + 1:]] for r in rows])
+                 for i in range(k + 1))
+
+
+def test_closed_form_cross_products_equal_the_minors():
+    assert cross_product([(0, 0)]) == bareiss_minors([(0, 0)]) == (0, 0)
+    rng = random.Random(1601)
+    dependent = 0
+    for _ in range(5000):
+        k = rng.randint(1, 2)
+        rows = dependent_or_random_rows(rng, k)
+        u = cross_product(rows)
+        assert u == bareiss_minors(rows), rows
+        dependent += not any(u)
+    assert dependent > 500
+
+
+def test_square_solve_equals_the_smith_route():
+    rng = random.Random(1602)
+    seen = {"solved": 0, "non-integral": 0, "singular": 0}
+    for _ in range(4000):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:  # a singular system: the last row a multiple of the first
+            m = rng.randint(-2, 2)
+            a[-1] = [m * x for x in a[0]]
+        if rng.random() < 0.5:
+            b = matvec(a, [rng.randint(-5, 5) for _ in range(n)])
+        else:
+            b = [rng.randint(-9, 9) for _ in range(n)]
+        x = solve_integral(a, b)
+        assert x == _smith_solve(a, b), (a, b)
+        if determinant(a) == 0:
+            seen["singular"] += 1
+        else:
+            seen["solved" if x is not None else "non-integral"] += 1
+    assert min(seen.values()) > 300, seen

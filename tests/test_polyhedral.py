@@ -371,6 +371,19 @@ def test_support_solves_only_the_maximal_cones(monkeypatch):
         assert len(solved) == len(fan.maximal_ids)
 
 
+def test_support_on_the_pool_runs_no_smith_form(monkeypatch):
+    # Every maximal cone of the benchmark's fans is simplicial, so each
+    # solve is a square system of nonzero determinant, solved in closed form.
+    import toricgf.intlinalg as intlinalg
+
+    real, calls = intlinalg.smith_normal_form, []
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: calls.append(a) or real(a))
+    rng = random.Random(16)
+    for fan in fan3d_brion_pool():
+        support_from_ray_values(fan, [rng.randint(-2, 2) for _ in fan.input_rays])
+    assert calls == []
+
+
 def cone_collections(rng, n, count, max_subdivisions):
     """Seeded collections of pointed cones in dimension n: complete fans, the
     same with a cone missing, with an extra cone (a listed one with a ray
