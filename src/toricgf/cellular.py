@@ -52,7 +52,6 @@ class CellComplex:
     cells_by_degree: dict[int, tuple[int, ...]]
     _incidence: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _orientation: dict[int, tuple] = field(default_factory=dict, repr=False)
-    _homology: dict = field(default_factory=dict, repr=False)
     _boundary_checked: bool = field(default=False, repr=False)
 
     @property
@@ -80,8 +79,8 @@ def cell_complex(f: Fan) -> CellComplex:
 
 def fan_cell_complex(f: Fan) -> CellComplex:
     """The fan's cell complex, built on first use and then kept on the fan,
-    so that every homology of a run shares one set of incidences and one
-    homology memo."""
+    so that every homology of a run shares one set of incidences and one d∘d
+    check; each degree subcomplex keeps its own homology."""
     cc = getattr(f, "_cell_complex", None)
     if cc is None:
         cc = cell_complex(f)
@@ -329,16 +328,12 @@ def _free_pairs(cc: CellComplex, keep):
 
 
 def subcomplex_homology(cc: CellComplex, keep) -> HomologyResult:
-    """Memoized reduced homology of a subcomplex, keyed by its cone ids:
-    the homology of the cells its free pairs leave, whose boundary matrices
-    are the only ones that reach the Smith normal form."""
-    key = frozenset(keep)
-    cached = cc._homology.get(key)
-    if cached is None:
-        left = {cc.empty_cell, *_face_closed(cc, key)}
-        for pair in _free_pairs(cc, key):
-            left.difference_update(pair)
-        _check_boundary_squared(cc)
-        cached = reduced_homology(_restricted_chain_complex(cc, left))
-        cc._homology[key] = cached
-    return cached
+    """Reduced homology of the subcomplex of the given cone ids: the
+    homology of the cells its free pairs leave, whose boundary matrices are
+    the only ones that reach the Smith normal form."""
+    keep = _face_closed(cc, keep)
+    left = {cc.empty_cell, *keep}
+    for pair in _free_pairs(cc, keep):
+        left.difference_update(pair)
+    _check_boundary_squared(cc)
+    return reduced_homology(_restricted_chain_complex(cc, left))

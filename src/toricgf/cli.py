@@ -86,6 +86,9 @@ class FanSpec:
 
 
 _ALLOWED_KEYS = {"dim", "rays", "maximal_cones", "support", "polytope"}
+# A spec nests three deep (the mapping, a list, its vectors).  Both PyYAML
+# loaders recurse once per level, and libyaml's crashes the process.
+MAX_NESTING = 64
 _FLAT_LINE = re.compile(r"(dim|rays|maximal_cones|support|polytope): ([-0-9\[\], ]+)")
 
 
@@ -110,12 +113,24 @@ def _read_flat(text: str) -> dict | None:
     return data
 
 
+def _check_nesting(text: str, loader) -> None:
+    """Reject nesting past ``MAX_NESTING``; the event parser does not recurse."""
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        depth += isinstance(event, yaml.CollectionStartEvent)
+        depth -= isinstance(event, yaml.CollectionEndEvent)
+        if depth > MAX_NESTING:
+            raise SchemaError(f"document nests deeper than {MAX_NESTING} levels")
+
+
 def parse_spec(text: str) -> FanSpec:
     """Parse and validate an input document."""
     data = _read_flat(text)
     if data is None:
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
         try:
-            data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            _check_nesting(text, loader)
+            data = yaml.load(text, Loader=loader)
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: past int's digit limit
             raise SchemaError(f"syntax error: {exc}") from exc
     if not isinstance(data, dict):
@@ -210,10 +225,10 @@ def _poly_data(poly) -> list:
     return [[list(e), c] for e, c in poly.sorted_terms()]
 
 
-def _table_data(table) -> list:
+def _table_data(entries) -> list:
     rows = []
-    for deg in sorted(table.entries, key=lambda e: (sum(e), e)):
-        dims, torsion, chi = table.entries[deg]
+    for deg in sorted(entries, key=lambda e: (sum(e), e)):
+        dims, torsion, chi = entries[deg]
         rows.append({"degree": list(deg), "dims": list(dims),
                      "torsion": [list(t) for t in torsion], "chi": chi})
     return rows
@@ -304,9 +319,8 @@ def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
             raise DimensionMismatch(
                 f"degree {list(flags.degree)} is not {fan.ambient_dim}-dimensional")
         idx = sweep_index(support)
-        dims, torsion, chi = idx.cohomology(idx.subcomplex(flags.degree), flags.p)
-        report.table = [{"degree": list(flags.degree), "dims": list(dims),
-                         "torsion": [list(t) for t in torsion], "chi": chi}]
+        report.table = _table_data(
+            {tuple(flags.degree): idx.cohomology(idx.subcomplex(flags.degree), flags.p)})
         report.timing_ms = 1000 * (time.monotonic() - t0)
         return report
 
@@ -322,7 +336,7 @@ def run(command: str, spec: FanSpec, flags: Flags | None = None) -> Report:
     # The run's one pass over its region; the report, the identity, the
     # corollaries and the oracle all read this table.
     table = cohomology_table(support, flags.p, region)
-    report.table = _table_data(table)
+    report.table = _table_data(table.entries)
     report.region = [list(b) for b in table.region.box]
     report.region_caveat = REGION_CAVEAT
     terms = brion_terms(support) if command != "cohomology" or flags.oracle else None

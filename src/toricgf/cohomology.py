@@ -16,15 +16,16 @@ mask is a subset of it.  The box is swept one line of the last coordinate
 at a time: on a line each ray's condition is a single threshold, so the
 masks along it come in runs, found by sorting at most one threshold per
 ray.  A ``SweepIndex`` per support function memoises, per distinct mask,
-the kept cones, the signed count, the homology and the cohomology per
-coefficient field.  ``cohomology_table`` is a run's single pass, one lookup
-per run: it keeps the first degree of each distinct subcomplex of its
-region, and the Euler polynomial, the identity check and the corollaries
-read it.
+a ``Subcomplex``: the kept cones, the signed count and the homology, from
+which each field's dimensions are read.  ``cohomology_table`` is a run's
+single pass, one lookup per run of the box widened by one: the shell runs
+certify the box and the inner runs fill the table, which keeps the first
+degree of each distinct subcomplex; the Euler polynomial, the identity
+check and the corollaries read it.
 The identity is checked by ``genfun.polynomial_sum``: the sign-canonical
 terms are added one at a time, and each denominator factor is divided out
 once the last term that carries it is in, so the sum is never brought over
-the whole common denominator; ``brion_sum`` still builds that, on demand.
+the whole common denominator; ``brion_sum``, the reference, builds that.
 The corollaries and the CLI's oracle check the table against
 ``reference_subcomplex``, which decides dual membership for every cone from
 the linear parts and so does not go through the sweep: per support
@@ -34,12 +35,11 @@ degree <b, r> is computed once per ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
-from .cellular import fan_cell_complex, subcomplex_homology
+from .cellular import HomologyResult, fan_cell_complex, subcomplex_homology
 from .genfun import (LaurentPolynomial, RationalGF, box_points, cone_genfun, polynomial_sum,
                      sign_canonical)
 from .intlinalg import InternalCheckFailed, cross_product, dot
@@ -73,21 +73,18 @@ def membership(h: SupportFunction, sigma_id: int, b) -> bool:
     return all(dot(shifted, r) >= 0 for r in h.fan.cones[sigma_id].rays)
 
 
+@dataclass(eq=False, slots=True)
 class Subcomplex:
-    """One distinct degree subcomplex.
+    """One distinct degree subcomplex, equal only to itself.
 
     ``keep`` holds the ids of its nonzero cones and ``signed_count`` sums
-    (-1)^codim over every cone it keeps, the zero cone included.  The
-    cohomology per coefficient field (None for Q) is filled in on first use;
-    the homology lives in the cell complex's memo.
+    (-1)^codim over every cone it keeps, the zero cone included; its
+    ``homology``, read for every field, is filled in on first use.
     """
 
-    __slots__ = ("keep", "signed_count", "cohomology")
-
-    def __init__(self, keep: frozenset[int], signed_count: int):
-        self.keep = keep
-        self.signed_count = signed_count
-        self.cohomology: dict = {}
+    keep: frozenset[int]
+    signed_count: int
+    homology: HomologyResult | None = None
 
 
 def reference_subcomplex(h: SupportFunction, b) -> Subcomplex:
@@ -215,22 +212,22 @@ class SweepIndex:
 
     def cohomology(self, sub: Subcomplex, p: int | None = None):
         """(dims, torsion, chi) of a subcomplex over Q, or over F_p when p
-        is given; computed and Euler-checked once per subcomplex and field."""
-        got = sub.cohomology.get(p)
-        if got is None:
-            n = self.fan.ambient_dim
-            hom = subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
-            betti = hom.betti if p is None else hom.betti_mod_p(p)
-            dims = tuple(betti[n - 1 - k] for k in range(n + 1))
-            torsion = tuple(hom.torsion[n - 1 - k] for k in range(n + 1))
-            chi = sum((-1) ** k * dims[k] for k in range(n + 1))
-            # The alternating sum telescopes to the chain-level count over any
-            # field, so the cross-check is valid for F_p dimensions too.
-            if chi != sub.signed_count:
-                raise InternalCheckFailed(
-                    f"Euler characteristic mismatch on cones {sorted(sub.keep)}")
-            got = sub.cohomology[p] = (dims, torsion, chi)
-        return got
+        is given, read off its homology (computed once per subcomplex) and
+        Euler-checked against its signed count."""
+        hom = sub.homology
+        if hom is None:
+            hom = sub.homology = subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
+        n = self.fan.ambient_dim
+        betti = hom.betti if p is None else hom.betti_mod_p(p)
+        dims = tuple(betti[n - 1 - k] for k in range(n + 1))
+        torsion = tuple(hom.torsion[n - 1 - k] for k in range(n + 1))
+        chi = sum((-1) ** k * dims[k] for k in range(n + 1))
+        # The alternating sum telescopes to the chain-level count over any
+        # field, so the cross-check is valid for F_p dimensions too.
+        if chi != sub.signed_count:
+            raise InternalCheckFailed(
+                f"Euler characteristic mismatch on cones {sorted(sub.keep)}")
+        return dims, torsion, chi
 
 
 def sweep_index(h: SupportFunction) -> SweepIndex:
@@ -319,25 +316,8 @@ def degree_region(h: SupportFunction) -> DegreeRegion:
 
 def check_shell(h: SupportFunction, box) -> None:
     """Every lattice point on the shell around the box must have a zero
-    signed count; otherwise the degree region missed contributions.
-
-    The widened box is swept line by line: a line whose prefix lies outside
-    the box is all shell, any other line meets the shell at its two ends.
-    The first failing degree in box order is reported.
-    """
-    idx = sweep_index(h)
-    wide = [(lo - 1, hi + 1) for lo, hi in box]
-    lo, hi = wide[-1]
-    for prefix, runs in idx.line_runs(wide):
-        if all(a < x < b for x, (a, b) in zip(prefix, wide)):
-            shell = [(0, runs[0][2]), (hi - lo, runs[-1][2])]
-        else:
-            shell = [(first, m) for first, _, m in runs]
-        for i, m in shell:
-            count = idx.lookup(m).signed_count
-            if count != 0:
-                raise ShellCheckFailed(
-                    f"nonzero signed count {count} at shell degree {(*prefix, lo + i)}")
+    signed count: the check that ``cohomology_table`` makes on its sweep."""
+    cohomology_table(h, region=DegreeRegion(tuple(box)))
 
 
 @dataclass
@@ -358,32 +338,50 @@ class CohomologyTable:
 
 def cohomology_table(h: SupportFunction, p: int | None = None,
                      region: DegreeRegion | None = None) -> CohomologyTable:
-    """Graded cohomology at every candidate degree, with the shell check:
-    one subcomplex lookup per run of equal masks on each line of the region
-    (derived when not given).
+    """Graded cohomology at every degree of the region (derived when not
+    given) with its shell check, in one sweep of the box widened by one and
+    one subcomplex lookup per run of equal masks.
 
-    Each distinct subcomplex's Euler characteristic is recomputed
-    independently through the signed cone count and checked equal,
-    including those of the zero entries.
+    A line whose prefix lies outside the box is all shell; any other line
+    meets the shell at its two ends, and its runs clipped to the box fill
+    the table.  The first shell degree in box order with a nonzero signed
+    count raises ``ShellCheckFailed``.  Each distinct subcomplex's Euler
+    characteristic is checked equal to its signed cone count.
     """
     if region is None:
         region = degree_region(h)
-    check_shell(h, region.box)
     idx = sweep_index(h)
-    lo = region.box[-1][0]
-    firsts: dict[Subcomplex, tuple[int, ...]] = {}
+    wide = [(lo - 1, hi + 1) for lo, hi in region.box]
+    lo, hi = wide[-1]
+    last = hi - lo
+    seen: dict[Subcomplex, tuple] = {}
     entries = {}
-    for prefix, runs in idx.line_runs(region.box):
+    for prefix, runs in idx.line_runs(wide):
+        inner = all(a < x < b for x, (a, b) in zip(prefix, wide))
+        if inner:
+            shell = ((0, runs[0][2]), (last, runs[-1][2]))
+        else:
+            shell = [(first, m) for first, _, m in runs]
+        for i, m in shell:
+            count = idx.lookup(m).signed_count
+            if count != 0:
+                raise ShellCheckFailed(
+                    f"nonzero signed count {count} at shell degree {(*prefix, lo + i)}")
+        if not inner:
+            continue
         for first, end, m in runs:
-            sub = idx.lookup(m)
-            firsts.setdefault(sub, (*prefix, lo + first))
-            dims, torsion, chi = idx.cohomology(sub, p)
-            if any(dims) or any(torsion):
-                for t in range(lo + first, lo + end):
-                    entries[(*prefix, t)] = (dims, torsion, chi)
+            first, end = max(first, 1), min(end, last)
+            if first < end:
+                sub = idx.lookup(m)
+                if sub not in seen:
+                    seen[sub] = ((*prefix, lo + first), idx.cohomology(sub, p))
+                value = seen[sub][1]
+                if any(value[0]) or any(value[1]):
+                    for t in range(lo + first, lo + end):
+                        entries[(*prefix, t)] = value
     return CohomologyTable(ambient_dim=h.fan.ambient_dim, entries=entries,
                            region=region,
-                           subcomplexes=tuple((b, sub) for sub, b in firsts.items()))
+                           subcomplexes=tuple((b, sub) for sub, (b, _) in seen.items()))
 
 
 def chi_polynomial(h: SupportFunction, table: CohomologyTable | None = None) -> LaurentPolynomial:
@@ -411,7 +409,7 @@ def brion_sum(h: SupportFunction, terms=None) -> RationalGF:
     dual edges of adjacent cones share one factor.  Lower-dimensional cones
     never contribute: their duals contain lines and have no rational lattice
     series here.  ``verify_identity`` does not build this sum; it is the
-    reference for ``polynomial_sum`` and the report's ``lhs``."""
+    reference for ``polynomial_sum``."""
     if terms is None:
         terms = brion_terms(h)
     total = None
@@ -433,8 +431,7 @@ class CorollaryResult:
 class VerificationReport:
     """The identity verdict, chi, the corollaries and the region, with the
     peaks of ``polynomial_sum``: the most denominator factors it held open
-    and the most terms its partial numerator had.  ``lhs``, the whole sum
-    over one common denominator, is built by ``brion_sum`` on first read."""
+    and the most terms its partial numerator had."""
 
     identity_holds: bool
     chi_polynomial: LaurentPolynomial
@@ -442,11 +439,6 @@ class VerificationReport:
     region: DegreeRegion
     peak_open_factors: int
     peak_numerator_terms: int
-    terms: list[tuple[int, RationalGF]] = field(repr=False, compare=False)
-
-    @cached_property
-    def lhs(self) -> RationalGF:
-        return brion_sum(None, self.terms)
 
 
 def _check_corollaries(h: SupportFunction, table: CohomologyTable,
@@ -508,4 +500,4 @@ def verify_identity(h: SupportFunction, table: CohomologyTable | None = None,
                               corollary_results=_check_corollaries(h, table, chi),
                               region=table.region,
                               peak_open_factors=summed.peak_open_factors,
-                              peak_numerator_terms=summed.peak_numerator_terms, terms=terms)
+                              peak_numerator_terms=summed.peak_numerator_terms)

@@ -523,12 +523,9 @@ def cone_genfun(shift, c: Cone) -> RationalGF:
 
     Assembled as a sum over half-open simplicial pieces of
     (sum over parallelepiped points p of x^(shift+p)) / prod(1 - x^g_i),
-    brought over a common denominator.
+    brought over a common denominator.  ``triangulate_halfopen`` rejects a
+    cone that is not pointed or not full-dimensional.
     """
-    if not c.pointed:
-        raise NotPointed(f"{c} contains a line")
-    if c.dim != c.ambient_dim:
-        raise NotFullDimensional(f"{c} has dimension {c.dim} < {c.ambient_dim}")
     shift = tuple(int(x) for x in shift)
     total = None
     for piece in triangulate_halfopen(c):

@@ -401,7 +401,7 @@ def adjugate_degree_region(h):
 def first_shell_failure(idx, box):
     """The first degree in box order on the shell around the box whose
     per-point mask has a nonzero signed count, with that count, or None.
-    The slow reference for ``cohomology.check_shell``."""
+    The slow reference for the shell check of ``cohomology_table``."""
     *head, (lo, hi) = wide = [(lo - 1, hi + 1) for lo, hi in box]
     for prefix in box_points(head):
         inner = all(a < x < b for x, (a, b) in zip(prefix, wide))

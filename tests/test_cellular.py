@@ -218,15 +218,6 @@ def test_homology_mod_p_matches_rational_without_torsion():
         assert dims == hom.betti
 
 
-def test_subcomplex_homology_memoized():
-    fan = example1_fan()
-    cc = cell_complex(fan)
-    keep = frozenset({fan.cone_id([(1, 1)])})
-    h1 = subcomplex_homology(cc, keep)
-    h2 = subcomplex_homology(cc, set(keep))
-    assert h1 is h2
-
-
 def test_betti_mod_p_matches_chain_level_reference():
     # Universal coefficients from the integral invariant factors against a
     # fresh rank over F_p; the identity is pure linear algebra, so random

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from toricgf.cli import (
 )
 from toricgf.polyhedral import build_fan, support_from_ray_values
 
-from conftest import fan3d_brion_pool
+from conftest import fan3d_brion_pool, fan_battery, first_shell_failure
 
 EX1_DOC = """\
 dim: 2
@@ -423,11 +426,78 @@ def test_main_rejects_an_empty_flag_value(flag, message, tmp_path, capsys):
     assert captured.err.startswith(f"parse error: {message}")
 
 
+def _fan_doc(fan, h):
+    """The spec document of a fan and its support function."""
+    index = {r: k for k, r in enumerate(fan.input_rays)}
+    return emit_spec(FanSpec(
+        dim=fan.ambient_dim, rays=fan.input_rays,
+        maximal_cones=tuple(tuple(index[r] for r in fan.cones[i].rays) for i in fan.maximal_ids),
+        support=tuple(h.value(r) for r in fan.input_rays)))
+
+
+@pytest.mark.parametrize("case", [None, 1, 2, 171, 200, 203],
+                         ids=["readme", "acceptance-1", "acceptance-2", "acceptance-171",
+                              "acceptance-200", "acceptance-203"])
+def test_main_reports_a_too_small_box(case, tmp_path, capsys):
+    # The README fan on one point, or an acceptance fan with its derived box
+    # shrunk by one on each side: the table's own shell check fails at the
+    # first degree in box order that the per-point scan finds.
+    from toricgf.cohomology import degree_region, sweep_index
+
+    if case is None:
+        spec = parse_spec(EX1_DOC)
+        fan = build_fan(spec.dim, spec.rays, spec.maximal_cones)
+        h = support_from_ray_values(fan, spec.support)
+        box = [(0, 0), (0, 0)]
+    else:
+        fan, h = fan_battery("acceptance", None)[case]
+        box = [(lo + 1, max(lo + 1, hi - 1)) for lo, hi in degree_region(h).box]
+    pt, count = first_shell_failure(sweep_index(h), box)
+    flag = "--box=" + ",".join(f"{lo}:{hi}" for lo, hi in box)
+    assert main(["cohomology", write(tmp_path, _fan_doc(fan, h)), flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ShellCheckFailed: nonzero signed count {count} " \
+                           f"at shell degree {pt}\n"
+
+
 def test_main_reports_a_spec_that_is_not_utf8_as_a_parse_error(tmp_path, capsys):
     path = tmp_path / "spec.fan"
     path.write_bytes(b"\xff\xfe" + EX1_DOC.encode("utf-16-le"))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("parse error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("depth", [30_000, 10_000], ids=["30000", "10000"])
+@pytest.mark.parametrize("kind", ["flow-sequence", "flow-mapping", "block-sequence"])
+def test_main_rejects_a_deeply_nested_spec(kind, depth, tmp_path):
+    # libyaml's loader recurses once per level; tens of thousands of levels
+    # used to kill the process with SIGSEGV, so the CLI runs in a child.
+    doc = {"flow-sequence": "dim: " + "[" * depth + "]" * depth + "\n",
+           "flow-mapping": "dim: " + "{a: " * depth + "1" + "}" * depth + "\n",
+           "block-sequence": "dim:\n" + "- " * depth + "1\n"}[kind]
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "toricgf.cli", "validate", write(tmp_path, doc)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "parse error: document nests deeper than 64 levels\n"
+
+
+def test_parse_spec_bounds_nesting_without_libyaml(monkeypatch):
+    # PyYAML's own composer raises RecursionError about a thousand levels
+    # down; the bound is checked on the parser's events first.
+    import yaml
+
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(SchemaError, match="nests deeper than 64 levels"):
+        parse_spec("dim: " + "{a: " * 2000 + "1" + "}" * 2000 + "\n")
+    # The mapping is the first level: 63 sequences inside it are read (and
+    # then refused by the schema), 64 are not.
+    with pytest.raises(SchemaError, match="nests deeper than 64 levels"):
+        parse_spec("dim:\n" + "- " * 64 + "1\n")
+    with pytest.raises(SchemaError, match="field 'dim' must be a positive integer"):
+        parse_spec("dim:\n" + "- " * 63 + "1\n")
 
 
 @pytest.mark.parametrize("argv,calls", [
@@ -504,17 +574,41 @@ def test_brion_builds_each_stage_once(argv, tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["oracle"]["signed_counts_match"]
     # The report's box is the box the table, the identity and the oracle read:
-    # one line per prefix of the shell's widened box, one per prefix of the
-    # box, and no per-point mask.
-    lines = wide_lines = 1
+    # one sweep, one line per prefix of the box widened by one for the shell
+    # and the table together, and no per-point mask.
+    wide_lines = 1
     for lo, hi in report["region"][:-1]:
-        lines *= hi - lo + 1
         wide_lines *= hi - lo + 3
     assert calls == {"cell_complex": 1, "cohomology_table": 1, "brion_terms": 1,
                      "cone_genfun": report["fan"]["num_maximal"],
-                     "line_runs lines": wide_lines + lines}
+                     "line_runs lines": wide_lines}
     if "--box=-1:1,-1:2" in argv:
         assert report["region"] == [[-1, 1], [-1, 2]]
+
+
+def test_each_distinct_subcomplex_reaches_homology_once(tmp_path, capsys, monkeypatch):
+    # The mod-3 table and the rational corollaries read one homology per
+    # distinct subcomplex of the region, kept on the subcomplex.
+    import toricgf.cohomology as cohomology
+    from toricgf.genfun import box_points
+
+    spec = parse_spec(EX1_DOC)
+    fan = build_fan(spec.dim, spec.rays, spec.maximal_cones)
+    h = support_from_ray_values(fan, spec.support)
+    distinct = {cohomology.reference_subcomplex(h, b).keep
+                for b in box_points(cohomology.degree_region(h).box)}
+    real = cohomology.subcomplex_homology
+    keeps = []
+
+    def counted(cc, keep):
+        keeps.append(frozenset(keep))
+        return real(cc, keep)
+
+    monkeypatch.setattr(cohomology, "subcomplex_homology", counted)
+    assert main(["brion", write(tmp_path, EX1_DOC), "--coefficients", "modp:3",
+                 "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["identity_holds"] is True
+    assert sorted(keeps, key=sorted) == sorted(distinct, key=sorted)
 
 
 @pytest.mark.parametrize("command, doc", [("brion", EX1_DOC), ("polytope", SQUARE_DOC)])

@@ -256,7 +256,7 @@ def test_identity_fails_on_a_doctored_chi_coefficient(ex1):
             for delta in (1, -1):
                 report = verify_identity(h, _doctored(table, b, delta), terms)
                 assert not report.identity_holds
-                assert not rational_equal(report.lhs,
+                assert not rational_equal(brion_sum(h, terms),
                                           RationalGF.from_polynomial(report.chi_polynomial))
 
 
@@ -269,7 +269,7 @@ def test_headline_fan_identity_with_halved_denominator():
     h = random_support_3d(random.Random(1), fan, spread=2)
     report = verify_identity(h)
     assert report.identity_holds
-    assert len(report.lhs.denominator_factors) == 21
+    assert len(brion_sum(h).denominator_factors) == 21
     assert all(c.holds for c in report.corollary_results.values())
 
 
