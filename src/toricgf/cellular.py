@@ -2,20 +2,20 @@
 
 Each nonzero cone of the fan meets the sphere in one closed cell of
 dimension dim(cone) - 1; the empty cell sits in degree -1 and carries the
-augmentation.  An incidence number is the sign of a permutation of the
-cell's basis, as on every simplicial cell, or else compares two
-determinants.  Incidences are computed only on the face relation, where the
-boundary matrices have their sole nonzero entries and where d∘d = 0 is
-checked, once per complex.  The homology of a subcomplex first removes free
-pairs, a cell and a facet of it with unit incidence where one of the two
-has no other live neighbour; the cells left keep their own boundary
-entries, and only their matrices reach the Smith normal form.
+augmentation.  A simplicial cell's basis is its rays.  An incidence number
+is the sign of a permutation of the cell's basis, as on every simplicial
+cell, or else compares two determinants.  Incidences are computed only on
+the face relation, where the boundary matrices have their sole nonzero
+entries: all in one pass at the first d∘d = 0 check, once per complex.  The
+homology of a subcomplex first removes free pairs, a cell and a facet of it
+with unit incidence where one of the two has no other live neighbour; the
+cells left keep their own boundary entries, and only their matrices reach
+the Smith normal form.
 ``chain_complex`` builds a whole subcomplex's matrices, the reference.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -68,7 +68,7 @@ def cell_complex(f: Fan) -> CellComplex:
     for i, c in enumerate(f.cones):
         if c.dim == 0:
             continue
-        b = greedy_basis(c.rays)
+        b = _cell_basis(c)
         if c.dim == n and n >= 2 and _minor(b, range(n)) < 0:
             b[0], b[1] = b[1], b[0]
         basis[i] = tuple(b)
@@ -77,20 +77,33 @@ def cell_complex(f: Fan) -> CellComplex:
                        cells_by_degree={d: tuple(ids) for d, ids in cells.items()})
 
 
+def _cell_basis(c) -> list:
+    """A simplicial cone's rays; any other cone's first independent rays."""
+    return list(c.rays) if len(c.rays) == c.dim else greedy_basis(c.rays)
+
+
 def fan_cell_complex(f: Fan) -> CellComplex:
     """The fan's cell complex, built on first use and then kept on the fan,
     so that every homology of a run shares one set of incidences and one d∘d
     check; each degree subcomplex keeps its own homology."""
-    cc = getattr(f, "_cell_complex", None)
-    if cc is None:
-        cc = cell_complex(f)
-        f._cell_complex = cc
-    return cc
+    if getattr(f, "_cell_complex", None) is None:
+        f._cell_complex = cell_complex(f)
+    return f._cell_complex
 
 
 def _minor(cols, rows) -> int:
     """Determinant of the columns restricted to the given rows."""
     return determinant([[col[r] for col in cols] for r in rows])
+
+
+def _permutation_sign(cols, ref) -> int:
+    """The sign of cols as a rearrangement of ref, or 0 when it is none."""
+    if cols == ref:
+        return 1
+    position = {r: k for k, r in enumerate(ref)}
+    if len(cols) != len(position) or position.keys() != set(cols):
+        return 0
+    return (-1) ** sum(position[a] > position[b] for a, b in combinations(cols, 2))
 
 
 def _first_independent_rows(cols, d, n):
@@ -126,12 +139,8 @@ def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
         tau_rays = fan.cones[tau_id].rays
         w = next((r for r in fan.cones[sigma_id].rays if r not in tau_rays), None)
         cols = (*cc.basis[tau_id], w)
-        position = {r: k for k, r in enumerate(cc.basis[sigma_id])}
-        if len(cols) == len(position) and position.keys() == set(cols):
-            perm = [position[r] for r in cols]
-            inversions = sum(a > b for a, b in combinations(perm, 2))
-            result = -1 if inversions % 2 else 1
-        else:
+        result = _permutation_sign(cols, cc.basis[sigma_id])
+        if not result:
             orientation = cc._orientation.get(sigma_id)
             if orientation is None:
                 orientation = cc._orientation[sigma_id] = _first_independent_rows(
@@ -167,9 +176,9 @@ def chain_complex(cc: CellComplex, keep) -> ChainComplex:
     in degree -1, so the empty selection yields the augmented complex of the
     empty subcomplex.
     """
-    c = _restricted_chain_complex(cc, _face_closed(cc, keep) | {cc.empty_cell})
+    keep = _face_closed(cc, keep)
     _check_boundary_squared(cc)
-    return c
+    return _restricted_chain_complex(cc, keep | {cc.empty_cell})
 
 
 def _face_closed(cc: CellComplex, keep) -> frozenset[int]:
@@ -212,21 +221,28 @@ def _restricted_chain_complex(cc: CellComplex, cells) -> ChainComplex:
 
 
 def _check_boundary_squared(cc: CellComplex) -> None:
-    """d∘d = 0 on the face relation, once per cell complex: a subcomplex's
+    """Every incidence of the face relation, and d∘d = 0 on it, in one pass
+    over the cells in id order, once per cell complex: a subcomplex's
     boundary columns are the whole complex's, since every facet of a kept
-    cell is kept.  Cached incidences are read, the others computed."""
+    cell is kept.  A cached incidence is read, not recomputed.  Ids grow with
+    (dim, rays), so the j-th facet of a simplicial cell drops the (d-1-j)-th
+    of its d sorted rays, and the incidence is (-1)^j times the signs of both
+    bases as rearrangements of their rays; other cells take ``incidence``."""
     if cc._boundary_checked:
         return
-
-    def sign(s, t):
-        return cc._incidence.get((s, t)) or incidence(cc, s, t)
-
-    fan = cc.fan
+    fan, signs = cc.fan, cc._incidence
+    facets = fan._facets_of
+    parity = {cc.empty_cell: 1}
     for s, c in enumerate(fan.cones):
-        total = Counter()
-        for t in fan.facet_ids(s):
-            for q in fan.facet_ids(t):
-                total[q] += sign(s, t) * sign(t, q)
+        if not facets[s]:
+            continue
+        sign = parity[s] = _permutation_sign(cc.basis[s], c.rays)
+        total = {}
+        for t in facets[s]:
+            st = signs.get((s, t)) or sign * parity[t] or incidence(cc, s, t)
+            signs[s, t], sign = st, -sign
+            for q in facets[t]:
+                total[q] = total.get(q, 0) + st * signs[t, q]
         if any(total.values()):
             raise InternalCheckFailed(f"boundary of boundary is nonzero in degree {c.dim - 1}")
     cc._boundary_checked = True
@@ -332,8 +348,8 @@ def subcomplex_homology(cc: CellComplex, keep) -> HomologyResult:
     homology of the cells its free pairs leave, whose boundary matrices are
     the only ones that reach the Smith normal form."""
     keep = _face_closed(cc, keep)
+    _check_boundary_squared(cc)
     left = {cc.empty_cell, *keep}
     for pair in _free_pairs(cc, keep):
         left.difference_update(pair)
-    _check_boundary_squared(cc)
     return reduced_homology(_restricted_chain_complex(cc, left))

@@ -24,8 +24,6 @@ import time
 from dataclasses import dataclass, field, fields
 from math import isqrt
 
-import yaml
-
 from .cellular import NoIncidenceWitness
 from .cohomology import (
     REGION_CAVEAT,
@@ -113,23 +111,21 @@ def _read_flat(text: str) -> dict | None:
     return data
 
 
-def _check_nesting(text: str, loader) -> None:
-    """Reject nesting past ``MAX_NESTING``; the event parser does not recurse."""
-    depth = 0
-    for event in yaml.parse(text, Loader=loader):
-        depth += isinstance(event, yaml.CollectionStartEvent)
-        depth -= isinstance(event, yaml.CollectionEndEvent)
-        if depth > MAX_NESTING:
-            raise SchemaError(f"document nests deeper than {MAX_NESTING} levels")
-
-
 def parse_spec(text: str) -> FanSpec:
     """Parse and validate an input document."""
     data = _read_flat(text)
     if data is None:
+        # PyYAML is loaded only here.  Its event parser does not recurse, so
+        # nesting past MAX_NESTING is refused on the events, before the load.
+        import yaml
         loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        depth = 0
         try:
-            _check_nesting(text, loader)
+            for event in yaml.parse(text, Loader=loader):
+                depth += isinstance(event, yaml.CollectionStartEvent)
+                depth -= isinstance(event, yaml.CollectionEndEvent)
+                if depth > MAX_NESTING:
+                    raise SchemaError(f"document nests deeper than {MAX_NESTING} levels")
             data = yaml.load(text, Loader=loader)
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: past int's digit limit
             raise SchemaError(f"syntax error: {exc}") from exc

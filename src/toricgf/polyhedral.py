@@ -7,14 +7,17 @@ are folded into the inequality list as +-pairs.  One rule does the geometry:
 a facet is the set of rays tight on one facet normal.  Each normal is the
 cross product of d-1 generators and the span equations of a d-dimensional
 cone, and the faces are the facets' ray sets closed under intersection.  A
-fan is built from ray sets and ray bitmasks: a face of a listed cone is its
-ray set and its rank, and is hulled only when its inequalities are read; two
-listed cones a, b meet in a common face when a u >= 0 on a and <= 0 on b
-(their own summed inequalities first, read off per-inequality ray masks,
-else the facet normals of cone(a, -b)) cuts the same face from both; and
-the face relation compares ray masks one dimension apart.  The dual of a
-pointed cone swaps its two descriptions.  All of it is exact and polynomial
-in the number of rays for a fixed dimension.
+simplicial cone, rays as many as its dimension, is read off its rays: n
+independent rays in Z^n give their facet normals by cross products alone,
+and its faces are its ray subsets.  A fan is built from ray sets and ray
+bitmasks: a face of a listed cone is its ray set and its dimension, and is
+hulled only when its inequalities are read; two listed cones a, b meet in a
+common face when a u >= 0 on a and <= 0 on b (their own summed inequalities
+first, read off per-inequality ray masks, else the facet normals of
+cone(a, -b)) cuts the same face from both; and the face relation compares
+ray masks one dimension apart.  The dual of a pointed cone swaps its two
+descriptions.  All of it is exact and polynomial in the number of rays for
+a fixed dimension.
 """
 
 from __future__ import annotations
@@ -100,6 +103,8 @@ def _hull_description(gens: list[Vector], n: int):
     """
     if not gens:
         return 0, [tuple(r) for r in kernel_basis([], cols=n)], []
+    if len(gens) == n and (facets := _simplicial_facets(gens)):
+        return n, [], facets
     d = rank(gens)
     equations = kernel_basis([list(g) for g in gens]) if d < n else []
     facets = set()
@@ -112,6 +117,17 @@ def _hull_description(gens: list[Vector], n: int):
         elif hi <= 0 > lo:
             facets.add(primitive_vector(tuple(-x for x in u)))
     return d, equations, sorted(facets)
+
+
+def _simplicial_facets(gens: list[Vector]) -> list[Vector]:
+    """The facet normals of n generators in Z^n, or [] when they are
+    dependent: each n-1 of them give a cross product, turned inward by its
+    dot with the one left out.  That dot is +-det, so one zero means all."""
+    crosses = [cross_product(gens[:i] + gens[i + 1:]) for i in range(len(gens))]
+    if dot(crosses[0], gens[0]) == 0:
+        return []
+    return sorted(primitive_vector(u if dot(u, g) > 0 else tuple(-x for x in u))
+                  for u, g in zip(crosses, gens))
 
 
 def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = False) -> Cone:
@@ -181,9 +197,18 @@ def _face_ray_sets(c: Cone) -> set[frozenset[Vector]]:
     return ray_sets
 
 
+def _faces(c: Cone) -> list[tuple[Vector, ...]]:
+    """The sorted rays of each face of a strongly convex cone, c and the zero
+    cone included: every ray subset of a simplicial cone (as many rays as its
+    dimension), else the facets' ray sets closed under intersection."""
+    if len(c.rays) == c.dim:
+        return [f for k in range(c.dim + 1) for f in combinations(c.rays, k)]
+    return [tuple(sorted(rs)) for rs in _face_ray_sets(c)]
+
+
 def face_lattice(c: Cone) -> list[tuple[Cone, int]]:
     """All faces of a strongly convex cone, including c and the zero cone."""
-    faces = sorted((_face(c.ambient_dim, rs) for rs in _face_ray_sets(c)),
+    faces = sorted((_face(c.ambient_dim, rs) for rs in _faces(c)),
                    key=lambda f: (f.dim, f.rays))
     return [(f, f.dim) for f in faces]
 
@@ -302,12 +327,14 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
 
     # The faces of the listed cones are all the cones of the fan, and a
     # listed cone is its own top face.  Any other face is pointed with its
-    # ray set as extreme rays: it is its rays and rank, hulled when read.
+    # ray set as extreme rays: it is its rays and dim, hulled when read.  The
+    # simplicial cones go first: a face of one has its size as its dim.
     cones_by_rays = {frozenset(c.rays): c for c in top}
-    for rs in set().union(*map(_face_ray_sets, top)) - cones_by_rays.keys():
-        face = tuple(sorted(rs))
-        cones_by_rays[rs] = Cone(ambient_dim=ambient_dim, rays=face,
-                                 dim=rank(face) if face else 0, pointed=True)
+    for c in sorted(top, key=lambda c: len(c.rays) > c.dim):
+        for face in _faces(c):
+            if (key := frozenset(face)) not in cones_by_rays:
+                dim = len(face) if len(c.rays) == c.dim or not face else rank(face)
+                cones_by_rays[key] = Cone(ambient_dim, face, dim, pointed=True)
 
     _check_intersections(top)
 

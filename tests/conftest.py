@@ -339,9 +339,12 @@ def minor_incidence(cc, s, t):
 
 def general_cone_from_rays(n, generators):
     """``cone_from_rays`` with no shortcut for independent generators: the
-    hull, one rank for pointedness and one per generator for extremality."""
+    general hull, with its rank and a cross product per d-1 generators, one
+    rank for pointedness and one per generator for extremality."""
     gens = sorted({primitive_vector(tuple(g)) for g in generators if any(g)})
-    hull = polyhedral._face(n, gens)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polyhedral, "_simplicial_facets", lambda gens: [])
+        hull = polyhedral._face(n, gens)
     ineqs = hull.inequalities
     if not (rank(ineqs) == n if ineqs else n == 0):
         return replace(hull, pointed=False)

@@ -44,6 +44,12 @@ def write(tmp_path, text, name="spec.fan"):
     return str(path)
 
 
+def child_env():
+    """The environment of a child interpreter that imports this checkout's package."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_parse_spec_example1():
     spec = parse_spec(EX1_DOC)
     assert spec.dim == 2
@@ -165,6 +171,18 @@ def fuzz_document(rng):
         else:
             doc = doc[:i] + doc[i + 1:]
     return doc
+
+
+@pytest.mark.parametrize("doc,loaded", [(EX1_DOC, False), ("# a comment\n" + EX1_DOC, True)],
+                         ids=["flat", "commented"])
+def test_pyyaml_is_imported_only_for_a_document_that_is_not_flat(doc, loaded, tmp_path):
+    # In a fresh interpreter: importing the CLI and validating a flat spec
+    # leave PyYAML unloaded; a comment makes the line reader decline.
+    code = ("import sys; from toricgf.cli import main; "
+            "code = main(['validate', sys.argv[1]]); print(code, 'yaml' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, write(tmp_path, doc)],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_flat_reader_reads_what_pyyaml_reads():
@@ -402,9 +420,9 @@ def test_main_incidence_fault_is_a_domain_error(tmp_path, capsys, monkeypatch):
     # plus witness singular in the 2-D cones.
     import toricgf.cellular as cellular
 
-    real_basis = cellular.greedy_basis
-    monkeypatch.setattr(cellular, "greedy_basis", lambda rays: real_basis(rays)
-                        if len(rays) > 1 else [(0,) * len(rays[0])])
+    real_basis = cellular._cell_basis
+    monkeypatch.setattr(cellular, "_cell_basis", lambda c: real_basis(c)
+                        if len(c.rays) > 1 else [(0,) * len(c.rays[0])])
     assert main(["brion", write(tmp_path, EX1_DOC)]) == 1
     assert capsys.readouterr().err.startswith("error: NoIncidenceWitness")
 
@@ -476,10 +494,8 @@ def test_main_rejects_a_deeply_nested_spec(kind, depth, tmp_path):
     doc = {"flow-sequence": "dim: " + "[" * depth + "]" * depth + "\n",
            "flow-mapping": "dim: " + "{a: " * depth + "1" + "}" * depth + "\n",
            "block-sequence": "dim:\n" + "- " * depth + "1\n"}[kind]
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run([sys.executable, "-m", "toricgf.cli", "validate", write(tmp_path, doc)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "parse error: document nests deeper than 64 levels\n"
 

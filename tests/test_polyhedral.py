@@ -314,9 +314,11 @@ PYRAMID = ([(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, -1)],
 
 
 def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
-    # A simplicial listed cone costs one rank, for its hull; any other listed
-    # cone also one for pointedness and one per generator for its extreme
-    # rays; any other face one for its dimension, and the zero cone none.
+    # A simplicial listed cone costs no rank: its hull is read off cross
+    # products, its faces are its ray subsets.  Any other listed cone costs
+    # one for its hull, one for pointedness and one per generator for its
+    # extreme rays, and each of its nonzero faces that is no face of a
+    # simplicial listed cone one for its dimension.
     import toricgf.polyhedral as polyhedral
 
     real = polyhedral.rank
@@ -338,8 +340,12 @@ def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
         ranks.clear()
         n = len(rays[0])
         fan = polyhedral.build_fan(n, rays, maximal)
-        listed = sum(1 if len(cone) == n else 2 + len(cone) for cone in maximal)
-        assert len(ranks) == listed + len(fan.cones) - len(maximal) - 1
+        listed = sum(2 + len(cone) for cone in maximal if len(cone) > n)
+        read_off = {frozenset(sub) for cone in maximal if len(cone) == n for k in range(n)
+                    for sub in combinations([fan.input_rays[i] for i in cone], k)}
+        read_off |= {frozenset(fan.input_rays[i] for i in cone) for cone in maximal}
+        ranked = [c for c in fan.cones if c.rays and frozenset(c.rays) not in read_off]
+        assert len(ranks) == listed + len(ranked)
 
 
 def test_support_solves_only_the_maximal_cones(monkeypatch):
