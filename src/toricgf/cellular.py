@@ -69,7 +69,7 @@ def cell_complex(f: Fan) -> CellComplex:
         if c.dim == 0:
             continue
         b = _cell_basis(c)
-        if c.dim == n and n >= 2 and _minor(b, range(n)) < 0:
+        if c.dim == n and n >= 2 and _orientation(f, i, b) < 0:
             b[0], b[1] = b[1], b[0]
         basis[i] = tuple(b)
         cells[c.dim - 1].append(i)
@@ -80,6 +80,14 @@ def cell_complex(f: Fan) -> CellComplex:
 def _cell_basis(c) -> list:
     """A simplicial cone's rays; any other cone's first independent rays."""
     return list(c.rays) if len(c.rays) == c.dim else greedy_basis(c.rays)
+
+
+def _orientation(f: Fan, i: int, basis) -> int:
+    """A number with the sign of det(basis) for a maximal cone: its record's
+    determinant for a simplicial listed cone, whose basis is its rays in
+    order, else that determinant itself."""
+    rec = f.simplices.get(i)
+    return _minor(basis, range(f.ambient_dim)) if rec is None else rec.det
 
 
 def fan_cell_complex(f: Fan) -> CellComplex:
@@ -131,7 +139,7 @@ def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
     if cached is not None:
         return cached
     fan = cc.fan
-    if (tau_id, sigma_id) not in fan.face_relation:
+    if tau_id not in fan.facet_ids(sigma_id):
         result = 0
     elif tau_id == cc.empty_cell:
         result = 1

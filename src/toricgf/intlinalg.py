@@ -38,6 +38,14 @@ def dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
+def dots(u, rows) -> list[int]:
+    """<u, r> for every row r, written out in Z^3."""
+    if len(u) == 3:
+        a, b, c = u
+        return [a * x + b * y + c * z for x, y, z in rows]
+    return [sum(map(mul, u, r)) for r in rows]
+
+
 def matvec(a: Matrix, v) -> list[int]:
     return [dot(row, v) for row in a]
 
@@ -144,9 +152,7 @@ def adjugate(a: Matrix) -> Matrix:
 
 def primitive_vector(v) -> Vector:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -293,9 +299,9 @@ def rank_mod_p(a: Matrix, p: int) -> int:
 
 
 def solve_integral(a: Matrix, b) -> Vector | None:
-    """One integer solution x of a @ x == b, or None if none exists; for a
-    square a with det != 0 it is sum (-1)^i b_i C_i / det, C_i the cross
-    product of the rows but row i, and other systems use the Smith form."""
+    """One integer solution x of a @ x == b, or None if none exists; a
+    square a with det != 0 takes ``cramer`` and other systems the Smith
+    form."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(b) != rows:
@@ -306,10 +312,17 @@ def solve_integral(a: Matrix, b) -> Vector | None:
         crosses = [cross_product(a[:i] + a[i + 1:]) for i in range(rows)]
         det = dot(a[0], crosses[0])
         if det:
-            signed = [(-1) ** i * bi for i, bi in enumerate(b)]
-            x = [dot(signed, col) for col in zip(*crosses)]
-            return None if any(xj % det for xj in x) else tuple(xj // det for xj in x)
+            return cramer(crosses, det, b)
     return _smith_solve(a, b)
+
+
+def cramer(crosses, det: int, b) -> Vector | None:
+    """The integer x with <x, a_i> = b_i for the n rows a_i of a matrix of
+    determinant det != 0, or None when x is not integral: x = sum (-1)^i b_i
+    C_i / det, C_i = ``crosses[i]`` the cross product of the rows but a_i."""
+    signed = [-bi if i % 2 else bi for i, bi in enumerate(b)]
+    x = [dot(signed, col) for col in zip(*crosses)]
+    return None if any(xj % det for xj in x) else tuple(xj // det for xj in x)
 
 
 def _smith_solve(a: Matrix, b) -> Vector | None:

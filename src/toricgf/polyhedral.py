@@ -7,15 +7,22 @@ are folded into the inequality list as +-pairs.  One rule does the geometry:
 a facet is the set of rays tight on one facet normal.  Each normal is the
 cross product of d-1 generators and the span equations of a d-dimensional
 cone, and the faces are the facets' ray sets closed under intersection.  A
-simplicial cone, rays as many as its dimension, is read off its rays: n
-independent rays in Z^n give their facet normals by cross products alone,
-and its faces are its ray subsets.  A fan is built from ray sets and ray
-bitmasks: a face of a listed cone is its ray set and its dimension, and is
+simplicial cone, rays as many as its dimension, is read off its rays: its
+faces are its ray subsets, its facets those one ray short.  A fan is built
+from ray sets and ray bitmasks, and a listed cone of n independent rays in
+Z^n is read once into a ``Simplex`` record: each ridge's cross product,
+made once and shared by the two cones on it, the determinant, whose sign
+turns each cross product into an inward facet normal, and those normals.
+The records feed the fan axiom check, the support solve (Cramer's rule on
+the record), completeness (a ridge's normal is the one
+opposite the ray left out) and the cell orientation (the determinant's
+sign).  A face of a listed cone is its ray set and its dimension, and is
 hulled only when its inequalities are read; two listed cones a, b meet in a
 common face when a u >= 0 on a and <= 0 on b (their own summed inequalities
 first, read off per-inequality ray masks, else the facet normals of
-cone(a, -b)) cuts the same face from both; and the face relation compares
-ray masks one dimension apart.  The dual of a pointed cone swaps its two
+cone(a, -b)) cuts the same face from both; and the face relation of a cone
+that is not simplicial compares ray masks one dimension apart.  Any other
+cone keeps the general paths.  The dual of a pointed cone swaps its two
 descriptions.  All of it is exact and polynomial in the number of rays for
 a fixed dimension.
 """
@@ -24,15 +31,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from itertools import combinations
-from operator import and_
+from typing import NamedTuple
 
 from .intlinalg import (
     InternalCheckFailed,
     Vector,
-    dot,
+    cramer,
     cross_product,
+    dot,
+    dots,
     kernel_basis,
     primitive_vector,
     rank,
@@ -121,13 +129,59 @@ def _hull_description(gens: list[Vector], n: int):
 
 def _simplicial_facets(gens: list[Vector]) -> list[Vector]:
     """The facet normals of n generators in Z^n, or [] when they are
-    dependent: each n-1 of them give a cross product, turned inward by its
-    dot with the one left out.  That dot is +-det, so one zero means all."""
-    crosses = [cross_product(gens[:i] + gens[i + 1:]) for i in range(len(gens))]
-    if dot(crosses[0], gens[0]) == 0:
-        return []
-    return sorted(primitive_vector(u if dot(u, g) > 0 else tuple(-x for x in u))
-                  for u, g in zip(crosses, gens))
+    dependent: the sorted normals of their ``_simplex`` record."""
+    rec = _simplex(gens, range(len(gens)), {})
+    return sorted(rec.normals) if rec else []
+
+
+class Simplex(NamedTuple):
+    """A cone of n independent rays in Z^n, read off its rays once.
+
+    ``ids`` index the rays in their sorted order; ``crosses[k]`` is the cross
+    product of the rays but the k-th, ``normals[k]`` the primitive inward
+    normal of the facet opposite it, ``masks[k]`` that normal's
+    ``_sign_masks``, and ``det`` the rays' determinant.  Since
+    <crosses[k], r_k> = (-1)^k det, the sign of det turns every cross
+    product inward with no further dot product.
+    """
+
+    ids: tuple[int, ...]
+    crosses: tuple[Vector, ...]
+    normals: tuple[Vector, ...]
+    masks: tuple[tuple[int, int], ...]
+    det: int
+
+
+def _simplex(rays, idx, ridges: dict) -> Simplex | None:
+    """The record of the rays ``rays[i]``, i in ``idx``, or None when they
+    are dependent; its masks have bit i for ``rays[i]``.  ``ridges`` maps a
+    ridge's ray mask to its cross product u, u's primitive vector and the
+    masks of the rays with <u, r> = 0, > 0 and < 0, so a ridge is crossed
+    and dotted once for the two cones on it: its rays, sorted, are the same
+    rows in both."""
+    ids = sorted(idx, key=rays.__getitem__)
+    gens = [rays[i] for i in ids]
+    mask = sum(1 << i for i in ids)
+    shared = []
+    for k, i in enumerate(ids):
+        ridge = ridges.get(key := mask ^ (1 << i))
+        if ridge is None:
+            u = cross_product(gens[:k] + gens[k + 1:])
+            signs = [0, 0, 0]  # indexed by the sign of <u, r>: 0, 1, -1
+            for j, x in enumerate(dots(u, rays)):
+                signs[(x > 0) - (x < 0)] |= 1 << j
+            ridge = ridges[key] = u, primitive_vector(u) if any(u) else u, signs
+        shared.append(ridge)
+    det = dot(shared[0][0], gens[0])
+    if not det:
+        return None
+    normals, masks = [], []
+    for k, (_, p, (zero, pos, neg)) in enumerate(shared):
+        inward = (det > 0) == (k % 2 == 0)
+        normals.append(p if inward else tuple(-x for x in p))
+        masks.append((zero, pos if inward else neg))
+    return Simplex(tuple(ids), tuple(u for u, _, _ in shared), tuple(normals), tuple(masks),
+                   det)
 
 
 def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = False) -> Cone:
@@ -215,26 +269,31 @@ def face_lattice(c: Cone) -> list[tuple[Cone, int]]:
 
 class Fan:
     """A face-closed collection of strongly convex cones with common-face
-    intersections, indexed deterministically by (dim, lexicographic rays)."""
+    intersections, indexed deterministically by (dim, lexicographic rays).
 
-    def __init__(self, ambient_dim: int, cones: list[Cone],
-                 face_relation: set[tuple[int, int]], input_rays: tuple[Vector, ...]):
+    ``facets[i]`` lists, ascending, the ids of cone i's facets.
+    ``simplices`` maps the id of each listed cone of n independent rays to
+    its ``Simplex`` record, read once when the fan was built."""
+
+    def __init__(self, ambient_dim: int, cones: list[Cone], facets: list[list[int]],
+                 input_rays: tuple[Vector, ...], simplices: dict[int, Simplex]):
         self.ambient_dim = ambient_dim
         self.cones = tuple(cones)
-        self.face_relation = frozenset(face_relation)
         self.input_rays = input_rays
+        self.simplices = simplices
         self.maximal_ids = tuple(i for i, c in enumerate(cones) if c.dim == ambient_dim)
         self.ray_ids = tuple(i for i, c in enumerate(cones) if c.dim == 1)
         # Per cone id, the ids of its facets and of the cones it is a facet of.
-        facets: list[list[int]] = [[] for _ in self.cones]
         cofacets: list[list[int]] = [[] for _ in self.cones]
-        for fid, cid in sorted(face_relation):
-            facets[cid].append(fid)
-            cofacets[fid].append(cid)
+        for cid, ids in enumerate(facets):
+            for fid in ids:
+                cofacets[fid].append(cid)
         self._facets_of = tuple(map(tuple, facets))
         self._cofacets_of = tuple(map(tuple, cofacets))
-        self._by_rays = {frozenset(c.rays): i for i, c in enumerate(self.cones)}
-        self._zero_id = self._by_rays.get(frozenset())
+        self.face_relation = frozenset((fid, cid) for cid, ids in enumerate(facets)
+                                       for fid in ids)
+        self._by_rays = None
+        self._zero_id = 0 if self.cones and not self.cones[0].rays else None
 
     @property
     def rays(self) -> tuple[Vector, ...]:
@@ -245,6 +304,8 @@ class Fan:
         return self._facets_of[cone_id]
 
     def cone_id(self, rays) -> int:
+        if self._by_rays is None:
+            self._by_rays = {frozenset(c.rays): i for i, c in enumerate(self.cones)}
         return self._by_rays[frozenset(tuple(r) for r in rays)]
 
     @property
@@ -264,28 +325,48 @@ def _cuts(normals, a: Cone, b: Cone):
     return {r for r in a.rays if dot(u, r) == 0}, {r for r in b.rays if dot(u, r) == 0}
 
 
-def _check_intersections(top: list[Cone]) -> None:
+def _sign_masks(normals, bit: dict) -> list[tuple[int, int]]:
+    """Per normal v, the masks Z(v) of the rays with <v, r> = 0 and P(v) of
+    those with <v, r> > 0, over the rays and bits of ``bit``."""
+    rays, bits = list(bit), list(bit.values())
+    out = []
+    for v in normals:
+        zero = pos = 0
+        for b, x in zip(bits, dots(v, rays)):
+            if x > 0:
+                pos |= b
+            elif x == 0:
+                zero |= b
+        out.append((zero, pos))
+    return out
+
+
+def _check_intersections(top: list[Cone], masks=None) -> None:
     """Pairwise intersections of the listed cones must be common faces (this
     propagates to all faces).  For u >= 0 on a and <= 0 on b, a & b is
     cone(S_a) & cone(S_b), S the rays on u's hyperplane: a common face when
     S_a == S_b, and {0} when either is empty.  A first u sums the listed
     inequalities v of a that are <= 0 on b and the negated ones of b that are
     <= 0 on a.  Every term is >= 0 on a and <= 0 on b, so S is the rays where
-    each vanishes: ray masks Z(v) (<v, r> = 0) and N(v) (<v, r> <= 0), made
-    once per v, decide it.  A pair it leaves open goes to the separation
-    lemma (Cox, Little and Schenck, 1.2.13): u in relint(a^v & (-b)^v), the
-    summed facet normals of cone(a, -b), must cut the same face from both."""
-    bit = {r: 1 << i for i, r in enumerate(sorted({r for c in top for r in c.rays}))}
-
-    def sign_masks(v):
-        values = [(dot(v, r), b) for r, b in bit.items()]
-        return sum(b for x, b in values if x == 0), sum(b for x, b in values if x <= 0)
-
-    masks = [(sum(bit[r] for r in c.rays), [sign_masks(v) for v in c.inequalities])
-             for c in top]
+    each vanishes: ray masks Z(v) (<v, r> = 0) and P(v) (<v, r> > 0), made
+    once per v, decide it; v is <= 0 on b when b's mask misses P(v).
+    ``masks`` gives each cone's ray mask and its (Z(v), P(v)) pairs on one
+    bit layout, and is made here when not given.  A pair it leaves open goes
+    to the separation lemma (Cox, Little and Schenck, 1.2.13): u in
+    relint(a^v & (-b)^v), the summed facet normals of cone(a, -b), must cut
+    the same face from both."""
+    if masks is None:
+        bit = {r: 1 << i for i, r in enumerate(sorted({r for c in top for r in c.rays}))}
+        masks = [(sum(bit[r] for r in c.rays), _sign_masks(c.inequalities, bit))
+                 for c in top]
     for (a, (ma, sa)), (b, (mb, sb)) in combinations(zip(top, masks), 2):
-        tight = reduce(and_, [zero for zero, nonpos in sa if not mb & ~nonpos]
-                       + [zero for zero, nonpos in sb if not ma & ~nonpos], ~0)
+        tight = -1
+        for zero, pos in sa:
+            if not mb & pos:
+                tight &= zero
+        for zero, pos in sb:
+            if not ma & pos:
+                tight &= zero
         on_a, on_b = ma & tight, mb & tight
         if on_a == on_b or not on_a or not on_b:
             continue
@@ -294,6 +375,11 @@ def _check_intersections(top: list[Cone]) -> None:
         if on_a != on_b:
             raise FanAxiomViolation(
                 f"intersection of {a} and {b} is not a common face")
+
+
+def _facet_masks(mask: int, rays, bit: dict) -> list[int]:
+    """The ray masks of a simplicial cone's facets: its mask less one ray."""
+    return [mask ^ bit[r] for r in rays]
 
 
 def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
@@ -311,7 +397,8 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
             raise ValueError(f"duplicate ray {v}")
         ray_list.append(v)
     used = set()
-    top = []
+    top, records = [], []
+    ridges = {}
     for idxset in maximal_cones:
         idx = sorted(set(idxset))
         if not idx:
@@ -319,40 +406,63 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         if any(i < 0 or i >= len(ray_list) for i in idx):
             raise ValueError(f"ray index out of range in {idxset}")
         used.update(idx)
-        top.append(cone_from_rays(ambient_dim, [ray_list[i] for i in idx],
-                                  require_pointed=True))
+        # n independent rays in Z^n are read off their record: pointed,
+        # extreme, with the record's normals as their inequalities.
+        rec = _simplex(ray_list, idx, ridges) if len(idx) == ambient_dim else None
+        if rec is None:
+            top.append(cone_from_rays(ambient_dim, [ray_list[i] for i in idx],
+                                      require_pointed=True))
+        else:
+            top.append(Cone(ambient_dim, tuple(ray_list[i] for i in rec.ids), ambient_dim,
+                            True, tuple(sorted(rec.normals))))
+        records.append(rec)
     if used != set(range(len(ray_list))):
         missing = sorted(set(range(len(ray_list))) - used)
         raise ValueError(f"rays {missing} are not used by any maximal cone")
 
-    # The faces of the listed cones are all the cones of the fan, and a
-    # listed cone is its own top face.  Any other face is pointed with its
-    # ray set as extreme rays: it is its rays and dim, hulled when read.  The
-    # simplicial cones go first: a face of one has its size as its dim.
-    cones_by_rays = {frozenset(c.rays): c for c in top}
+    # The faces of the listed cones are all the cones of the fan, keyed by
+    # ray mask, and a listed cone is its own top face.  Any other face is
+    # pointed with its ray set as extreme rays: it is its rays and dim,
+    # hulled when read.  The simplicial cones go first: a face of one has
+    # its size as its dim.
+    bit = {r: 1 << i for i, r in enumerate(ray_list)}
+    listed = [sum(bit[r] for r in c.rays) for c in top]
+    cones = dict(zip(listed, top))
     for c in sorted(top, key=lambda c: len(c.rays) > c.dim):
+        simplicial = len(c.rays) == c.dim
         for face in _faces(c):
-            if (key := frozenset(face)) not in cones_by_rays:
-                dim = len(face) if len(c.rays) == c.dim or not face else rank(face)
-                cones_by_rays[key] = Cone(ambient_dim, face, dim, pointed=True)
+            mask = 0
+            for r in face:
+                mask |= bit[r]
+            if mask not in cones:
+                dim = len(face) if simplicial or not face else rank(face)
+                cones[mask] = Cone(ambient_dim, face, dim, pointed=True)
+    _check_intersections(top, [
+        (m, _sign_masks(c.inequalities, bit) if rec is None else rec.masks)
+        for m, c, rec in zip(listed, top, records)])
 
-    _check_intersections(top)
-
-    ordered = sorted(cones_by_rays.values(), key=lambda c: (c.dim, c.rays))
-    fan_rays = {c.rays[0] for c in ordered if c.dim == 1}
+    order = sorted(cones, key=lambda m: (cones[m].dim, cones[m].rays))
+    ordered = [cones[m] for m in order]
+    id_of = {m: i for i, m in enumerate(order)}
     for v in ray_list:
-        if v not in fan_rays:
+        if bit[v] not in cones:
             raise ValueError(
                 f"listed ray {v} is a redundant generator, not a ray of the fan")
-    # In a fan, a cone one dimension lower whose rays are among c's is a
-    # face of c: both are faces of maximal cones meeting in a common face.
-    bit = {r: 1 << i for i, r in enumerate(ray_list)}
-    masks = [sum(bit[r] for r in c.rays) for c in ordered]
+    # A simplicial cone's facets are its ray subsets one short.  For any
+    # other cone, in a fan, a cone one dimension lower whose rays are among
+    # c's is a face of c: both are faces of maximal cones meeting in a
+    # common face.
     dims = [c.dim for c in ordered]
-    relation = {(j, i) for i, d in enumerate(dims)
-                for j in range(bisect_left(dims, d - 1), bisect_left(dims, d))
-                if not masks[j] & ~masks[i]}
-    return Fan(ambient_dim, ordered, relation, tuple(ray_list))
+    facets = []
+    for mask, c in zip(order, ordered):
+        if len(c.rays) == c.dim:
+            facets.append(sorted([id_of[m] for m in _facet_masks(mask, c.rays, bit)]))
+        else:
+            facets.append([j for j in range(bisect_left(dims, c.dim - 1),
+                                            bisect_left(dims, c.dim))
+                           if not order[j] & ~mask])
+    simplices = {id_of[m]: rec for m, rec in zip(listed, records) if rec is not None}
+    return Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices)
 
 
 @dataclass
@@ -371,19 +481,15 @@ def check_complete(f: Fan) -> CompletenessReport:
     n = f.ambient_dim
     if not f.maximal_ids:
         return CompletenessReport(False, "no full-dimensional cones")
-    parents = {i: [] for i, c in enumerate(f.cones) if c.dim == n - 1}
-    for cid in f.maximal_ids:
-        for fid in f.facet_ids(cid):
-            parents[fid].append(cid)
+    parents = {i: f._cofacets_of[i] for i, c in enumerate(f.cones) if c.dim == n - 1}
     for i, ids in parents.items():
         if len(ids) != 2:
             return CompletenessReport(
                 False, f"ridge {list(f.cones[i].rays)} lies in {len(ids)} maximal cone(s)")
     for i, (a, b) in parents.items():
         ridge = f.cones[i].rays
-        u = next(u for u in f.cones[a].inequalities if all(dot(u, r) == 0 for r in ridge))
         w = next(r for r in f.cones[b].rays if r not in ridge)
-        if dot(u, w) >= 0:
+        if dot(_ridge_normal(f, a, ridge), w) >= 0:
             raise InternalCheckFailed(
                 f"the maximal cones on ridge {list(ridge)} lie on one side of it")
     first, *others = (f.cones[j] for j in f.maximal_ids)
@@ -391,6 +497,16 @@ def check_complete(f: Fan) -> CompletenessReport:
     if any(c.contains(point) for c in others):
         raise InternalCheckFailed(f"an interior point of {first} lies in another maximal cone")
     return CompletenessReport(True)
+
+
+def _ridge_normal(f: Fan, a: int, ridge) -> Vector:
+    """The inward normal of maximal cone a on its facet with the given rays:
+    for a simplicial listed cone, its record's normal opposite the ray left
+    out; else the inequality of a that vanishes on the ridge."""
+    rec = f.simplices.get(a)
+    if rec is None:
+        return next(u for u in f.cones[a].inequalities if all(dot(u, r) == 0 for r in ridge))
+    return rec.normals[next(k for k, r in enumerate(f.cones[a].rays) if r not in ridge)]
 
 
 @dataclass
@@ -423,32 +539,34 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
             f"expected {len(f.input_rays)} ray values, got {len(values)}")
     by_ray = dict(zip(f.input_rays, (int(v) for v in values)))
     # A cone with a parent takes the parent's functional, which restricts to
-    # one on the face; only the cones that are faces of none get solved.  Ids
-    # grow with dimension, so every parent is done before its faces.
-    parent = dict(sorted(f.face_relation, reverse=True))
+    # one on the face; only the cones that are faces of none get solved, a
+    # simplicial listed cone's off its record.  Ids grow with dimension, so
+    # every parent is done before its faces.  Each solved functional is
+    # checked to take the values on its cone's rays; a face's rays are among
+    # its parent's, so then every face/parent pair agrees too.
+    cofacets = f._cofacets_of
     parts: dict[int, Vector] = {}
     for i in reversed(range(len(f.cones))):
-        if i in parent:
-            parts[i] = parts[parent[i]]
+        if cofacets[i]:
+            parts[i] = parts[cofacets[i][0]]
             continue
         c = f.cones[i]
         a = [list(r) for r in c.rays]
         b = [by_ray[r] for r in c.rays]
-        h = solve_integral(a, b)
+        rec = f.simplices.get(i)
+        h = solve_integral(a, b) if rec is None else cramer(rec.crosses, rec.det, b)
         if h is None:
-            if rationally_solvable(a, b):
+            if rec is not None or rationally_solvable(a, b):
                 raise NotIntegral(
                     f"values {b} on cone {list(c.rays)} need a non-integral functional")
             raise NotLinearOnCone(
                 f"values {b} on cone {list(c.rays)} admit no linear functional")
-        parts[i] = h
-    # Every parent's functional must agree with the one its face inherited:
-    # both take the ray values on the face's rays.
-    for fid, cid in f.face_relation:
-        for r in f.cones[fid].rays:
-            if dot(parts[fid], r) != dot(parts[cid], r):
+        for r, v in zip(c.rays, b):
+            if dot(h, r) != v:
                 raise InternalCheckFailed(
-                    f"linear parts of cones {fid} and {cid} disagree on ray {r}")
+                    f"linear part {list(h)} of cone {list(c.rays)} takes {dot(h, r)} "
+                    f"on ray {r}, not its value {v}")
+        parts[i] = h
     return SupportFunction(fan=f, ray_values=by_ray, linear_parts=parts)
 
 

@@ -139,6 +139,33 @@ def cross_polytope_fan_data(rng, n, subdivisions):
     return rays, maximal
 
 
+def cone_collections(rng, n, count, max_subdivisions):
+    """Seeded collections of pointed cones in dimension n: complete fans, the
+    same with a cone missing, with an extra cone (a listed one with a ray
+    swapped for another, or on n-1 random rays), and with a ray moved across
+    a wall into a maximal cone that does not have it."""
+    for _ in range(count):
+        rays, maximal = cross_polytope_fan_data(rng, n, rng.randint(0, max_subdivisions))
+        i = rng.randrange(len(rays))
+        into = rng.choice([c for c in maximal if i not in c])
+        moved = list(rays)
+        moved[i] = primitive_vector(tuple(map(sum, zip(*(rays[j] for j in into)))))
+        swapped = list(rng.choice(maximal))
+        swapped[rng.randrange(n)] = rng.choice([j for j in range(len(rays)) if j not in swapped])
+        drop = rng.randrange(len(maximal))
+        variants = [
+            (rays, maximal),
+            (rays, maximal[:drop] + maximal[drop + 1:]),
+            (rays, maximal + [swapped]),
+            (rays, maximal + [rng.sample(range(len(rays)), n - 1)]),
+            (moved, maximal),
+        ]
+        for rs, cones in variants:
+            top = [cone_from_rays(n, [rs[i] for i in c]) for c in cones]
+            if all(c.pointed for c in top):
+                yield top
+
+
 def random_support_3d(rng: random.Random, fan, spread: int = 1):
     values = [rng.randint(-spread, spread) for _ in fan.input_rays]
     return support_from_ray_values(fan, values)

@@ -2,25 +2,32 @@
 certificate of completeness, agree with the slow references they replace:
 the incidence by a permutation's sign with the determinant incidence, a
 simplicial ``cone_from_rays`` with the rank route, the faces of a listed
-cone with its facet closure and a rank per face, the cell bases with
-``greedy_basis``, the one-pass incidences with the determinant incidence,
-and ``check_complete`` with the homology of the sphere cell complex.  A
-mutant of each shortcut fails its check.  The batteries are the acceptance
-suite's random cases, the benchmark's fan pool, deep 3-D fans, the polytope
-corpus and seeded 4-D cross-polytope fans."""
+cone with its facet closure and a rank per face, its facets with the ray
+subsets one dimension lower, the cell bases with ``greedy_basis``, the
+one-pass incidences with the determinant incidence, and ``check_complete``
+with the homology of the sphere cell complex.  Every reader of a listed
+cone's ``Simplex`` record agrees with the path it skips, taken by the same
+fan built with no record: the facet normals, the support functionals, the
+orientation signs, the ridge normals of completeness and the fan axiom
+pair check, the last also on broken cone collections.  A mutant of each
+shortcut fails its check.  The batteries are the acceptance suite's random
+cases, the benchmark's fan pool, deep 3-D fans, the polytope corpus and
+seeded 4-D cross-polytope fans."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from toricgf import (build_fan, cell_complex, chain_complex, check_complete, cone_from_rays,
-                     incidence)
-from toricgf import cellular, polyhedral
-from toricgf.intlinalg import (InternalCheckFailed, cross_product, greedy_basis,
+                     incidence, support_from_ray_values)
+from toricgf import cellular, intlinalg, polyhedral
+from toricgf.intlinalg import (InternalCheckFailed, cross_product, dot, greedy_basis,
                                primitive_vector, rank)
 
 from conftest import (
+    cone_collections,
     example1_fan,
     fan3d_brion_pool,
     fan_battery,
@@ -61,35 +68,6 @@ def test_simplicial_cone_from_rays_equals_the_general_route(fans):
     assert any(c.dim == len(c.rays) == fan.ambient_dim for fan in fans for c in fan.cones)
 
 
-def listed_cones(fan):
-    """The fan's maximal cones as index lists into its input rays."""
-    index = {r: i for i, r in enumerate(fan.input_rays)}
-    return [[index[r] for r in fan.cones[i].rays] for i in fan.maximal_ids]
-
-
-def rebuilt(fan):
-    """The fan built again from its input rays and listed cones."""
-    return build_fan(fan.ambient_dim, fan.input_rays, listed_cones(fan))
-
-
-def face_mismatches(fan):
-    """Listed cones whose faces in the rebuilt fan, with their dimensions,
-    differ from the general hull's facet closure with a rank per face, and
-    the rebuilt fan's face relation where it differs from the reference."""
-    fan = rebuilt(fan)
-    out = []
-    for i in fan.maximal_ids:
-        c = fan.cones[i]
-        got = {(f.rays, f.dim) for f in fan.cones if set(f.rays) <= set(c.rays)}
-        ref = {(tuple(sorted(rs)), rank(rs) if rs else 0) for rs in polyhedral._face_ray_sets(
-            general_cone_from_rays(fan.ambient_dim, c.rays))}
-        if got != ref:
-            out.append(c)
-    if fan.face_relation != subset_face_relation(fan):
-        out.append(fan.face_relation)
-    return out
-
-
 def greedy_cell_complex(fan):
     """``cell_complex`` with every cell's basis from ``greedy_basis``."""
     with pytest.MonkeyPatch.context() as m:
@@ -114,7 +92,171 @@ def incidence_mismatches(fan):
                   and v != (1 if t == fan.zero_id else minor_incidence(cc, s, t))]
 
 
-CHECKS = {"hull": hull_mismatches, "faces": face_mismatches, "bases": basis_mismatches,
+def listed_cones(fan):
+    """The fan's maximal cones as index lists into its input rays."""
+    index = {r: i for i, r in enumerate(fan.input_rays)}
+    return [[index[r] for r in fan.cones[i].rays] for i in fan.maximal_ids]
+
+
+def rebuilt(fan):
+    """The fan built again from its input rays and listed cones."""
+    return build_fan(fan.ambient_dim, fan.input_rays, listed_cones(fan))
+
+
+def without_records(fan):
+    """The fan built again with no ``Simplex`` record: every listed cone takes
+    ``cone_from_rays`` and the general hull, and every reader of the records
+    its general path."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polyhedral, "_simplex", lambda *args: None)
+        return rebuilt(fan)
+
+
+def outcome(fn):
+    """What fn() returns, or the name and message of what it raises."""
+    try:
+        return "returned", fn()
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def face_mismatches(fan):
+    """Listed cones whose faces in the rebuilt fan, with their dimensions,
+    differ from the general hull's facet closure with a rank per face."""
+    fan = rebuilt(fan)
+    out = []
+    for i in fan.maximal_ids:
+        c = fan.cones[i]
+        got = {(f.rays, f.dim) for f in fan.cones if set(f.rays) <= set(c.rays)}
+        ref = {(tuple(sorted(rs)), rank(rs) if rs else 0) for rs in polyhedral._face_ray_sets(
+            general_cone_from_rays(fan.ambient_dim, c.rays))}
+        if got != ref:
+            out.append(c)
+    return out
+
+
+def relation_mismatches(fan):
+    """The rebuilt fan's face relation where it differs from the subsets of
+    rays one dimension apart."""
+    fan = rebuilt(fan)
+    return sorted(fan.face_relation ^ subset_face_relation(fan))
+
+
+def normal_mismatches(fan):
+    """Records whose normal opposite a ray is not the general hull's facet
+    normal off that ray, listed cones whose inequalities differ from the
+    general hull's, and listed cones of n independent rays with no record."""
+    fan, ref = rebuilt(fan), without_records(fan)
+    if fan.cones != ref.cones:
+        return ["cones"]
+    out = sorted({i for i in fan.maximal_ids if len(fan.cones[i].rays) == fan.ambient_dim}
+                 ^ fan.simplices.keys())
+    for i in fan.maximal_ids:
+        rays, general = fan.cones[i].rays, ref.cones[i].inequalities
+        if fan.cones[i].inequalities != general:
+            out.append(i)
+        for k, u in enumerate(fan.simplices[i].normals if i in fan.simplices else ()):
+            if u != next(v for v in general if not any(dot(v, r) for r in rays[:k] + rays[k + 1:])):
+                out.append((i, k))
+    return out
+
+
+def support_mismatches(fan):
+    """Seeded ray values on which the support solve, a simplicial maximal
+    cone's functional read off its record, differs from the general path
+    (every such cone solved as a system): in the linear parts, or in the
+    error and its message; and records whose functional differs from the
+    Smith form solve's, None for a non-integral one included."""
+    fan, ref = rebuilt(fan), without_records(fan)
+    rng = random.Random(len(fan.cones))
+    out = []
+    for _ in range(3):
+        values = [rng.randint(-2, 2) for _ in fan.input_rays]
+        if (outcome(lambda: support_from_ray_values(fan, values).linear_parts)
+                != outcome(lambda: support_from_ray_values(ref, values).linear_parts)):
+            out.append(values)
+        for i, rec in fan.simplices.items():
+            b = [values[j] for j in rec.ids]
+            if polyhedral.cramer(rec.crosses, rec.det, b) != intlinalg._smith_solve(
+                    [list(r) for r in fan.cones[i].rays], b):
+                out.append((i, b))
+    return out
+
+
+def orientation_mismatches(fan):
+    """Maximal cones whose orientation sign, read off the record, differs
+    from the sign of their ray determinant, and cells whose basis differs
+    from the general path's."""
+    fan, ref = rebuilt(fan), without_records(fan)
+    n = fan.ambient_dim
+    out = [i for i in fan.simplices if (cellular._orientation(fan, i, list(fan.cones[i].rays)) > 0)
+           != (cellular._minor(fan.cones[i].rays, range(n)) > 0)]
+    got, want = cell_complex(fan).basis, cell_complex(ref).basis
+    return out + [i for i in want if got.get(i) != want[i]]
+
+
+def completeness_mismatches(fan):
+    """On the fan and on the fan less its first maximal cone: ridges whose
+    normal in a parent, read off its record, differs from the parent's
+    inequality that vanishes on the ridge, and a completeness verdict that
+    differs from the general path's."""
+    less = [listed_cones(fan), listed_cones(fan)[1:]]
+    out = []
+    for maximal in less:
+        if len({i for cone in maximal for i in cone}) < len(fan.input_rays):
+            continue
+        part = build_fan(fan.ambient_dim, fan.input_rays, maximal)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(polyhedral, "_simplex", lambda *args: None)
+            ref = build_fan(fan.ambient_dim, fan.input_rays, maximal)
+        for i, c in enumerate(part.cones):
+            if c.dim == part.ambient_dim - 1:
+                out += [(i, a) for a in part._cofacets_of[i]
+                        if polyhedral._ridge_normal(part, a, c.rays)
+                        != polyhedral._ridge_normal(ref, a, c.rays)]
+        if outcome(lambda: check_complete(part)) != outcome(lambda: check_complete(ref)):
+            out.append(maximal)
+    return out
+
+
+def pair_check_route(build):
+    """How ``build()`` ends, and the pairs its fan axiom check sends to the
+    separation-lemma hull, in order."""
+    real_check, real_hull = polyhedral._check_intersections, polyhedral._hull_description
+    hulls, inside = [], []
+
+    def check(top, masks=None):
+        inside.append(top)
+        try:
+            return real_check(top, masks)
+        finally:
+            inside.pop()
+
+    def hull(gens, n):
+        if inside:
+            hulls.append(tuple(gens))
+        return real_hull(gens, n)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polyhedral, "_check_intersections", check)
+        m.setattr(polyhedral, "_hull_description", hull)
+        kind, result = outcome(build)
+    return (kind, None if kind == "returned" else result), hulls
+
+
+def intersection_mismatches(fan):
+    """The fan axiom check of the rebuilt fan, on masks read off the
+    records' shared cross products, where its verdict or the pairs it hulls
+    differ from the general path's, on masks from each cone's inequalities."""
+    got, want = pair_check_route(lambda: rebuilt(fan)), pair_check_route(
+        lambda: without_records(fan))
+    return [] if got == want else [(got, want)]
+
+
+CHECKS = {"hull": hull_mismatches, "faces": face_mismatches, "relation": relation_mismatches,
+          "normals": normal_mismatches, "support": support_mismatches,
+          "orientation": orientation_mismatches, "completeness": completeness_mismatches,
+          "intersections": intersection_mismatches, "bases": basis_mismatches,
           "incidences": incidence_mismatches}
 
 
@@ -123,10 +265,37 @@ def battery(request):
     return [fan for fan, _ in fan_battery(request.param, request)]
 
 
-@pytest.mark.parametrize("shortcut", ["faces", "bases", "incidences"])
+@pytest.mark.parametrize("shortcut", ["faces", "relation", "normals", "support", "orientation",
+                                      "completeness", "intersections", "bases", "incidences"])
 def test_simplicial_shortcut_equals_its_general_path(shortcut, battery):
     assert [m for fan in battery for m in CHECKS[shortcut](fan)] == []
     assert any(len(c.rays) == c.dim > 1 for fan in battery for c in fan.cones)
+
+
+def collection_fan(top):
+    """The rays and listed cones of a collection of pointed cones."""
+    rays = sorted({r for c in top for r in c.rays})
+    index = {r: i for i, r in enumerate(rays)}
+    return top[0].ambient_dim, rays, [[index[r] for r in c.rays] for c in top]
+
+
+def test_record_pair_check_equals_the_general_path_on_cone_collections():
+    # Complete fans and broken ones: a cone missing, an extra cone, a ray
+    # moved across a wall.  The record masks raise the same error with the
+    # same message, at the same pair, after the same hulls.
+    rng = random.Random(8)
+    verdicts = Counter()
+    for n, count, depth in ((2, 60, 6), (3, 25, 4), (4, 5, 2)):
+        for top in cone_collections(rng, n, count, depth):
+            dim, rays, maximal = collection_fan(top)
+            got = pair_check_route(lambda: build_fan(dim, rays, maximal))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(polyhedral, "_simplex", lambda *args: None)
+                want = pair_check_route(lambda: build_fan(dim, rays, maximal))
+            assert got == want, top
+            verdicts[n, got[0][0]] += 1
+    for n in (2, 3, 4):
+        assert verdicts[n, "returned"] and verdicts[n, "FanAxiomViolation"], verdicts
 
 
 def outward_facets(real):
@@ -146,6 +315,54 @@ def facets_left_out(real):
     return mutant
 
 
+def facet_dropped(real):
+    def mutant(mask, rays, bit):
+        return real(mask, rays, bit)[1:]
+    return mutant
+
+
+def outward_normals(real):
+    # Every record's cross products kept as they come, none turned inward.
+    def mutant(rays, idx, ridges):
+        rec = real(rays, idx, ridges)
+        return rec and rec._replace(normals=tuple(map(primitive_vector, rec.crosses)))
+    return mutant
+
+
+def unsigned_functional(real):
+    # Every denominator taken as det, where the k-th is (-1)^k det.
+    def mutant(crosses, det, b):
+        return real([u if k % 2 == 0 else tuple(-x for x in u) for k, u in enumerate(crosses)],
+                    det, b)
+    return mutant
+
+
+def absolute_orientation(real):
+    # The record's determinant taken without its sign.
+    def mutant(f, i, basis):
+        return abs(f.simplices[i].det) if i in f.simplices else real(f, i, basis)
+    return mutant
+
+
+def neighbour_normal(real):
+    # The normal of the facet off the next ray of the record.
+    def mutant(f, a, ridge):
+        rec = f.simplices.get(a)
+        if rec is None:
+            return real(f, a, ridge)
+        k = next(k for k, r in enumerate(f.cones[a].rays) if r not in ridge)
+        return rec.normals[(k + 1) % len(rec.normals)]
+    return mutant
+
+
+def hyperplane_counted_positive(real):
+    # P(v) takes in the rays on v's hyperplane too.
+    def mutant(rays, idx, ridges):
+        rec = real(rays, idx, ridges)
+        return rec and rec._replace(masks=tuple((z, p | z) for z, p in rec.masks))
+    return mutant
+
+
 def reversed_rays(real):
     def mutant(c):
         return list(reversed(c.rays)) if len(c.rays) == c.dim > 1 else real(c)
@@ -161,8 +378,22 @@ def unordered_sign(real):
 
 MUTANTS = {"hull": (polyhedral, "_simplicial_facets", outward_facets),
            "faces": (polyhedral, "_faces", facets_left_out),
+           "relation": (polyhedral, "_facet_masks", facet_dropped),
+           "normals": (polyhedral, "_simplex", outward_normals),
+           "support": (polyhedral, "cramer", unsigned_functional),
+           "orientation": (cellular, "_orientation", absolute_orientation),
+           "completeness": (polyhedral, "_ridge_normal", neighbour_normal),
+           "intersections": (polyhedral, "_simplex", hyperplane_counted_positive),
            "bases": (cellular, "_cell_basis", reversed_rays),
            "incidences": (cellular, "_permutation_sign", unordered_sign)}
+
+
+def fails(check, fan):
+    """Whether a check finds a mismatch on the fan, or cannot finish."""
+    try:
+        return bool(check(fan))
+    except Exception:
+        return True
 
 
 @pytest.mark.parametrize("shortcut", sorted(MUTANTS))
@@ -170,7 +401,7 @@ def test_a_mutant_shortcut_fails_its_check(shortcut, monkeypatch):
     fans = fan3d_brion_pool() + [fan for fan, _ in fan_battery("cross4d", None)]
     module, name, mutate = MUTANTS[shortcut]
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    assert any(CHECKS[shortcut](fan) for fan in fans)
+    assert any(fails(CHECKS[shortcut], fan) for fan in fans)
 
 
 def broken_fans(fans):
@@ -216,7 +447,7 @@ def test_ridge_certificate_rejects_a_non_fan(rays, maximal, message, monkeypatch
     # maximal cones, yet one of the two certificates fails.
     import toricgf.polyhedral as polyhedral
 
-    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top: None)
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, masks=None: None)
     fan = build_fan(2, rays, maximal)
     with pytest.raises(InternalCheckFailed, match=message):
         check_complete(fan)

@@ -260,6 +260,27 @@ def test_run_oracle_flag():
     assert report.oracle["cones_checked"] == 4
 
 
+@pytest.mark.parametrize("box, oracle_box, clipped", [
+    (None, [[-2, 2], [-2, 2]], False),
+    (((-1, 1), (-1, 2)), [[-1, 1], [-1, 2]], False),
+    (((-4, 4), (-2, 3)), [[-3, 2], [-2, 3]], True),
+    (((-4, 5), (-9, 9)), [[-2, 3], [-3, 2]], True),
+], ids=["region", "box", "one-axis-cut", "both-axes-cut"])
+def test_oracle_reads_the_region_cut_to_its_width(box, oracle_box, clipped):
+    # The series box is the run's region, cut to its middle ORACLE_WIDTH
+    # degrees on a wider axis; the report says whether it was cut.
+    from toricgf.cli import ORACLE_WIDTH
+
+    report = run("brion", parse_spec(EX1_DOC), Flags(box=box, oracle=True))
+    assert report.oracle["box"] == oracle_box
+    assert report.oracle["box_clipped"] is clipped
+    assert all(hi - lo < ORACLE_WIDTH for lo, hi in oracle_box)
+    assert report.oracle["series_match"] and report.oracle["signed_counts_match"]
+    text = emit_report(report, "text").decode()
+    box_line = "oracle_box: " + ", ".join(f"{lo}:{hi}" for lo, hi in oracle_box)
+    assert box_line + (" (clipped)" if clipped else "") + "\n" in text
+
+
 def test_run_modp():
     report = run("cohomology", parse_spec(EX1_DOC), Flags(p=5))
     assert report.coefficient_field == "modp:5"
@@ -672,6 +693,19 @@ def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: InternalCheckFailed: Euler characteristic")
+
+
+def test_support_check_failure_exits_4(tmp_path, capsys, monkeypatch):
+    import toricgf.polyhedral as polyhedral
+
+    # A wrong functional on every simplicial maximal cone misses its ray values.
+    real = polyhedral.cramer
+    monkeypatch.setattr(polyhedral, "cramer", lambda crosses, det, b: (
+        lambda h: h and (h[0] + 1, *h[1:]))(real(crosses, det, b)))
+    assert main(["cohomology", write(tmp_path, EX1_DOC), "--degree=0,0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InternalCheckFailed: linear part")
 
 
 def _flip_in_line_runs(real, bit, degree):

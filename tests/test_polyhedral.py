@@ -20,12 +20,13 @@ from toricgf import (
     normal_fan_of_polytope,
     support_from_ray_values,
 )
-from toricgf.intlinalg import dot, matvec, primitive_vector, rank
+from toricgf.intlinalg import InternalCheckFailed, dot, matvec, primitive_vector, rank
 
-from conftest import (POLYTOPES, cross_polytope_fan_data, double_hull_meets_in_faces,
-                      example1_fan, fan3d_brion_pool, lattice_polygon_cone, octahedron_fan,
-                      octahedron_fan_data, per_pair_check_intersections, primitive_edges,
-                      random_fan_2d, random_fan_3d, unit_square)
+from conftest import (POLYTOPES, cone_collections, cross_polytope_fan_data,
+                      double_hull_meets_in_faces, example1_fan, fan3d_brion_pool,
+                      lattice_polygon_cone, octahedron_fan, octahedron_fan_data,
+                      per_pair_check_intersections, primitive_edges, random_fan_2d,
+                      random_fan_3d, unit_square)
 
 
 def test_cone_from_rays_basic():
@@ -284,10 +285,11 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
         return real(ambient_dim, ray_set)
 
     # The pairwise intersection check hulls pairs of its own.  At build time
-    # only the listed cones take the face route, through cone_from_rays;
-    # every other face is its ray set and rank, hulled by the first read of
+    # only the listed cones that are not n independent rays take the face
+    # route, through cone_from_rays; the others are read off their records.
+    # Every other face is its ray set and rank, hulled by the first read of
     # its inequalities and never again.
-    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top: None)
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, masks=None: None)
     monkeypatch.setattr(polyhedral, "_face", counted)
     for fan in fans:
         rays = fan.input_rays
@@ -295,7 +297,8 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
         built.clear()
         again = polyhedral.build_fan(3, rays, maximal)
         listed = Counter(frozenset(again.cones[i].rays) for i in again.maximal_ids)
-        assert Counter(built) == listed
+        assert Counter(built) == Counter(frozenset(again.cones[i].rays)
+                                         for i in again.maximal_ids if i not in again.simplices)
         assert again.cones == fan.cones
         assert again.face_relation == fan.face_relation
         for c in again.cones:
@@ -328,7 +331,7 @@ def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
         ranks.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top: None)
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, masks=None: None)
     monkeypatch.setattr(polyhedral, "rank", counted)
     data = [octahedron_fan_data(), PYRAMID]
     data += [cross_polytope_fan_data(random.Random(seed), 4, seed) for seed in range(3)]
@@ -350,7 +353,9 @@ def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
 
 def test_support_solves_only_the_maximal_cones(monkeypatch):
     # Every other cone inherits a parent's linear part; only the maximal
-    # cones, the polytopes' normal fans' included, solve a system.
+    # cones, the polytopes' normal fans' included, get a functional, and
+    # only those that are not n independent rays solve a system: the others
+    # read theirs off their records.
     import toricgf.polyhedral as polyhedral
 
     real = polyhedral.solve_integral
@@ -367,14 +372,79 @@ def test_support_solves_only_the_maximal_cones(monkeypatch):
     for seed in range(4):
         fan = random_fan_3d(random.Random(seed), 12)
         cases.append((fan, [rng.randint(-2, 2) for _ in fan.input_rays]))
+    def general(fan):
+        return len([i for i in fan.maximal_ids if i not in fan.simplices])
+
     for fan, values in cases:
         solved.clear()
         support_from_ray_values(fan, values)
-        assert len(solved) == len(fan.maximal_ids)
+        assert len(solved) == general(fan)
+    assert general(cases[0][0]) == 0 and general(cases[1][0]) == 1
+    solves = []
     for _, dim, verts in POLYTOPES:
         solved.clear()
         fan, _ = normal_fan_of_polytope(lattice_polytope(dim, verts))
-        assert len(solved) == len(fan.maximal_ids)
+        assert len(solved) == general(fan)
+        solves.append(len(solved))
+    assert 0 in solves and max(solves) > 0
+
+
+def test_a_pool_fan_crosses_each_ridge_once(monkeypatch):
+    # A ridge's cross product is made once, when the first listed cone on it
+    # is read, and shared with the cone across it; the pair check's hulls
+    # are not counted.
+    import toricgf.polyhedral as polyhedral
+
+    real_cross, real_hull = polyhedral.cross_product, polyhedral._hull_description
+    crossed, hulling = [], []
+
+    def counted(rows):
+        if not hulling:
+            crossed.append(frozenset(map(tuple, rows)))
+        return real_cross(rows)
+
+    def hull(gens, n):
+        hulling.append(gens)
+        try:
+            return real_hull(gens, n)
+        finally:
+            hulling.pop()
+
+    monkeypatch.setattr(polyhedral, "cross_product", counted)
+    monkeypatch.setattr(polyhedral, "_hull_description", hull)
+    for fan in fan3d_brion_pool():
+        crossed.clear()
+        again = polyhedral.build_fan(3, fan.input_rays, [
+            [fan.input_rays.index(r) for r in fan.cones[i].rays] for i in fan.maximal_ids])
+        ridge_sets = [frozenset(c.rays) for c in again.cones if c.dim == 2]
+        assert Counter(crossed) == Counter(ridge_sets)
+        # Each maximal cone has three ridges, each ridge two maximal cones:
+        # 42 cone-ridge incidences over 21 ridges on a fan of depth 3.
+        assert 3 * len(again.simplices) == 3 * len(again.maximal_ids) == 2 * len(ridge_sets)
+
+
+@pytest.mark.parametrize("solver, make_fan, values", [
+    ("cramer", octahedron_fan, [1, -1, 0, 2, 0, 1]),
+    ("solve_integral", lambda: build_fan(3, *PYRAMID), [1, 1, 1, 1, 0]),
+], ids=["record", "general"])
+def test_support_check_catches_a_wrong_functional(solver, make_fan, values, monkeypatch):
+    # The first maximal cone solved, a simplicial one read off its record or
+    # the pyramid's square cone solved as a system, gets a functional off by
+    # one: its dots with the cone's rays miss the ray values.
+    import toricgf.polyhedral as polyhedral
+
+    fan = make_fan()
+    real, calls = getattr(polyhedral, solver), []
+
+    def wrong(*args):
+        h = real(*args)
+        calls.append(h)
+        return (h[0] + 1, *h[1:]) if len(calls) == 1 else h
+
+    monkeypatch.setattr(polyhedral, solver, wrong)
+    with pytest.raises(InternalCheckFailed, match=r"linear part \[.*\] of cone .* on ray"):
+        support_from_ray_values(fan, values)
+    assert len(calls) == 1
 
 
 def test_support_on_the_pool_runs_no_smith_form(monkeypatch):
@@ -388,33 +458,6 @@ def test_support_on_the_pool_runs_no_smith_form(monkeypatch):
     for fan in fan3d_brion_pool():
         support_from_ray_values(fan, [rng.randint(-2, 2) for _ in fan.input_rays])
     assert calls == []
-
-
-def cone_collections(rng, n, count, max_subdivisions):
-    """Seeded collections of pointed cones in dimension n: complete fans, the
-    same with a cone missing, with an extra cone (a listed one with a ray
-    swapped for another, or on n-1 random rays), and with a ray moved across
-    a wall into a maximal cone that does not have it."""
-    for _ in range(count):
-        rays, maximal = cross_polytope_fan_data(rng, n, rng.randint(0, max_subdivisions))
-        i = rng.randrange(len(rays))
-        into = rng.choice([c for c in maximal if i not in c])
-        moved = list(rays)
-        moved[i] = primitive_vector(tuple(map(sum, zip(*(rays[j] for j in into)))))
-        swapped = list(rng.choice(maximal))
-        swapped[rng.randrange(n)] = rng.choice([j for j in range(len(rays)) if j not in swapped])
-        drop = rng.randrange(len(maximal))
-        variants = [
-            (rays, maximal),
-            (rays, maximal[:drop] + maximal[drop + 1:]),
-            (rays, maximal + [swapped]),
-            (rays, maximal + [rng.sample(range(len(rays)), n - 1)]),
-            (moved, maximal),
-        ]
-        for rs, cones in variants:
-            top = [cone_from_rays(n, [rs[i] for i in c]) for c in cones]
-            if all(c.pointed for c in top):
-                yield top
 
 
 def test_intersection_check_agrees_with_the_double_hull_reference():
