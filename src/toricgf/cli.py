@@ -451,8 +451,6 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
             suffix = "" if res["witness"] is None else f"  ({res['witness']})"
             lines.append(f"corollary {name}: {str(res['holds']).lower()}{suffix}")
     if report.oracle is not None:
-        box = ", ".join(f"{lo}:{hi}" for lo, hi in report.oracle["box"])
-        lines.append(f"oracle_box: {box}" + (" (clipped)" if report.oracle["box_clipped"] else ""))
         lines.append(f"oracle_series_match: {str(report.oracle['series_match']).lower()}")
         lines.append("oracle_signed_counts_match: "
                      f"{str(report.oracle['signed_counts_match']).lower()}")

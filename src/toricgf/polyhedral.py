@@ -32,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import NamedTuple
 
 from .intlinalg import (
     InternalCheckFailed,
@@ -134,7 +133,7 @@ def _simplicial_facets(gens: list[Vector]) -> list[Vector]:
     return sorted(rec.normals) if rec else []
 
 
-class Simplex(NamedTuple):
+class Simplex:
     """A cone of n independent rays in Z^n, read off its rays once.
 
     ``ids`` index the rays in their sorted order; ``crosses[k]`` is the cross
@@ -142,14 +141,15 @@ class Simplex(NamedTuple):
     normal of the facet opposite it, ``masks[k]`` that normal's
     ``_sign_masks``, and ``det`` the rays' determinant.  Since
     <crosses[k], r_k> = (-1)^k det, the sign of det turns every cross
-    product inward with no further dot product.
+    product inward with no further dot product.  A plain class, since a
+    ``typing.NamedTuple`` takes about 0.2 ms to define at import.
     """
 
-    ids: tuple[int, ...]
-    crosses: tuple[Vector, ...]
-    normals: tuple[Vector, ...]
-    masks: tuple[tuple[int, int], ...]
-    det: int
+    __slots__ = ("ids", "crosses", "normals", "masks", "det")
+
+    def __init__(self, ids, crosses, normals, masks, det):
+        self.ids, self.crosses, self.normals, self.masks, self.det = (
+            ids, crosses, normals, masks, det)
 
 
 def _simplex(rays, idx, ridges: dict) -> Simplex | None:

@@ -103,13 +103,18 @@ def rebuilt(fan):
     return build_fan(fan.ambient_dim, fan.input_rays, listed_cones(fan))
 
 
-def without_records(fan):
-    """The fan built again with no ``Simplex`` record: every listed cone takes
+def build_without_records(n, rays, maximal):
+    """``build_fan`` with no ``Simplex`` record: every listed cone takes
     ``cone_from_rays`` and the general hull, and every reader of the records
     its general path."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(polyhedral, "_simplex", lambda *args: None)
-        return rebuilt(fan)
+        return build_fan(n, rays, maximal)
+
+
+def without_records(fan):
+    """The fan built again with no ``Simplex`` record."""
+    return build_without_records(fan.ambient_dim, fan.input_rays, listed_cones(fan))
 
 
 def outcome(fn):
@@ -188,9 +193,9 @@ def orientation_mismatches(fan):
     from the sign of their ray determinant, and cells whose basis differs
     from the general path's."""
     fan, ref = rebuilt(fan), without_records(fan)
-    n = fan.ambient_dim
-    out = [i for i in fan.simplices if (cellular._orientation(fan, i, list(fan.cones[i].rays)) > 0)
-           != (cellular._minor(fan.cones[i].rays, range(n)) > 0)]
+    rays = {i: list(fan.cones[i].rays) for i in fan.simplices}
+    out = [i for i in fan.simplices if (cellular._orientation(fan, i, rays[i]) > 0)
+           != (cellular._minor(rays[i], range(fan.ambient_dim)) > 0)]
     got, want = cell_complex(fan).basis, cell_complex(ref).basis
     return out + [i for i in want if got.get(i) != want[i]]
 
@@ -206,9 +211,7 @@ def completeness_mismatches(fan):
         if len({i for cone in maximal for i in cone}) < len(fan.input_rays):
             continue
         part = build_fan(fan.ambient_dim, fan.input_rays, maximal)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(polyhedral, "_simplex", lambda *args: None)
-            ref = build_fan(fan.ambient_dim, fan.input_rays, maximal)
+        ref = build_without_records(fan.ambient_dim, fan.input_rays, maximal)
         for i, c in enumerate(part.cones):
             if c.dim == part.ambient_dim - 1:
                 out += [(i, a) for a in part._cofacets_of[i]
@@ -289,13 +292,16 @@ def test_record_pair_check_equals_the_general_path_on_cone_collections():
         for top in cone_collections(rng, n, count, depth):
             dim, rays, maximal = collection_fan(top)
             got = pair_check_route(lambda: build_fan(dim, rays, maximal))
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(polyhedral, "_simplex", lambda *args: None)
-                want = pair_check_route(lambda: build_fan(dim, rays, maximal))
+            want = pair_check_route(lambda: build_without_records(dim, rays, maximal))
             assert got == want, top
             verdicts[n, got[0][0]] += 1
     for n in (2, 3, 4):
         assert verdicts[n, "returned"] and verdicts[n, "FanAxiomViolation"], verdicts
+
+
+def replaced(rec, **fields):
+    """A copy of a ``Simplex`` record with the given fields replaced."""
+    return polyhedral.Simplex(*(fields.get(f, getattr(rec, f)) for f in rec.__slots__))
 
 
 def outward_facets(real):
@@ -325,7 +331,7 @@ def outward_normals(real):
     # Every record's cross products kept as they come, none turned inward.
     def mutant(rays, idx, ridges):
         rec = real(rays, idx, ridges)
-        return rec and rec._replace(normals=tuple(map(primitive_vector, rec.crosses)))
+        return rec and replaced(rec, normals=tuple(map(primitive_vector, rec.crosses)))
     return mutant
 
 
@@ -359,7 +365,7 @@ def hyperplane_counted_positive(real):
     # P(v) takes in the rays on v's hyperplane too.
     def mutant(rays, idx, ridges):
         rec = real(rays, idx, ridges)
-        return rec and rec._replace(masks=tuple((z, p | z) for z, p in rec.masks))
+        return rec and replaced(rec, masks=tuple((z, p | z) for z, p in rec.masks))
     return mutant
 
 
