@@ -2,7 +2,9 @@
 
 Each nonzero cone of the fan meets the sphere in one closed cell of
 dimension dim(cone) - 1; the empty cell sits in degree -1 and carries the
-augmentation.  A simplicial cell's basis is its rays.  An incidence number
+augmentation.  A simplicial cell's basis is its rays, oriented on a
+maximal cone by the sign of the determinant its fan's ``Simplex`` record
+holds, or else of a minor.  An incidence number
 is the sign of a permutation of the cell's basis, as on every simplicial
 cell, or else compares two determinants.  Incidences are computed only on
 the face relation, where the boundary matrices have their sole nonzero

@@ -365,6 +365,9 @@ def test_support_solves_only_the_maximal_cones(monkeypatch):
         solved.append(b)
         return real(a, b)
 
+    def general(fan):
+        return len([i for i in fan.maximal_ids if i not in fan.simplices])
+
     monkeypatch.setattr(polyhedral, "solve_integral", counted)
     rng = random.Random(31)
     cases = [(octahedron_fan(), [1, -1, 0, 2, 0, 1]),
@@ -372,9 +375,6 @@ def test_support_solves_only_the_maximal_cones(monkeypatch):
     for seed in range(4):
         fan = random_fan_3d(random.Random(seed), 12)
         cases.append((fan, [rng.randint(-2, 2) for _ in fan.input_rays]))
-    def general(fan):
-        return len([i for i in fan.maximal_ids if i not in fan.simplices])
-
     for fan, values in cases:
         solved.clear()
         support_from_ray_values(fan, values)
