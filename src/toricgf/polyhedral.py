@@ -14,17 +14,17 @@ Z^n is read once into a ``Simplex`` record: each ridge's cross product,
 made once and shared by the two cones on it, the determinant, whose sign
 turns each cross product into an inward facet normal, and those normals.
 The records feed the fan axiom check, the support solve (Cramer's rule on
-the record), completeness (a ridge's normal is the one
-opposite the ray left out) and the cell orientation (the determinant's
-sign).  A face of a listed cone is its ray set and its dimension, and is
-hulled only when its inequalities are read; two listed cones a, b meet in a
-common face when a u >= 0 on a and <= 0 on b (their own summed inequalities
-first, read off per-inequality ray masks, else the facet normals of
-cone(a, -b)) cuts the same face from both; and the face relation of a cone
-that is not simplicial compares ray masks one dimension apart.  Any other
-cone keeps the general paths.  The dual of a pointed cone swaps its two
-descriptions.  All of it is exact and polynomial in the number of rays for
-a fixed dimension.
+the record), completeness (a ridge's normal is the one opposite the ray
+left out) and the cell orientation (the determinant's sign).  A face of a
+listed cone is its ray set and its dimension, and is hulled only when its
+inequalities are read; two listed cones a, b meet in a common face when a
+u >= 0 on a and <= 0 on b (their own summed inequalities first, read off
+per-inequality ray masks, else the facet normals of cone(a, -b)) cuts the
+same face from both; and the face relation of a cone that is not
+simplicial compares ray masks one dimension apart.  Any other cone keeps
+the general paths.  The dual of a pointed cone swaps its two descriptions.
+All of it is exact and polynomial in the number of rays for a fixed
+dimension.
 """
 
 from __future__ import annotations
