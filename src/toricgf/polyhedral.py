@@ -290,8 +290,7 @@ class Fan:
                 cofacets[fid].append(cid)
         self._facets_of = tuple(map(tuple, facets))
         self._cofacets_of = tuple(map(tuple, cofacets))
-        self.face_relation = frozenset((fid, cid) for cid, ids in enumerate(facets)
-                                       for fid in ids)
+        self._face_relation = None
         self._by_rays = None
         self._zero_id = 0 if self.cones and not self.cones[0].rays else None
 
@@ -302,6 +301,14 @@ class Fan:
 
     def facet_ids(self, cone_id: int) -> tuple[int, ...]:
         return self._facets_of[cone_id]
+
+    @property
+    def face_relation(self) -> frozenset[tuple[int, int]]:
+        """The pairs (facet id, cone id), made when first read."""
+        if self._face_relation is None:
+            self._face_relation = frozenset(
+                (fid, cid) for cid, ids in enumerate(self._facets_of) for fid in ids)
+        return self._face_relation
 
     def cone_id(self, rays) -> int:
         if self._by_rays is None:
@@ -341,7 +348,7 @@ def _sign_masks(normals, bit: dict) -> list[tuple[int, int]]:
     return out
 
 
-def _check_intersections(top: list[Cone], masks=None) -> None:
+def _check_intersections(top: list[Cone], rays=None, records=None) -> None:
     """Pairwise intersections of the listed cones must be common faces (this
     propagates to all faces).  For u >= 0 on a and <= 0 on b, a & b is
     cone(S_a) & cone(S_b), S the rays on u's hyperplane: a common face when
@@ -350,15 +357,17 @@ def _check_intersections(top: list[Cone], masks=None) -> None:
     <= 0 on a.  Every term is >= 0 on a and <= 0 on b, so S is the rays where
     each vanishes: ray masks Z(v) (<v, r> = 0) and P(v) (<v, r> > 0), made
     once per v, decide it; v is <= 0 on b when b's mask misses P(v).
-    ``masks`` gives each cone's ray mask and its (Z(v), P(v)) pairs on one
-    bit layout, and is made here when not given.  A pair it leaves open goes
-    to the separation lemma (Cox, Little and Schenck, 1.2.13): u in
-    relint(a^v & (-b)^v), the summed facet normals of cone(a, -b), must cut
-    the same face from both."""
-    if masks is None:
-        bit = {r: 1 << i for i, r in enumerate(sorted({r for c in top for r in c.rays}))}
-        masks = [(sum(bit[r] for r in c.rays), _sign_masks(c.inequalities, bit))
-                 for c in top]
+    Ray i of ``rays`` (by default the sorted rays of ``top``) has bit i; a
+    cone with a ``Simplex`` record in ``records`` takes the record's masks,
+    made on that layout, and any other cone its inequalities'.  A pair the
+    masks leave open goes to the separation lemma (Cox, Little and Schenck,
+    1.2.13): u in relint(a^v & (-b)^v), the summed facet normals of
+    cone(a, -b), must cut the same face from both."""
+    if rays is None:
+        rays = sorted({r for c in top for r in c.rays})
+    bit = {r: 1 << i for i, r in enumerate(rays)}
+    masks = [(sum(bit[r] for r in c.rays), _sign_masks(c.inequalities, bit) if rec is None
+              else rec.masks) for c, rec in zip(top, records or [None] * len(top))]
     for (a, (ma, sa)), (b, (mb, sb)) in combinations(zip(top, masks), 2):
         tight = -1
         for zero, pos in sa:
@@ -437,9 +446,7 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
             if mask not in cones:
                 dim = len(face) if simplicial or not face else rank(face)
                 cones[mask] = Cone(ambient_dim, face, dim, pointed=True)
-    _check_intersections(top, [
-        (m, _sign_masks(c.inequalities, bit) if rec is None else rec.masks)
-        for m, c, rec in zip(listed, top, records)])
+    _check_intersections(top, ray_list, records)
 
     order = sorted(cones, key=lambda m: (cones[m].dim, cones[m].rays))
     ordered = [cones[m] for m in order]

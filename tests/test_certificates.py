@@ -126,16 +126,16 @@ def outcome(fn):
 
 
 def face_mismatches(fan):
-    """Listed cones whose faces in the rebuilt fan, with their dimensions,
-    differ from the general hull's facet closure with a rank per face."""
-    fan = rebuilt(fan)
+    """Listed cones whose faces, as ``_faces`` reads them off the cone and as
+    the fan holds them with their dimensions, differ from the general hull's
+    facet closure with a rank per face."""
     out = []
     for i in fan.maximal_ids:
         c = fan.cones[i]
-        got = {(f.rays, f.dim) for f in fan.cones if set(f.rays) <= set(c.rays)}
         ref = {(tuple(sorted(rs)), rank(rs) if rs else 0) for rs in polyhedral._face_ray_sets(
             general_cone_from_rays(fan.ambient_dim, c.rays))}
-        if got != ref:
+        held = {(f.rays, f.dim) for f in fan.cones if set(f.rays) <= set(c.rays)}
+        if held != ref or set(polyhedral._faces(c)) != {rays for rays, _ in ref}:
             out.append(c)
     return out
 
@@ -228,10 +228,10 @@ def pair_check_route(build):
     real_check, real_hull = polyhedral._check_intersections, polyhedral._hull_description
     hulls, inside = [], []
 
-    def check(top, masks=None):
-        inside.append(top)
+    def check(*args):
+        inside.append(args)
         try:
-            return real_check(top, masks)
+            return real_check(*args)
         finally:
             inside.pop()
 
@@ -394,20 +394,12 @@ MUTANTS = {"hull": (polyhedral, "_simplicial_facets", outward_facets),
            "incidences": (cellular, "_permutation_sign", unordered_sign)}
 
 
-def fails(check, fan):
-    """Whether a check finds a mismatch on the fan, or cannot finish."""
-    try:
-        return bool(check(fan))
-    except Exception:
-        return True
-
-
 @pytest.mark.parametrize("shortcut", sorted(MUTANTS))
 def test_a_mutant_shortcut_fails_its_check(shortcut, monkeypatch):
     fans = fan3d_brion_pool() + [fan for fan, _ in fan_battery("cross4d", None)]
     module, name, mutate = MUTANTS[shortcut]
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    assert any(fails(CHECKS[shortcut], fan) for fan in fans)
+    assert any(CHECKS[shortcut](fan) for fan in fans)
 
 
 def broken_fans(fans):
@@ -453,7 +445,7 @@ def test_ridge_certificate_rejects_a_non_fan(rays, maximal, message, monkeypatch
     # maximal cones, yet one of the two certificates fails.
     import toricgf.polyhedral as polyhedral
 
-    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, masks=None: None)
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda *args: None)
     fan = build_fan(2, rays, maximal)
     with pytest.raises(InternalCheckFailed, match=message):
         check_complete(fan)

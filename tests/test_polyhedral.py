@@ -289,7 +289,7 @@ def test_build_fan_builds_each_cone_once(monkeypatch):
     # route, through cone_from_rays; the others are read off their records.
     # Every other face is its ray set and rank, hulled by the first read of
     # its inequalities and never again.
-    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, masks=None: None)
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda *args: None)
     monkeypatch.setattr(polyhedral, "_face", counted)
     for fan in fans:
         rays = fan.input_rays
@@ -331,7 +331,7 @@ def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
         ranks.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(polyhedral, "_check_intersections", lambda top, masks=None: None)
+    monkeypatch.setattr(polyhedral, "_check_intersections", lambda *args: None)
     monkeypatch.setattr(polyhedral, "rank", counted)
     data = [octahedron_fan_data(), PYRAMID]
     data += [cross_polytope_fan_data(random.Random(seed), 4, seed) for seed in range(3)]
