@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 from .intlinalg import (
@@ -290,7 +291,6 @@ class Fan:
                 cofacets[fid].append(cid)
         self._facets_of = tuple(map(tuple, facets))
         self._cofacets_of = tuple(map(tuple, cofacets))
-        self._face_relation = None
         self._by_rays = None
         self._zero_id = 0 if self.cones and not self.cones[0].rays else None
 
@@ -302,13 +302,10 @@ class Fan:
     def facet_ids(self, cone_id: int) -> tuple[int, ...]:
         return self._facets_of[cone_id]
 
-    @property
+    @cached_property
     def face_relation(self) -> frozenset[tuple[int, int]]:
         """The pairs (facet id, cone id), made when first read."""
-        if self._face_relation is None:
-            self._face_relation = frozenset(
-                (fid, cid) for cid, ids in enumerate(self._facets_of) for fid in ids)
-        return self._face_relation
+        return frozenset((fid, cid) for cid, ids in enumerate(self._facets_of) for fid in ids)
 
     def cone_id(self, rays) -> int:
         if self._by_rays is None:
