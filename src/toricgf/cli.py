@@ -22,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import cache
 from math import isqrt
 
 from .cellular import NoIncidenceWitness
@@ -524,13 +525,13 @@ def _bind_negative_values(argv) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricgf",
         description="Lattice point generating functions and line bundle "
                     "cohomology on complete fans.")
-    parser.add_argument("command",
-                        choices=["validate", "cohomology", "brion", "polytope"])
+    parser.add_argument("command", choices=["validate", "cohomology", "brion", "polytope"])
     parser.add_argument("spec", help="input document path, or - for stdin")
     parser.add_argument("--degree", help="restrict to one degree: a1,a2,...")
     parser.add_argument("--box", help="override the degree region of the table, the "
@@ -540,7 +541,13 @@ def main(argv=None) -> int:
     parser.add_argument("--format", default="text", choices=["text", "machine"])
     parser.add_argument("--coefficients", default="rational",
                         help="homology dimension field: rational or modp:<p>")
-    args = parser.parse_args(_bind_negative_values(
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+    Repeated calls in one process share one parser, built on the first call."""
+    args = _parser().parse_args(_bind_negative_values(
         sys.argv[1:] if argv is None else argv))
 
     try:

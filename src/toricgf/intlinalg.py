@@ -50,15 +50,6 @@ def matvec(a: Matrix, v) -> list[int]:
     return [dot(row, v) for row in a]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[dot(row, col) for col in bt] for row in a]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def _bareiss(m: Matrix) -> tuple[int, int]:
     """Fraction-free (Bareiss) row elimination of m in place, with
     first-nonzero pivoting.

@@ -31,7 +31,7 @@ from toricgf import (
     verify_identity,
 )
 from toricgf.cohomology import check_shell
-from toricgf.intlinalg import dot, is_zero_matrix, matmul
+from toricgf.intlinalg import dot
 
 from conftest import (
     example1_fan,
@@ -42,6 +42,7 @@ from conftest import (
     random_fan_3d,
     total_dims,
 )
+from reference import is_zero_matrix, matmul
 
 EX1_CHI = LaurentPolynomial(2, {(0, -1): 1, (0, 0): -1, (-1, 1): -1,
                                 (0, 1): -1, (1, 1): -1})

@@ -13,7 +13,7 @@ from toricgf import (
     reduced_homology,
 )
 from toricgf.cellular import homology_dims_mod_p, subcomplex_homology
-from toricgf.intlinalg import InternalCheckFailed, is_zero_matrix, matmul
+from toricgf.intlinalg import InternalCheckFailed
 
 from conftest import (
     example1_fan,
@@ -22,6 +22,7 @@ from conftest import (
     random_fan_2d,
     random_fan_3d,
 )
+from reference import is_zero_matrix, matmul
 
 
 def nonzero_ids(fan):

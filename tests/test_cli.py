@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -431,6 +432,92 @@ def test_main_negative_values_in_both_argv_forms(tmp_path, capsys):
         {"degree": [-1, 1], "dims": [0, 1, 0], "torsion": [[], [], []], "chi": -1}]
     assert outputs[2] == outputs[3]
     assert outputs[2]["region"] == [[-3, 3], [-3, 3]]
+
+
+# Runs each argv of the JSON list in sys.argv[1] through one interpreter's
+# main and prints, per call, its exit code, stdout and stderr.
+_CALLS = """\
+import io, json, sys
+from toricgf.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout.flush()
+    results.append([code, sys.stdout.buffer.getvalue().decode(), sys.stderr.getvalue()])
+sys.stdout = sys.__stdout__
+print(json.dumps(results))
+"""
+
+
+def run_in_one_process(*argvs):
+    done = subprocess.run([sys.executable, "-c", _CALLS, json.dumps(argvs)],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120, check=True)
+    # A text report ends with its wall time, the one byte range that may differ.
+    return [(code, re.sub(r"timing_ms: [0-9.]+", "timing_ms: -", out), err)
+            for code, out, err in json.loads(done.stdout)]
+
+
+def test_a_shared_parser_leaks_nothing_between_calls(tmp_path):
+    # Flags and defaults of one call must not reach the next: each call of a
+    # sequence reads as the same call made alone in a fresh interpreter,
+    # whose main builds its parser anew.
+    good = write(tmp_path, EX1_DOC)
+    argvs = (["cohomology", good, "--box", "-1:1,-1:2", "--oracle", "--format", "machine"],
+             ["cohomology", good],
+             ["frobnicate", good],
+             ["cohomology", good, "--degree=-1,0"])
+    together = run_in_one_process(*argvs)
+    assert together == [run_in_one_process(argv)[0] for argv in argvs]
+    assert [code for code, _, _ in together] == [0, 0, 2, 0]
+    assert json.loads(together[0][1])["oracle"]["series_match"] is True
+    assert together[1][1].startswith("command: cohomology\n")
+    assert "degree_box: " in together[1][1] and "oracle" not in together[1][1]
+    assert together[2][1] == ""
+    assert together[2][2].startswith("usage: toricgf [-h]")
+    assert "invalid choice: 'frobnicate'" in together[2][2]
+    assert "table_entries: 1\n  degree (-1, 0): " in together[3][1]
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    import toricgf.cli as cli
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    good = write(tmp_path, EX1_DOC)
+    cli._parser.cache_clear()
+    try:
+        assert main(["validate", good]) == 0
+        assert main(["cohomology", good, "--degree", "-1,0", "--format", "machine"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate", good])
+        assert exc.value.code == 2
+        assert main(["brion", good]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert built == ["toricgf"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # The benchmark's setup_s times a fresh import of toricgf.cli; the
+    # parser is built by the first main call, not by the import.
+    code = "import toricgf.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), timeout=120, check=True)
+    assert done.stdout.split() == ["0"]
 
 
 def test_main_incidence_fault_is_a_domain_error(tmp_path, capsys, monkeypatch):

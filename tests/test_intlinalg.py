@@ -9,7 +9,6 @@ from toricgf.intlinalg import (
     identity_matrix,
     invariant_factors,
     kernel_basis,
-    matmul,
     matvec,
     primitive_vector,
     rank,
@@ -19,6 +18,8 @@ from toricgf.intlinalg import (
     solve_integral,
     unimodular_inverse,
 )
+
+from reference import matmul
 
 
 def check_snf(a):
