@@ -531,7 +531,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="toricgf",
         description="Lattice point generating functions and line bundle "
                     "cohomology on complete fans.")
-    parser.add_argument("command", choices=["validate", "cohomology", "brion", "polytope"])
+    parser.add_argument("command",
+                        choices=["validate", "cohomology", "brion", "polytope"])
     parser.add_argument("spec", help="input document path, or - for stdin")
     parser.add_argument("--degree", help="restrict to one degree: a1,a2,...")
     parser.add_argument("--box", help="override the degree region of the table, the "
