@@ -12,19 +12,23 @@ faces are its ray subsets, its facets those one ray short.  A fan is built
 from ray sets and ray bitmasks, and a listed cone of n independent rays in
 Z^n is read once into a ``Simplex`` record: each ridge's cross product,
 made once and shared by the two cones on it, the determinant, whose sign
-turns each cross product into an inward facet normal, and those normals.
-The records feed the fan axiom check, the support solve (Cramer's rule on
-the record), completeness (a ridge's normal is the one opposite the ray
-left out) and the cell orientation (the determinant's sign).  A face of a
-listed cone is its ray set and its dimension, and is hulled only when its
-inequalities are read; two listed cones a, b meet in a common face when a
-u >= 0 on a and <= 0 on b (their own summed inequalities first, read off
-per-inequality ray masks, else the facet normals of cone(a, -b)) cuts the
-same face from both; and the face relation of a cone that is not
-simplicial compares ray masks one dimension apart.  Any other cone keeps
-the general paths.  The dual of a pointed cone swaps its two descriptions.
-All of it is exact and polynomial in the number of rays for a fixed
-dimension.
+turns each cross product into an inward facet normal and tells the side of
+the ridge the cone lies on, and those normals.  When every listed cone has
+a record, a ridge certificate decides the fan axioms and completeness in
+one pass: every ridge in exactly two listed cones, on opposite sides of it,
+and one interior point in one listed cone only.  The records also feed the
+support solve (Cramer's rule on the record), completeness where the
+certificate fails (a ridge's normal is the one opposite the ray left out)
+and the cell orientation (the determinant's sign).  A face of a listed cone
+is its ray set and its dimension, and is hulled only when its inequalities
+are read.  Where the certificate fails, two listed cones a, b meet in a
+common face when a u >= 0 on a and <= 0 on b (their own summed
+inequalities first, read off per-inequality ray masks, else the facet
+normals of cone(a, -b)) cuts the same face from both; and the face relation
+of a cone that is not simplicial compares ray masks one dimension apart.
+Any other cone keeps the general paths.  The dual of a pointed cone swaps
+its two descriptions.  All of it is exact and polynomial in the number of
+rays for a fixed dimension.
 """
 
 from __future__ import annotations
@@ -139,27 +143,25 @@ class Simplex:
 
     ``ids`` index the rays in their sorted order; ``crosses[k]`` is the cross
     product of the rays but the k-th, ``normals[k]`` the primitive inward
-    normal of the facet opposite it, ``masks[k]`` that normal's
-    ``_sign_masks``, and ``det`` the rays' determinant.  Since
-    <crosses[k], r_k> = (-1)^k det, the sign of det turns every cross
+    normal of the facet opposite it, and ``det`` the rays' determinant.
+    Since <crosses[k], r_k> = (-1)^k det, the sign of det turns every cross
     product inward with no further dot product.  A plain class, since a
     ``typing.NamedTuple`` takes about 0.2 ms to define at import.
     """
 
-    __slots__ = ("ids", "crosses", "normals", "masks", "det")
+    __slots__ = ("ids", "crosses", "normals", "det")
 
-    def __init__(self, ids, crosses, normals, masks, det):
-        self.ids, self.crosses, self.normals, self.masks, self.det = (
-            ids, crosses, normals, masks, det)
+    def __init__(self, ids, crosses, normals, det):
+        self.ids, self.crosses, self.normals, self.det = ids, crosses, normals, det
 
 
 def _simplex(rays, idx, ridges: dict) -> Simplex | None:
     """The record of the rays ``rays[i]``, i in ``idx``, or None when they
-    are dependent; its masks have bit i for ``rays[i]``.  ``ridges`` maps a
-    ridge's ray mask to its cross product u, u's primitive vector and the
-    masks of the rays with <u, r> = 0, > 0 and < 0, so a ridge is crossed
-    and dotted once for the two cones on it: its rays, sorted, are the same
-    rows in both."""
+    are dependent.  ``ridges`` maps a ridge's ray mask (bit i for
+    ``rays[i]``) to its cross product u, u's primitive vector and the sides
+    of u that the records on it lie on, True where u points into the cone,
+    so a ridge is crossed once for the two cones on it: its rays, sorted,
+    are the same rows in both."""
     ids = sorted(idx, key=rays.__getitem__)
     gens = [rays[i] for i in ids]
     mask = sum(1 << i for i in ids)
@@ -168,21 +170,17 @@ def _simplex(rays, idx, ridges: dict) -> Simplex | None:
         ridge = ridges.get(key := mask ^ (1 << i))
         if ridge is None:
             u = cross_product(gens[:k] + gens[k + 1:])
-            signs = [0, 0, 0]  # indexed by the sign of <u, r>: 0, 1, -1
-            for j, x in enumerate(dots(u, rays)):
-                signs[(x > 0) - (x < 0)] |= 1 << j
-            ridge = ridges[key] = u, primitive_vector(u) if any(u) else u, signs
+            ridge = ridges[key] = u, primitive_vector(u) if any(u) else u, []
         shared.append(ridge)
     det = dot(shared[0][0], gens[0])
     if not det:
         return None
-    normals, masks = [], []
-    for k, (_, p, (zero, pos, neg)) in enumerate(shared):
+    normals = []
+    for k, (_, p, sides) in enumerate(shared):
         inward = (det > 0) == (k % 2 == 0)
+        sides.append(inward)
         normals.append(p if inward else tuple(-x for x in p))
-        masks.append((zero, pos if inward else neg))
-    return Simplex(tuple(ids), tuple(u for u, _, _ in shared), tuple(normals), tuple(masks),
-                   det)
+    return Simplex(tuple(ids), tuple(u for u, _, _ in shared), tuple(normals), det)
 
 
 def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = False) -> Cone:
@@ -274,14 +272,17 @@ class Fan:
 
     ``facets[i]`` lists, ascending, the ids of cone i's facets.
     ``simplices`` maps the id of each listed cone of n independent rays to
-    its ``Simplex`` record, read once when the fan was built."""
+    its ``Simplex`` record, read once when the fan was built.  ``certified``
+    says that the ridge certificate proved the fan complete."""
 
     def __init__(self, ambient_dim: int, cones: list[Cone], facets: list[list[int]],
-                 input_rays: tuple[Vector, ...], simplices: dict[int, Simplex]):
+                 input_rays: tuple[Vector, ...], simplices: dict[int, Simplex],
+                 certified: bool):
         self.ambient_dim = ambient_dim
         self.cones = tuple(cones)
         self.input_rays = input_rays
         self.simplices = simplices
+        self.certified = certified
         self.maximal_ids = tuple(i for i, c in enumerate(cones) if c.dim == ambient_dim)
         self.ray_ids = tuple(i for i, c in enumerate(cones) if c.dim == 1)
         # Per cone id, the ids of its facets and of the cones it is a facet of.
@@ -345,7 +346,7 @@ def _sign_masks(normals, bit: dict) -> list[tuple[int, int]]:
     return out
 
 
-def _check_intersections(top: list[Cone], rays=None, records=None) -> None:
+def _check_intersections(top: list[Cone], rays=None) -> None:
     """Pairwise intersections of the listed cones must be common faces (this
     propagates to all faces).  For u >= 0 on a and <= 0 on b, a & b is
     cone(S_a) & cone(S_b), S the rays on u's hyperplane: a common face when
@@ -354,17 +355,14 @@ def _check_intersections(top: list[Cone], rays=None, records=None) -> None:
     <= 0 on a.  Every term is >= 0 on a and <= 0 on b, so S is the rays where
     each vanishes: ray masks Z(v) (<v, r> = 0) and P(v) (<v, r> > 0), made
     once per v, decide it; v is <= 0 on b when b's mask misses P(v).
-    Ray i of ``rays`` (by default the sorted rays of ``top``) has bit i; a
-    cone with a ``Simplex`` record in ``records`` takes the record's masks,
-    made on that layout, and any other cone its inequalities'.  A pair the
-    masks leave open goes to the separation lemma (Cox, Little and Schenck,
-    1.2.13): u in relint(a^v & (-b)^v), the summed facet normals of
+    Ray i of ``rays`` (by default the sorted rays of ``top``) has bit i.  A
+    pair the masks leave open goes to the separation lemma (Cox, Little and
+    Schenck, 1.2.13): u in relint(a^v & (-b)^v), the summed facet normals of
     cone(a, -b), must cut the same face from both."""
     if rays is None:
         rays = sorted({r for c in top for r in c.rays})
     bit = {r: 1 << i for i, r in enumerate(rays)}
-    masks = [(sum(bit[r] for r in c.rays), _sign_masks(c.inequalities, bit) if rec is None
-              else rec.masks) for c, rec in zip(top, records or [None] * len(top))]
+    masks = [(sum(bit[r] for r in c.rays), _sign_masks(c.inequalities, bit)) for c in top]
     for (a, (ma, sa)), (b, (mb, sb)) in combinations(zip(top, masks), 2):
         tight = -1
         for zero, pos in sa:
@@ -383,6 +381,44 @@ def _check_intersections(top: list[Cone], rays=None, records=None) -> None:
                 f"intersection of {a} and {b} is not a common face")
 
 
+def _ridge_certificate(rays, records, ridges: dict) -> bool:
+    """Whether the listed cones, all with a ``Simplex`` record in ``records``
+    and their ridges in ``ridges``, form a complete fan: every ridge lies in
+    exactly two listed cones, on opposite sides of it, and the sum of the
+    first cone's rays lies in no other listed cone.  Linear in the ridges.
+
+    This is the pseudo-manifold characterisation of triangulations (De
+    Loera, Rambau and Santos, *Triangulations*, ch. 4).  Sketch: let N(x)
+    count the listed cones that contain x.  The covering number N is
+    constant off the codimension-2 cones: off them and off the meets of
+    ridges on distinct hyperplanes, a set of codimension 2 that leaves R^n
+    connected, a path crosses ridges only in their relative interiors, and
+    there the cones on the point pair off by ridge, one on each side, so N
+    is the same on both sides.  N is 1 at the test point, which lies inside
+    the first cone and in no other.  So the cones cover R^n, with disjoint
+    interiors.  The same count in R^n / span F, for a face F, shows that
+    the cones on F cover a neighbourhood of relint F, so a listed cone that
+    meets relint F has F as a face: any two listed cones meet in a common
+    face.  Conversely a complete simplicial fan passes all three tests.
+    The certificate raises nothing: a failure leaves the general checks to
+    decide."""
+    if not all(records) or not _two_sided(ridges):
+        return False
+    first, *others = records
+    point = [sum(col) for col in zip(*(rays[i] for i in first.ids))]
+    return _covered_once(point, others)
+
+
+def _two_sided(ridges: dict) -> bool:
+    """Every ridge lies in exactly two listed cones, on opposite sides of it."""
+    return all(len(sides) == 2 and sides[0] != sides[1] for _, _, sides in ridges.values())
+
+
+def _covered_once(point, others) -> bool:
+    """The point lies in none of the other records' cones."""
+    return not any(min(dots(point, rec.normals)) >= 0 for rec in others)
+
+
 def _facet_masks(mask: int, rays, bit: dict) -> list[int]:
     """The ray masks of a simplicial cone's facets: its mask less one ray."""
     return [mask ^ bit[r] for r in rays]
@@ -392,7 +428,10 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     """Assemble and validate a fan from rays and maximal ray-index sets.
 
     Raises NonPointedCone if a listed cone contains a line and
-    FanAxiomViolation if two listed cones intersect in a non-face.
+    FanAxiomViolation if two listed cones intersect in a non-face.  When
+    every listed cone is n independent rays, ``_ridge_certificate`` first
+    tries to prove the fan axioms and completeness in one pass; the pair
+    check and ``check_complete``'s own pass run only when it fails.
     """
     ray_list = []
     for r in rays:
@@ -443,7 +482,9 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
             if mask not in cones:
                 dim = len(face) if simplicial or not face else rank(face)
                 cones[mask] = Cone(ambient_dim, face, dim, pointed=True)
-    _check_intersections(top, ray_list, records)
+    certified = _ridge_certificate(ray_list, records, ridges)
+    if not certified:
+        _check_intersections(top, ray_list)
 
     order = sorted(cones, key=lambda m: (cones[m].dim, cones[m].rays))
     ordered = [cones[m] for m in order]
@@ -466,7 +507,7 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
                                             bisect_left(dims, c.dim))
                            if not order[j] & ~mask])
     simplices = {id_of[m]: rec for m, rec in zip(listed, records) if rec is not None}
-    return Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices)
+    return Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices, certified)
 
 
 @dataclass
@@ -481,7 +522,11 @@ def check_complete(f: Fan) -> CompletenessReport:
     sides of it and an interior point lies in one maximal cone only, so the
     support less the codimension-2 cones is open and closed in R^n less
     them (De Loera, Rambau and Santos, *Triangulations*, ch. 4).  Both
-    axiom consequences are checked, and raise InternalCheckFailed."""
+    axiom consequences are checked, and raise InternalCheckFailed.  A fan
+    whose build passed the ridge certificate, which proved it complete, is
+    reported complete with no further pass."""
+    if f.certified:
+        return CompletenessReport(True)
     n = f.ambient_dim
     if not f.maximal_ids:
         return CompletenessReport(False, "no full-dimensional cones")

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked 2-D example, polytopes, seeded random
-complete fans in dimensions 2 and 3, and slow references for fast paths."""
+complete fans in dimensions 2 and 3, a 5-D fan with torsion, and slow
+references for fast paths."""
 
 import random
 from collections import Counter
@@ -164,6 +165,38 @@ def cone_collections(rng, n, count, max_subdivisions):
             top = [cone_from_rays(n, [rs[i] for i in c]) for c in cones]
             if all(c.pointed for c in top):
                 yield top
+
+
+RP2_TRIANGLES = "123 134 145 156 162 235 346 452 563 624"
+
+
+def rp2_torsion_fan_data():
+    """Rays, maximal ray-index lists and support values of a complete
+    unimodular 5-D fan whose cones on its first six rays form the 6-vertex
+    RP^2.  Start from the fan over the 5-simplex, rays e1..e5 and
+    -(e1+...+e5) with the six 5-subsets as maximal cones, whose triangles
+    are all faces.  Each triangle not in ``RP2_TRIANGLES`` (1-based), in
+    lexicographic order, is subdivided stellarly: the primitive sum of its
+    rays is a new ray, and each maximal cone on the triangle is replaced by
+    the three that take the new ray in place of one of the triangle's.  The
+    result has 16 rays, 90 maximal cones and 627 cones.  The support is 0 on
+    the six old rays and -1 on the ten new ones: at degree 0 the subcomplex
+    is RP^2, whose H_1 has the torsion Z/2."""
+    rays = [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(-1,) * 5]
+    maximal = [list(c) for c in combinations(range(6), 5)]
+    faces = {frozenset(int(v) - 1 for v in t) for t in RP2_TRIANGLES.split()}
+    for tri in combinations(range(6), 3):
+        if frozenset(tri) in faces:
+            continue
+        rays.append(primitive_vector(tuple(map(sum, zip(*(rays[i] for i in tri))))))
+        new, cones = len(rays) - 1, []
+        for c in maximal:
+            if set(tri) <= set(c):
+                cones += [[new if i == omit else i for i in c] for omit in tri]
+            else:
+                cones.append(c)
+        maximal = cones
+    return rays, maximal, [0] * 6 + [-1] * (len(rays) - 6)
 
 
 def random_support_3d(rng: random.Random, fan, spread: int = 1):

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src:tests python tests/golden/make_corpus.py
 
-Runs the CLI on the README fan, the acceptance polytopes and a seeded
-battery of random 2-D and 3-D fans from ``conftest``, and stores each spec,
+Runs the CLI on the README fan, the acceptance polytopes, a seeded battery
+of random 2-D and 3-D fans from ``conftest`` and the degree-0 query of the
+5-D RP^2 fan with torsion, and stores each spec,
 its argv and the exact stdout bytes in ``machine_corpus.json``.  Inputs on
 which the CLI exits nonzero are left out.  ``test_golden.py`` replays the
 corpus; rerun this script only when a change to the machine output is
@@ -19,7 +20,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from conftest import (POLYTOPES, random_fan_2d, random_fan_3d, random_support_2d,
-                      random_support_3d)
+                      random_support_3d, rp2_torsion_fan_data)
 from toricgf.cli import FanSpec, emit_spec, main
 
 HERE = Path(__file__).resolve().parent
@@ -79,6 +80,13 @@ def cases():
         if name in ("fan3d-0", "fan3d-1"):
             extra.append(("brion", "--coefficients", "modp:2"))
         yield name, emit_spec(fan_spec(h)), list(FAN_COMMANDS) + extra
+    rays, maximal, values = rp2_torsion_fan_data()
+    yield "rp2-torsion", emit_spec(FanSpec(dim=5, rays=tuple(rays),
+                                           maximal_cones=tuple(map(tuple, maximal)),
+                                           support=tuple(values))), [
+        ("cohomology", "--degree=0,0,0,0,0"),
+        ("cohomology", "--degree=0,0,0,0,0", "--coefficients", "modp:2"),
+    ]
 
 
 def run_cli(spec_text, args):

@@ -8,11 +8,13 @@ one-pass incidences with the determinant incidence, and ``check_complete``
 with the homology of the sphere cell complex.  Every reader of a listed
 cone's ``Simplex`` record agrees with the path it skips, taken by the same
 fan built with no record: the facet normals, the support functionals, the
-orientation signs, the ridge normals of completeness and the fan axiom
-pair check, the last also on broken cone collections.  A mutant of each
-shortcut fails its check.  The batteries are the acceptance suite's random
-cases, the benchmark's fan pool, deep 3-D fans, the polytope corpus and
-seeded 4-D cross-polytope fans."""
+orientation signs, the ridge normals of completeness, and the ridge
+certificate that decides the fan axioms and completeness in place of the
+pair check and the completeness pass, the last also on broken cone
+collections in dimensions 2-5.  A mutant of each shortcut fails its
+check.  The batteries are the acceptance suite's random cases, the
+benchmark's fan pool, deep 3-D fans, the polytope corpus and seeded 4-D
+cross-polytope fans."""
 
 import random
 from collections import Counter
@@ -223,8 +225,8 @@ def completeness_mismatches(fan):
 
 
 def pair_check_route(build):
-    """How ``build()`` ends, and the pairs its fan axiom check sends to the
-    separation-lemma hull, in order."""
+    """What ``build()`` returns or raises, and the pairs its fan axiom check
+    sends to the separation-lemma hull, in order."""
     real_check, real_hull = polyhedral._check_intersections, polyhedral._hull_description
     hulls, inside = [], []
 
@@ -243,23 +245,45 @@ def pair_check_route(build):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(polyhedral, "_check_intersections", check)
         m.setattr(polyhedral, "_hull_description", hull)
-        kind, result = outcome(build)
-    return (kind, None if kind == "returned" else result), hulls
+        return outcome(build), hulls
 
 
-def intersection_mismatches(fan):
-    """The fan axiom check of the rebuilt fan, on masks read off the
-    records' shared cross products, where its verdict or the pairs it hulls
-    differ from the general path's, on masks from each cone's inequalities."""
-    got, want = pair_check_route(lambda: rebuilt(fan)), pair_check_route(
-        lambda: without_records(fan))
-    return [] if got == want else [(got, want)]
+def decision(build):
+    """How ``build()`` and the completeness check of its fan end: the error
+    and its message, or the completeness report; whether the ridge
+    certificate proved the fan; and the pairs the pair check hulls."""
+    (kind, result), hulls = pair_check_route(build)
+    if kind != "returned":
+        return (kind, result), False, hulls
+    return outcome(lambda: check_complete(result)), result.certified, hulls
+
+
+def certificate_mismatch(dim, rays, maximal):
+    """Where the build that tries the ridge certificate first and the build
+    with no record (the pair check and ``check_complete``'s own pass) end
+    differently: in the error and its message or the completeness report,
+    and, where the certificate did not certify, in the pairs hulled."""
+    got, certified, got_hulls = decision(lambda: build_fan(dim, rays, maximal))
+    want, _, want_hulls = decision(lambda: build_without_records(dim, rays, maximal))
+    if got != want or (not certified and got_hulls != want_hulls):
+        return [(got, got_hulls, want, want_hulls)]
+    return []
+
+
+def certificate_mismatches(fan):
+    """``certificate_mismatch`` on the fan's listed cones, and on them less
+    the first where every ray stays in use."""
+    out = []
+    for maximal in (listed_cones(fan), listed_cones(fan)[1:]):
+        if len({i for cone in maximal for i in cone}) == len(fan.input_rays):
+            out += certificate_mismatch(fan.ambient_dim, fan.input_rays, maximal)
+    return out
 
 
 CHECKS = {"hull": hull_mismatches, "faces": face_mismatches, "relation": relation_mismatches,
           "normals": normal_mismatches, "support": support_mismatches,
           "orientation": orientation_mismatches, "completeness": completeness_mismatches,
-          "intersections": intersection_mismatches, "bases": basis_mismatches,
+          "intersections": certificate_mismatches, "bases": basis_mismatches,
           "incidences": incidence_mismatches}
 
 
@@ -282,21 +306,22 @@ def collection_fan(top):
     return top[0].ambient_dim, rays, [[index[r] for r in c.rays] for c in top]
 
 
-def test_record_pair_check_equals_the_general_path_on_cone_collections():
+def test_ridge_certificate_equals_the_general_path_on_cone_collections():
     # Complete fans and broken ones: a cone missing, an extra cone, a ray
-    # moved across a wall.  The record masks raise the same error with the
-    # same message, at the same pair, after the same hulls.
+    # moved across a wall.  The build ends as the pair check and the general
+    # completeness pass end it, with the same error and message or the same
+    # report; where the certificate fails, after the same hulls.
     rng = random.Random(8)
     verdicts = Counter()
-    for n, count, depth in ((2, 60, 6), (3, 25, 4), (4, 5, 2)):
+    for n, count, depth in ((2, 60, 6), (3, 25, 4), (4, 5, 2), (5, 10, 2)):
         for top in cone_collections(rng, n, count, depth):
             dim, rays, maximal = collection_fan(top)
-            got = pair_check_route(lambda: build_fan(dim, rays, maximal))
-            want = pair_check_route(lambda: build_without_records(dim, rays, maximal))
-            assert got == want, top
-            verdicts[n, got[0][0]] += 1
-    for n in (2, 3, 4):
-        assert verdicts[n, "returned"] and verdicts[n, "FanAxiomViolation"], verdicts
+            assert certificate_mismatch(dim, rays, maximal) == [], top
+            (kind, _), certified, _ = decision(lambda: build_fan(dim, rays, maximal))
+            verdicts[n, kind, certified] += 1
+    for n in (2, 3, 4, 5):
+        assert verdicts[n, "returned", True], verdicts
+        assert verdicts[n, "returned", False] and verdicts[n, "FanAxiomViolation", False], verdicts
 
 
 def replaced(rec, **fields):
@@ -361,14 +386,6 @@ def neighbour_normal(real):
     return mutant
 
 
-def hyperplane_counted_positive(real):
-    # P(v) takes in the rays on v's hyperplane too.
-    def mutant(rays, idx, ridges):
-        rec = real(rays, idx, ridges)
-        return rec and replaced(rec, masks=tuple((z, p | z) for z, p in rec.masks))
-    return mutant
-
-
 def reversed_rays(real):
     def mutant(c):
         return list(reversed(c.rays)) if len(c.rays) == c.dim > 1 else real(c)
@@ -389,7 +406,6 @@ MUTANTS = {"hull": (polyhedral, "_simplicial_facets", outward_facets),
            "support": (polyhedral, "cramer", unsigned_functional),
            "orientation": (cellular, "_orientation", absolute_orientation),
            "completeness": (polyhedral, "_ridge_normal", neighbour_normal),
-           "intersections": (polyhedral, "_simplex", hyperplane_counted_positive),
            "bases": (cellular, "_cell_basis", reversed_rays),
            "incidences": (cellular, "_permutation_sign", unordered_sign)}
 
@@ -400,6 +416,63 @@ def test_a_mutant_shortcut_fails_its_check(shortcut, monkeypatch):
     module, name, mutate = MUTANTS[shortcut]
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert any(CHECKS[shortcut](fan) for fan in fans)
+
+
+# Every ray lies in two cones, on opposite sides, and the cones wind twice
+# around the origin: only the one-point test fails.
+PENTAGRAM = (2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+             [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+# The cycle of cones turns back at (1,-2) and again at (0,-1), covering the
+# wedge between them three times: only the side test fails.
+ZIGZAG = (2, [(1, 0), (-1, 1), (-1, -1), (1, -2), (0, -1), (1, -1)],
+          [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
+
+
+def sides_unchecked(real):
+    # Two cones on a ridge pass on either side of it.
+    return lambda ridges: all(len(sides) == 2 for _, _, sides in ridges.values())
+
+
+def point_unchecked(real):
+    return lambda point, others: True
+
+
+CERTIFICATE_MUTANTS = {"sides": ("_two_sided", sides_unchecked, ZIGZAG),
+                       "one-point": ("_covered_once", point_unchecked, PENTAGRAM)}
+
+
+@pytest.mark.parametrize("test", sorted(CERTIFICATE_MUTANTS))
+def test_a_mutant_ridge_certificate_fails_its_check(test, monkeypatch):
+    name, mutate, (dim, rays, maximal) = CERTIFICATE_MUTANTS[test]
+    assert certificate_mismatch(dim, rays, maximal) == []
+    (kind, _), certified, _ = decision(lambda: build_fan(dim, rays, maximal))
+    assert (kind, certified) == ("FanAxiomViolation", False)
+    monkeypatch.setattr(polyhedral, name, mutate(getattr(polyhedral, name)))
+    assert certificate_mismatch(dim, rays, maximal)
+
+
+def test_complete_simplicial_fans_take_no_pair_check_and_no_completeness_pass(
+        request, monkeypatch):
+    # The ridge certificate decides the fan axioms and completeness of every
+    # fan of these batteries: no pair check, no hull, no ridge normal.
+    data = [(fan.ambient_dim, fan.input_rays, listed_cones(fan))
+            for name in ("pool", "deep", "cross4d") for fan, _ in fan_battery(name, request)]
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(polyhedral, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_check_intersections", "_hull_description", "_ridge_normal"):
+        monkeypatch.setattr(polyhedral, name, counted(name))
+    for dim, rays, maximal in data:
+        fan = build_fan(dim, rays, maximal)
+        assert fan.certified and check_complete(fan).complete
+    assert calls == Counter()
 
 
 def broken_fans(fans):

@@ -10,6 +10,8 @@ from toricgf import (
     ShellCheckFailed,
     brion_sum,
     brion_terms,
+    build_fan,
+    check_complete,
     chi_polynomial,
     cohomology_table,
     degree_region,
@@ -24,7 +26,7 @@ from toricgf import (
     support_subcomplex,
     verify_identity,
 )
-from toricgf.cohomology import check_shell
+from toricgf.cohomology import check_shell, sweep_index
 from toricgf.intlinalg import dot, kernel_basis
 from toricgf.polyhedral import SupportFunction
 
@@ -41,6 +43,7 @@ from conftest import (
     random_fan_3d,
     random_support_2d,
     random_support_3d,
+    rp2_torsion_fan_data,
     total_dims,
     unit_square,
 )
@@ -165,6 +168,22 @@ def test_table_keeps_the_first_degree_of_each_distinct_subcomplex():
         assert [(b, sub.keep) for b, sub in table.subcomplexes] == \
             [(b, keep) for keep, b in firsts.items()]
         assert not hasattr(table, "degrees")
+
+
+def test_rp2_fan_has_two_torsion_at_degree_zero():
+    # The degree-0 subcomplex is RP^2: H_1 = Z/2 gives torsion [2] at
+    # cohomology index 3, which F_2 sees as h2 = h3 = 1 and F_3 does not.
+    rays, maximal, values = rp2_torsion_fan_data()
+    fan = build_fan(5, rays, maximal)
+    assert (len(fan.rays), len(fan.maximal_ids), len(fan.cones)) == (16, 90, 627)
+    assert check_complete(fan).complete
+    idx = sweep_index(support_from_ray_values(fan, values))
+    sub = idx.subcomplex((0,) * 5)
+    dims, torsion, chi = idx.cohomology(sub)
+    assert (dims, chi) == ((0,) * 6, 0)
+    assert [list(t) for t in torsion] == [[], [], [], [2], [], []]
+    assert idx.cohomology(sub, 2)[0] == (0, 0, 1, 1, 0, 0)
+    assert idx.cohomology(sub, 3)[0] == (0,) * 6
 
 
 def test_chi_polynomial_example1(ex1):

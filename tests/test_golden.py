@@ -1,7 +1,8 @@
 """The ``--format machine`` output must stay byte-identical on a golden
-corpus: the README fan, the acceptance polytopes and a seeded battery of
-random 2-D and 3-D fans.  ``golden/make_corpus.py`` wrote the corpus; see
-its docstring before regenerating it."""
+corpus: the README fan, the acceptance polytopes, a seeded battery of
+random 2-D and 3-D fans and the degree-0 query of a 5-D fan with torsion.
+``golden/make_corpus.py`` wrote the corpus; see its docstring before
+regenerating it."""
 
 import json
 from pathlib import Path
