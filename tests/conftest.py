@@ -286,6 +286,25 @@ POLYTOPES = (
     ("octagon-pyramid", 3, [[x, y, 0] for x, y in OCTAGON] + [[1, 1, 2]]),
 )
 
+# Cone collections that are not fans, as (dim, rays, maximal cones).  In
+# the first four every ridge lies in exactly two listed cones.
+# Every ray lies in two cones, on opposite sides, and the cones wind twice
+# around the origin: only the one-point test fails.
+PENTAGRAM = (2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+             [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+# The cycle of cones turns back at (1,-2) and again at (0,-1), covering the
+# wedge between them three times: only the side test fails.
+ZIGZAG = (2, [(1, 0), (-1, 1), (-1, -1), (1, -2), (0, -1), (1, -1)],
+          [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
+# Three cones in the first quadrant folded back on each other.
+FOLDED = (2, [(1, 0), (0, 1), (1, 2)], [[0, 1], [1, 2], [2, 0]])
+# Eight cones winding twice around the origin.
+DOUBLE_COVER = (2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)],
+                [[i, (i + 1) % 8] for i in range(8)])
+# A simplicial cone inside the cone over a square, on one of its edges.
+SQUARE_AND_INNER_CONE = (3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)],
+                         [[0, 1, 2, 3], [0, 1, 4]])
+
 
 def cross_multiplied_equal(a, b):
     """Equality of two rational generating functions by cross-multiplication,

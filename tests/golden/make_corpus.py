@@ -3,12 +3,13 @@
     PYTHONPATH=src:tests python tests/golden/make_corpus.py
 
 Runs the CLI on the README fan, the acceptance polytopes, a seeded battery
-of random 2-D and 3-D fans from ``conftest`` and the degree-0 query of the
-5-D RP^2 fan with torsion, and stores each spec,
-its argv and the exact stdout bytes in ``machine_corpus.json``.  Inputs on
-which the CLI exits nonzero are left out.  ``test_golden.py`` replays the
-corpus; rerun this script only when a change to the machine output is
-intended.
+of random 2-D and 3-D fans from ``conftest``, the degree-0 query of the
+5-D RP^2 fan with torsion, and ``validate`` on incomplete fans and on cone
+collections that are not fans, and stores each spec, its argv, the exit
+code and the exact stdout and stderr bytes in ``machine_corpus.json``.  A
+run that escapes the CLI with a traceback is left out.  ``test_golden.py``
+replays the corpus; rerun this script only when a change to the machine
+output or to an error is intended.
 """
 
 import io
@@ -16,11 +17,12 @@ import json
 import random
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from conftest import (POLYTOPES, random_fan_2d, random_fan_3d, random_support_2d,
-                      random_support_3d, rp2_torsion_fan_data)
+from conftest import (DOUBLE_COVER, FOLDED, PENTAGRAM, POLYTOPES, SQUARE_AND_INNER_CONE,
+                      ZIGZAG, fan3d_brion_pool, random_fan_2d, random_fan_3d,
+                      random_support_2d, random_support_3d, rp2_torsion_fan_data)
 from toricgf.cli import FanSpec, emit_spec, main
 
 HERE = Path(__file__).resolve().parent
@@ -43,6 +45,30 @@ def fan_spec(h) -> FanSpec:
     cones = tuple(tuple(index[r] for r in fan.cones[i].rays) for i in fan.maximal_ids)
     return FanSpec(dim=fan.ambient_dim, rays=fan.input_rays, maximal_cones=cones,
                    support=tuple(h.value(r) for r in fan.input_rays))
+
+
+def cone_list_spec(dim, rays, maximal, support=None) -> str:
+    return emit_spec(FanSpec(dim=dim, rays=tuple(map(tuple, rays)),
+                             maximal_cones=tuple(map(tuple, maximal)), support=support))
+
+
+def validation_cases():
+    """Fans that are not complete and cone collections that are not fans,
+    each with the commands to run on it."""
+    readme_less = README_FAN.maximal_cones[1:]
+    yield "readme-less-a-cone", cone_list_spec(2, README_FAN.rays, readme_less,
+                                               README_FAN.support), [("validate",), ("cohomology",)]
+    pool = fan3d_brion_pool()[0]
+    index = {r: i for i, r in enumerate(pool.input_rays)}
+    less = [[index[r] for r in pool.cones[i].rays] for i in pool.maximal_ids[1:]]
+    yield "pool-0-less-a-cone", cone_list_spec(3, pool.input_rays, less), [("validate",)]
+    yield "half-line", cone_list_spec(1, [(1,)], [[0]]), [("validate",)]
+    for name, data in (("zigzag", ZIGZAG), ("pentagram", PENTAGRAM), ("folded", FOLDED),
+                       ("double-cover", DOUBLE_COVER),
+                       ("square-and-inner-cone", SQUARE_AND_INNER_CONE)):
+        yield name, cone_list_spec(*data), [("validate",)]
+    yield "repeated-cone", cone_list_spec(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                                          [[0, 1], [1, 0], [1, 2], [2, 3], [3, 0]]), [("validate",)]
 
 
 def random_supports():
@@ -87,18 +113,21 @@ def cases():
         ("cohomology", "--degree=0,0,0,0,0"),
         ("cohomology", "--degree=0,0,0,0,0", "--coefficients", "modp:2"),
     ]
+    yield from validation_cases()
 
 
 def run_cli(spec_text, args):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec"
         path.write_text(spec_text)
-        buf = io.BytesIO()
-        out = io.TextIOWrapper(buf, encoding="utf-8")
-        with redirect_stdout(out):
+        out_buf, err_buf = io.BytesIO(), io.BytesIO()
+        out = io.TextIOWrapper(out_buf, encoding="utf-8")
+        err = io.TextIOWrapper(err_buf, encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
             code = main([args[0], str(path), *args[1:], "--format", "machine"])
             out.flush()
-        return code, buf.getvalue()
+            err.flush()
+        return code, out_buf.getvalue(), err_buf.getvalue()
 
 
 def write_corpus():
@@ -106,15 +135,12 @@ def write_corpus():
     for name, spec_text, commands in cases():
         for args in commands:
             try:
-                code, out = run_cli(spec_text, args)
+                code, out, err = run_cli(spec_text, args)
             except Exception as exc:  # a traceback escaping the CLI: leave it out
                 print(f"skip {name} {args}: {type(exc).__name__}", file=sys.stderr)
                 continue
-            if code != 0:
-                print(f"skip {name} {args}: exit {code}", file=sys.stderr)
-                continue
             corpus.append({"name": name, "args": list(args), "spec": spec_text,
-                           "output": out.decode()})
+                           "output": out.decode(), "code": code, "stderr": err.decode()})
     (HERE / "machine_corpus.json").write_text(json.dumps(corpus, indent=0) + "\n")
     print(f"{len(corpus)} reports", file=sys.stderr)
 

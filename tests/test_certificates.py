@@ -29,6 +29,10 @@ from toricgf.intlinalg import (InternalCheckFailed, cross_product, dot, greedy_b
                                primitive_vector, rank)
 
 from conftest import (
+    DOUBLE_COVER,
+    FOLDED,
+    PENTAGRAM,
+    ZIGZAG,
     cone_collections,
     example1_fan,
     fan3d_brion_pool,
@@ -418,16 +422,6 @@ def test_a_mutant_shortcut_fails_its_check(shortcut, monkeypatch):
     assert any(CHECKS[shortcut](fan) for fan in fans)
 
 
-# Every ray lies in two cones, on opposite sides, and the cones wind twice
-# around the origin: only the one-point test fails.
-PENTAGRAM = (2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
-             [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
-# The cycle of cones turns back at (1,-2) and again at (0,-1), covering the
-# wedge between them three times: only the side test fails.
-ZIGZAG = (2, [(1, 0), (-1, 1), (-1, -1), (1, -2), (0, -1), (1, -1)],
-          [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
-
-
 def sides_unchecked(real):
     # Two cones on a ridge pass on either side of it.
     return lambda ridges: all(len(sides) == 2 for _, _, sides in ridges.values())
@@ -507,11 +501,8 @@ def test_ridge_certificate_on_small_fans(rays, maximal, complete):
 
 
 @pytest.mark.parametrize("rays,maximal,message", [
-    # Three cones in the first quadrant folded back on each other.
-    ([[1, 0], [0, 1], [1, 2]], [[0, 1], [1, 2], [2, 0]], "lie on one side"),
-    # Eight cones winding twice around the origin.
-    ([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, 1], [-1, -1], [1, -1]],
-     [[i, (i + 1) % 8] for i in range(8)], "lies in another maximal cone"),
+    (*FOLDED[1:], "lie on one side"),
+    (*DOUBLE_COVER[1:], "lies in another maximal cone"),
 ], ids=["folded", "double-cover"])
 def test_ridge_certificate_rejects_a_non_fan(rays, maximal, message, monkeypatch):
     # With the fan axiom check switched off, every ridge of these lies in two

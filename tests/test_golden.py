@@ -1,8 +1,9 @@
-"""The ``--format machine`` output must stay byte-identical on a golden
-corpus: the README fan, the acceptance polytopes, a seeded battery of
-random 2-D and 3-D fans and the degree-0 query of a 5-D fan with torsion.
-``golden/make_corpus.py`` wrote the corpus; see its docstring before
-regenerating it."""
+"""The ``--format machine`` output, the exit code and the stderr bytes must
+stay identical on a golden corpus: the README fan, the acceptance
+polytopes, a seeded battery of random 2-D and 3-D fans, the degree-0 query
+of a 5-D fan with torsion, and ``validate`` on incomplete fans and on cone
+collections that are not fans.  ``golden/make_corpus.py`` wrote the
+corpus; see its docstring before regenerating it."""
 
 import json
 from pathlib import Path
@@ -20,5 +21,7 @@ def test_machine_output_unchanged(case, tmp_path, capsysbinary):
     spec = tmp_path / "spec"
     spec.write_text(case["spec"])
     args = case["args"]
-    assert main([args[0], str(spec), *args[1:], "--format", "machine"]) == 0
-    assert capsysbinary.readouterr().out == case["output"].encode()
+    code = main([args[0], str(spec), *args[1:], "--format", "machine"])
+    captured = capsysbinary.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["code"], case["output"].encode(), case["stderr"].encode())
