@@ -24,7 +24,6 @@ from .intlinalg import (
     InternalCheckFailed,
     Vector,
     adjugate,
-    cross_product,
     determinant,
     dot,
     matvec,
@@ -32,7 +31,7 @@ from .intlinalg import (
     smith_normal_form,
     unimodular_inverse,
 )
-from .polyhedral import Cone, cone_from_rays
+from .polyhedral import Cone, _simplex, cone_from_rays
 
 
 class NotPointed(Exception):
@@ -392,23 +391,6 @@ def _triangulate_rays(c: Cone) -> list[tuple[Vector, ...]]:
             for sub in _triangulate_rays(cone_from_rays(c.ambient_dim, facet))]
 
 
-def _inward_normals(gens: tuple[Vector, ...]) -> list[Vector]:
-    """For each generator, the primitive facet normal of the opposite facet,
-    oriented into the simplicial cone."""
-    normals = []
-    for i, g in enumerate(gens):
-        u = cross_product([v for j, v in enumerate(gens) if j != i])
-        if not any(u):
-            raise InternalCheckFailed(f"facet of {gens} opposite {g} has no normal line")
-        u = primitive_vector(u)
-        if dot(u, g) < 0:
-            u = tuple(-x for x in u)
-        if dot(u, g) == 0:
-            raise InternalCheckFailed(f"generator {g} lies on its opposite facet")
-        normals.append(u)
-    return normals
-
-
 # The 46 primes below 200.
 _PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 
@@ -445,9 +427,17 @@ def triangulate_halfopen(c: Cone) -> list[HalfOpenSimplicialCone]:
 
 
 def _reference_point_pieces(c: Cone) -> list[HalfOpenSimplicialCone]:
-    """``triangulate_halfopen`` through a reference point, for any cone."""
+    """``triangulate_halfopen`` through a reference point, for any cone.
+    A piece's inward facet normals are read off its ``Simplex`` record,
+    which orders them by its sorted ``ids``: sorting on the ids puts the
+    normal opposite each generator in that generator's place."""
     simplices = _triangulate_rays(c)
-    normals = [_inward_normals(gens) for gens in simplices]
+    normals = []
+    for gens in simplices:
+        rec = _simplex(gens, range(len(gens)), {})
+        if rec is None:
+            raise InternalCheckFailed(f"piece {gens} has dependent generators")
+        normals.append([u for _, u in sorted(zip(rec.ids, rec.normals))])
     for weights in _reference_weights(len(c.rays)):
         z = tuple(sum(w * r[i] for w, r in zip(weights, c.rays))
                   for i in range(c.ambient_dim))

@@ -12,23 +12,26 @@ faces are its ray subsets, its facets those one ray short.  A fan is built
 from ray sets and ray bitmasks, and a listed cone of n independent rays in
 Z^n is read once into a ``Simplex`` record: each ridge's cross product,
 made once and shared by the two cones on it, the determinant, whose sign
-turns each cross product into an inward facet normal and tells the side of
-the ridge the cone lies on, and those normals.  When every listed cone has
-a record, a ridge certificate decides the fan axioms and completeness in
-one pass: every ridge in exactly two listed cones, on opposite sides of it,
-and one interior point in one listed cone only.  The records also feed the
-support solve (Cramer's rule on the record), completeness where the
-certificate fails (a ridge's normal is the one opposite the ray left out)
-and the cell orientation (the determinant's sign).  A face of a listed cone
-is its ray set and its dimension, and is hulled only when its inequalities
-are read.  Where the certificate fails, two listed cones a, b meet in a
-common face when a u >= 0 on a and <= 0 on b (their own summed
-inequalities first, read off per-inequality ray masks, else the facet
-normals of cone(a, -b)) cuts the same face from both; and the face relation
-of a cone that is not simplicial compares ray masks one dimension apart.
-Any other cone keeps the general paths.  The dual of a pointed cone swaps
-its two descriptions.  All of it is exact and polynomial in the number of
-rays for a fixed dimension.
+turns each cross product into an inward facet normal, and those normals.
+The records feed the support solve (Cramer's rule on the record), the
+ridge normals of completeness (the normal opposite the ray left out) and
+the cell orientation (the determinant's sign).  A face of a listed cone is
+its ray set and its dimension, and is hulled only when its inequalities
+are read.
+
+Completeness is three ridge tests, made in one pass over the fan's face
+relation: every ridge lies in exactly two maximal cones, their inward
+normals on it are opposite, and one interior point lies in one maximal
+cone only.  They need no fan axioms, so when every listed cone has a
+record the pass also proves the axioms, and the pair check is skipped.
+Otherwise two listed cones a, b meet in a common face when a u >= 0 on a
+and <= 0 on b (their own summed inequalities first, read off
+per-inequality ray masks, else the facet normals of cone(a, -b)) cuts the
+same face from both; and the face relation of a cone that is not
+simplicial compares ray masks one dimension apart.  Any other cone keeps
+the general paths.  The dual of a pointed cone swaps its two descriptions.
+All of it is exact and polynomial in the number of rays for a fixed
+dimension.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
+from operator import add
 
 from .intlinalg import (
     InternalCheckFailed,
@@ -97,7 +101,7 @@ class Cone:
         return self._inequalities
 
     def contains(self, x) -> bool:
-        return all(dot(u, x) >= 0 for u in self.inequalities)
+        return min(dots(x, self.inequalities), default=0) >= 0
 
     def __repr__(self):
         kind = "cone" if self.pointed else "cone*"
@@ -158,10 +162,9 @@ class Simplex:
 def _simplex(rays, idx, ridges: dict) -> Simplex | None:
     """The record of the rays ``rays[i]``, i in ``idx``, or None when they
     are dependent.  ``ridges`` maps a ridge's ray mask (bit i for
-    ``rays[i]``) to its cross product u, u's primitive vector and the sides
-    of u that the records on it lie on, True where u points into the cone,
-    so a ridge is crossed once for the two cones on it: its rays, sorted,
-    are the same rows in both."""
+    ``rays[i]``) to its cross product u and u's primitive vector, so a
+    ridge is crossed once for the two cones on it: its rays, sorted, are
+    the same rows in both."""
     ids = sorted(idx, key=rays.__getitem__)
     gens = [rays[i] for i in ids]
     mask = sum(1 << i for i in ids)
@@ -170,17 +173,14 @@ def _simplex(rays, idx, ridges: dict) -> Simplex | None:
         ridge = ridges.get(key := mask ^ (1 << i))
         if ridge is None:
             u = cross_product(gens[:k] + gens[k + 1:])
-            ridge = ridges[key] = u, primitive_vector(u) if any(u) else u, []
+            ridge = ridges[key] = u, primitive_vector(u) if any(u) else u
         shared.append(ridge)
     det = dot(shared[0][0], gens[0])
     if not det:
         return None
-    normals = []
-    for k, (_, p, sides) in enumerate(shared):
-        inward = (det > 0) == (k % 2 == 0)
-        sides.append(inward)
-        normals.append(p if inward else tuple(-x for x in p))
-    return Simplex(tuple(ids), tuple(u for u, _, _ in shared), tuple(normals), det)
+    normals = tuple(p if (det > 0) == (k % 2 == 0) else tuple(-x for x in p)
+                    for k, (_, p) in enumerate(shared))
+    return Simplex(tuple(ids), tuple(u for u, _ in shared), normals, det)
 
 
 def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = False) -> Cone:
@@ -273,16 +273,15 @@ class Fan:
     ``facets[i]`` lists, ascending, the ids of cone i's facets.
     ``simplices`` maps the id of each listed cone of n independent rays to
     its ``Simplex`` record, read once when the fan was built.  ``certified``
-    says that the ridge certificate proved the fan complete."""
+    says that ``build_fan``'s ridge pass proved the fan complete."""
 
     def __init__(self, ambient_dim: int, cones: list[Cone], facets: list[list[int]],
-                 input_rays: tuple[Vector, ...], simplices: dict[int, Simplex],
-                 certified: bool):
+                 input_rays: tuple[Vector, ...], simplices: dict[int, Simplex]):
         self.ambient_dim = ambient_dim
         self.cones = tuple(cones)
         self.input_rays = input_rays
         self.simplices = simplices
-        self.certified = certified
+        self.certified = False
         self.maximal_ids = tuple(i for i, c in enumerate(cones) if c.dim == ambient_dim)
         self.ray_ids = tuple(i for i, c in enumerate(cones) if c.dim == 1)
         # Per cone id, the ids of its facets and of the cones it is a facet of.
@@ -381,44 +380,6 @@ def _check_intersections(top: list[Cone], rays=None) -> None:
                 f"intersection of {a} and {b} is not a common face")
 
 
-def _ridge_certificate(rays, records, ridges: dict) -> bool:
-    """Whether the listed cones, all with a ``Simplex`` record in ``records``
-    and their ridges in ``ridges``, form a complete fan: every ridge lies in
-    exactly two listed cones, on opposite sides of it, and the sum of the
-    first cone's rays lies in no other listed cone.  Linear in the ridges.
-
-    This is the pseudo-manifold characterisation of triangulations (De
-    Loera, Rambau and Santos, *Triangulations*, ch. 4).  Sketch: let N(x)
-    count the listed cones that contain x.  The covering number N is
-    constant off the codimension-2 cones: off them and off the meets of
-    ridges on distinct hyperplanes, a set of codimension 2 that leaves R^n
-    connected, a path crosses ridges only in their relative interiors, and
-    there the cones on the point pair off by ridge, one on each side, so N
-    is the same on both sides.  N is 1 at the test point, which lies inside
-    the first cone and in no other.  So the cones cover R^n, with disjoint
-    interiors.  The same count in R^n / span F, for a face F, shows that
-    the cones on F cover a neighbourhood of relint F, so a listed cone that
-    meets relint F has F as a face: any two listed cones meet in a common
-    face.  Conversely a complete simplicial fan passes all three tests.
-    The certificate raises nothing: a failure leaves the general checks to
-    decide."""
-    if not all(records) or not _two_sided(ridges):
-        return False
-    first, *others = records
-    point = [sum(col) for col in zip(*(rays[i] for i in first.ids))]
-    return _covered_once(point, others)
-
-
-def _two_sided(ridges: dict) -> bool:
-    """Every ridge lies in exactly two listed cones, on opposite sides of it."""
-    return all(len(sides) == 2 and sides[0] != sides[1] for _, _, sides in ridges.values())
-
-
-def _covered_once(point, others) -> bool:
-    """The point lies in none of the other records' cones."""
-    return not any(min(dots(point, rec.normals)) >= 0 for rec in others)
-
-
 def _facet_masks(mask: int, rays, bit: dict) -> list[int]:
     """The ray masks of a simplicial cone's facets: its mask less one ray."""
     return [mask ^ bit[r] for r in rays]
@@ -427,11 +388,13 @@ def _facet_masks(mask: int, rays, bit: dict) -> list[int]:
 def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     """Assemble and validate a fan from rays and maximal ray-index sets.
 
-    Raises NonPointedCone if a listed cone contains a line and
-    FanAxiomViolation if two listed cones intersect in a non-face.  When
-    every listed cone is n independent rays, ``_ridge_certificate`` first
-    tries to prove the fan axioms and completeness in one pass; the pair
-    check and ``check_complete``'s own pass run only when it fails.
+    Raises ValueError if a maximal cone is listed twice, NonPointedCone if
+    a listed cone contains a line and FanAxiomViolation if two listed cones
+    intersect in a non-face.  When every listed cone is n independent rays,
+    the three ridge tests (every ridge in exactly two maximal cones, their
+    inward normals on it opposite, one interior point in one maximal cone
+    only) run first: if they pass, the fan is complete and the pair check
+    is skipped.
     """
     ray_list = []
     for r in rays:
@@ -441,9 +404,10 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         if v in ray_list:
             raise ValueError(f"duplicate ray {v}")
         ray_list.append(v)
+    bit = {r: 1 << i for i, r in enumerate(ray_list)}
     used = set()
     top, records = [], []
-    ridges = {}
+    ridges, cones = {}, {}
     for idxset in maximal_cones:
         idx = sorted(set(idxset))
         if not idx:
@@ -455,24 +419,26 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         # extreme, with the record's normals as their inequalities.
         rec = _simplex(ray_list, idx, ridges) if len(idx) == ambient_dim else None
         if rec is None:
-            top.append(cone_from_rays(ambient_dim, [ray_list[i] for i in idx],
-                                      require_pointed=True))
+            c = cone_from_rays(ambient_dim, [ray_list[i] for i in idx], require_pointed=True)
         else:
-            top.append(Cone(ambient_dim, tuple(ray_list[i] for i in rec.ids), ambient_dim,
-                            True, tuple(sorted(rec.normals))))
+            c = Cone(ambient_dim, tuple(ray_list[i] for i in rec.ids), ambient_dim,
+                     True, tuple(sorted(rec.normals)))
+        mask = sum(bit[r] for r in c.rays)
+        if mask in cones:
+            raise ValueError(f"maximal cone {c} is listed twice")
+        cones[mask] = c
+        top.append(c)
         records.append(rec)
     if used != set(range(len(ray_list))):
         missing = sorted(set(range(len(ray_list))) - used)
         raise ValueError(f"rays {missing} are not used by any maximal cone")
+    listed = list(cones)
 
     # The faces of the listed cones are all the cones of the fan, keyed by
     # ray mask, and a listed cone is its own top face.  Any other face is
     # pointed with its ray set as extreme rays: it is its rays and dim,
     # hulled when read.  The simplicial cones go first: a face of one has
     # its size as its dim.
-    bit = {r: 1 << i for i, r in enumerate(ray_list)}
-    listed = [sum(bit[r] for r in c.rays) for c in top]
-    cones = dict(zip(listed, top))
     for c in sorted(top, key=lambda c: len(c.rays) > c.dim):
         simplicial = len(c.rays) == c.dim
         for face in _faces(c):
@@ -482,17 +448,10 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
             if mask not in cones:
                 dim = len(face) if simplicial or not face else rank(face)
                 cones[mask] = Cone(ambient_dim, face, dim, pointed=True)
-    certified = _ridge_certificate(ray_list, records, ridges)
-    if not certified:
-        _check_intersections(top, ray_list)
 
     order = sorted(cones, key=lambda m: (cones[m].dim, cones[m].rays))
     ordered = [cones[m] for m in order]
     id_of = {m: i for i, m in enumerate(order)}
-    for v in ray_list:
-        if bit[v] not in cones:
-            raise ValueError(
-                f"listed ray {v} is a redundant generator, not a ray of the fan")
     # A simplicial cone's facets are its ray subsets one short.  For any
     # other cone, in a fan, a cone one dimension lower whose rays are among
     # c's is a face of c: both are faces of maximal cones meeting in a
@@ -507,7 +466,15 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
                                             bisect_left(dims, c.dim))
                            if not order[j] & ~mask])
     simplices = {id_of[m]: rec for m, rec in zip(listed, records) if rec is not None}
-    return Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices, certified)
+    fan = Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices)
+    fan.certified = all(records) and _ridge_failure(fan) is None
+    if not fan.certified:
+        _check_intersections(top, ray_list)
+    for v in ray_list:
+        if bit[v] not in cones:
+            raise ValueError(
+                f"listed ray {v} is a redundant generator, not a ray of the fan")
+    return fan
 
 
 @dataclass
@@ -519,43 +486,68 @@ class CompletenessReport:
 def check_complete(f: Fan) -> CompletenessReport:
     """A fan is complete iff every ridge lies in exactly two maximal cones:
     by the fan axioms, which ``build_fan`` checks, those lie on opposite
-    sides of it and an interior point lies in one maximal cone only, so the
-    support less the codimension-2 cones is open and closed in R^n less
-    them (De Loera, Rambau and Santos, *Triangulations*, ch. 4).  Both
-    axiom consequences are checked, and raise InternalCheckFailed.  A fan
-    whose build passed the ridge certificate, which proved it complete, is
-    reported complete with no further pass."""
-    if f.certified:
-        return CompletenessReport(True)
-    n = f.ambient_dim
+    sides of it and an interior point lies in one maximal cone only.  A fan
+    whose build passed the three ridge tests is reported complete; any
+    other runs them now, and a failed side or one-point test raises
+    InternalCheckFailed."""
+    failure = None if f.certified else _ridge_failure(f)
+    if isinstance(failure, InternalCheckFailed):
+        raise failure
+    return failure or CompletenessReport(True)
+
+
+def _ridge_failure(f: Fan) -> CompletenessReport | InternalCheckFailed | None:
+    """The first of the three ridge tests that f fails, or None: the count
+    over all ridges in id order, as a report with its witness, then the
+    sides in id order and the one point, as the InternalCheckFailed that
+    ``check_complete`` raises.
+
+    Passing all three makes the maximal cones a complete fan, with no fan
+    axiom assumed: the pseudo-manifold characterisation of triangulations
+    (De Loera, Rambau and Santos, *Triangulations*, ch. 4).  Sketch: let
+    N(x) count the maximal cones that contain x.  N is constant off the
+    codimension-2 cones: off them and off the meets of ridges on distinct
+    hyperplanes, a set of codimension 2 that leaves R^n connected, a path
+    crosses ridges only in their relative interiors, and there the cones
+    on the point pair off by ridge, one on each side, so N is the same on
+    both sides.  N is 1 at the test point, which lies inside the first
+    cone and in no other.  So the cones cover R^n, with disjoint interiors.
+    The same count in R^n / span F, for a face F, shows that the cones on F
+    cover a neighbourhood of relint F, so a cone that meets relint F has F
+    as a face: any two meet in a common face.  Conversely a complete fan
+    passes all three tests."""
     if not f.maximal_ids:
         return CompletenessReport(False, "no full-dimensional cones")
-    parents = {i: f._cofacets_of[i] for i, c in enumerate(f.cones) if c.dim == n - 1}
-    for i, ids in parents.items():
-        if len(ids) != 2:
+    ridges = [i for i, c in enumerate(f.cones) if c.dim == f.ambient_dim - 1]
+    for i in ridges:
+        if len(ids := f._cofacets_of[i]) != 2:
             return CompletenessReport(
                 False, f"ridge {list(f.cones[i].rays)} lies in {len(ids)} maximal cone(s)")
-    for i, (a, b) in parents.items():
-        ridge = f.cones[i].rays
-        w = next(r for r in f.cones[b].rays if r not in ridge)
-        if dot(_ridge_normal(f, a, ridge), w) >= 0:
-            raise InternalCheckFailed(
-                f"the maximal cones on ridge {list(ridge)} lie on one side of it")
+    for i in ridges:
+        a, b = f._cofacets_of[i]
+        if any(map(add, _ridge_normal(f, a, i), _ridge_normal(f, b, i))):
+            return InternalCheckFailed(
+                f"the maximal cones on ridge {list(f.cones[i].rays)} lie on one side of it")
     first, *others = (f.cones[j] for j in f.maximal_ids)
     point = [sum(col) for col in zip(*first.rays)]
     if any(c.contains(point) for c in others):
-        raise InternalCheckFailed(f"an interior point of {first} lies in another maximal cone")
-    return CompletenessReport(True)
+        return InternalCheckFailed(f"an interior point of {first} lies in another maximal cone")
+    return None
 
 
-def _ridge_normal(f: Fan, a: int, ridge) -> Vector:
-    """The inward normal of maximal cone a on its facet with the given rays:
-    for a simplicial listed cone, its record's normal opposite the ray left
-    out; else the inequality of a that vanishes on the ridge."""
+def _ridge_normal(f: Fan, a: int, ridge: int) -> Vector:
+    """The primitive inward normal of maximal cone a on its facet of id
+    ``ridge``: for a simplicial listed cone, its record's normal opposite
+    the ray left out, read by the facet's position among a's facets; else
+    the inequality of a that vanishes on the ridge.  Ids order cones of one
+    dimension by their sorted rays, and leaving out a later ray of a gives
+    an earlier tuple, so a's facets, ascending, leave out its last ray
+    first."""
     rec = f.simplices.get(a)
     if rec is None:
-        return next(u for u in f.cones[a].inequalities if all(dot(u, r) == 0 for r in ridge))
-    return rec.normals[next(k for k, r in enumerate(f.cones[a].rays) if r not in ridge)]
+        rays = f.cones[ridge].rays
+        return next(u for u in f.cones[a].inequalities if all(dot(u, r) == 0 for r in rays))
+    return rec.normals[-1 - f._facets_of[a].index(ridge)]
 
 
 @dataclass

@@ -288,6 +288,7 @@ POLYTOPES = (
 
 # Cone collections that are not fans, as (dim, rays, maximal cones).  In
 # the first four every ridge lies in exactly two listed cones.
+#
 # Every ray lies in two cones, on opposite sides, and the cones wind twice
 # around the origin: only the one-point test fails.
 PENTAGRAM = (2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],

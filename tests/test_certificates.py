@@ -1,20 +1,21 @@
 """The shortcuts that read a simplicial cone off its rays, and the ridge
-certificate of completeness, agree with the slow references they replace:
-the incidence by a permutation's sign with the determinant incidence, a
-simplicial ``cone_from_rays`` with the rank route, the faces of a listed
-cone with its facet closure and a rank per face, its facets with the ray
-subsets one dimension lower, the cell bases with ``greedy_basis``, the
-one-pass incidences with the determinant incidence, and ``check_complete``
-with the homology of the sphere cell complex.  Every reader of a listed
-cone's ``Simplex`` record agrees with the path it skips, taken by the same
-fan built with no record: the facet normals, the support functionals, the
-orientation signs, the ridge normals of completeness, and the ridge
-certificate that decides the fan axioms and completeness in place of the
-pair check and the completeness pass, the last also on broken cone
-collections in dimensions 2-5.  A mutant of each shortcut fails its
-check.  The batteries are the acceptance suite's random cases, the
-benchmark's fan pool, deep 3-D fans, the polytope corpus and seeded 4-D
-cross-polytope fans."""
+pass that certifies completeness in the build, agree with the slow
+references they replace: the incidence by a permutation's sign with the
+determinant incidence, a simplicial ``cone_from_rays`` with the rank
+route, the faces of a listed cone with its facet closure and a rank per
+face, its facets with the ray subsets one dimension lower, the cell bases
+with ``greedy_basis``, the one-pass incidences with the determinant
+incidence, and ``check_complete`` with the homology of the sphere cell
+complex.  Every reader of a listed cone's ``Simplex`` record agrees with
+the path it skips, taken by the same fan built with no record: the facet
+normals, the support functionals, the orientation signs, the ridge
+normals of completeness, and the build's ridge pass that decides the fan
+axioms and completeness in place of the pair check, the last also on
+broken cone collections in dimensions 2-5.  A mutant of each shortcut
+fails its check, and so does the ridge pass with its side or its
+one-point test dropped.  The batteries are the acceptance suite's random
+cases, the benchmark's fan pool, deep 3-D fans, the polytope corpus and
+seeded 4-D cross-polytope fans."""
 
 import random
 from collections import Counter
@@ -221,8 +222,8 @@ def completeness_mismatches(fan):
         for i, c in enumerate(part.cones):
             if c.dim == part.ambient_dim - 1:
                 out += [(i, a) for a in part._cofacets_of[i]
-                        if polyhedral._ridge_normal(part, a, c.rays)
-                        != polyhedral._ridge_normal(ref, a, c.rays)]
+                        if polyhedral._ridge_normal(part, a, i)
+                        != polyhedral._ridge_normal(ref, a, i)]
         if outcome(lambda: check_complete(part)) != outcome(lambda: check_complete(ref)):
             out.append(maximal)
     return out
@@ -380,13 +381,12 @@ def absolute_orientation(real):
 
 
 def neighbour_normal(real):
-    # The normal of the facet off the next ray of the record.
+    # The normal of a record's cone on its next facet.
     def mutant(f, a, ridge):
-        rec = f.simplices.get(a)
-        if rec is None:
+        if a not in f.simplices:
             return real(f, a, ridge)
-        k = next(k for k, r in enumerate(f.cones[a].rays) if r not in ridge)
-        return rec.normals[(k + 1) % len(rec.normals)]
+        facets = f.facet_ids(a)
+        return real(f, a, facets[(facets.index(ridge) + 1) % len(facets)])
     return mutant
 
 
@@ -423,32 +423,36 @@ def test_a_mutant_shortcut_fails_its_check(shortcut, monkeypatch):
 
 
 def sides_unchecked(real):
-    # Two cones on a ridge pass on either side of it.
-    return lambda ridges: all(len(sides) == 2 for _, _, sides in ridges.values())
+    # Every ridge normal zero, so the two on a ridge are always opposite:
+    # the side test is dropped.
+    return lambda f, a, ridge: (0,) * f.ambient_dim
 
 
 def point_unchecked(real):
-    return lambda point, others: True
+    # No cone contains the test point: the one-point test is dropped.
+    return lambda c, x: False
 
 
-CERTIFICATE_MUTANTS = {"sides": ("_two_sided", sides_unchecked, ZIGZAG),
-                       "one-point": ("_covered_once", point_unchecked, PENTAGRAM)}
+CERTIFICATE_MUTANTS = {"sides": (polyhedral, "_ridge_normal", sides_unchecked, ZIGZAG),
+                       "one-point": (polyhedral.Cone, "contains", point_unchecked, PENTAGRAM)}
 
 
 @pytest.mark.parametrize("test", sorted(CERTIFICATE_MUTANTS))
 def test_a_mutant_ridge_certificate_fails_its_check(test, monkeypatch):
-    name, mutate, (dim, rays, maximal) = CERTIFICATE_MUTANTS[test]
+    # The ridge pass with one test dropped certifies a non-fan.
+    target, name, mutate, (dim, rays, maximal) = CERTIFICATE_MUTANTS[test]
     assert certificate_mismatch(dim, rays, maximal) == []
     (kind, _), certified, _ = decision(lambda: build_fan(dim, rays, maximal))
     assert (kind, certified) == ("FanAxiomViolation", False)
-    monkeypatch.setattr(polyhedral, name, mutate(getattr(polyhedral, name)))
+    monkeypatch.setattr(target, name, mutate(getattr(target, name)))
     assert certificate_mismatch(dim, rays, maximal)
 
 
 def test_complete_simplicial_fans_take_no_pair_check_and_no_completeness_pass(
         request, monkeypatch):
-    # The ridge certificate decides the fan axioms and completeness of every
-    # fan of these batteries: no pair check, no hull, no ridge normal.
+    # The build's ridge pass decides the fan axioms and completeness of every
+    # fan of these batteries: one pass per fan, no pair check, no hull, and
+    # no ridge normal from an inequality.
     data = [(fan.ambient_dim, fan.input_rays, listed_cones(fan))
             for name in ("pool", "deep", "cross4d") for fan, _ in fan_battery(name, request)]
     calls = Counter()
@@ -461,12 +465,20 @@ def test_complete_simplicial_fans_take_no_pair_check_and_no_completeness_pass(
             return real(*args)
         return wrapper
 
-    for name in ("_check_intersections", "_hull_description", "_ridge_normal"):
+    real_normal = polyhedral._ridge_normal
+
+    def normal(f, a, ridge):
+        if a not in f.simplices:
+            calls["inequality normal"] += 1
+        return real_normal(f, a, ridge)
+
+    for name in ("_check_intersections", "_hull_description", "_ridge_failure"):
         monkeypatch.setattr(polyhedral, name, counted(name))
+    monkeypatch.setattr(polyhedral, "_ridge_normal", normal)
     for dim, rays, maximal in data:
         fan = build_fan(dim, rays, maximal)
         assert fan.certified and check_complete(fan).complete
-    assert calls == Counter()
+    assert calls == Counter({"_ridge_failure": len(data)})
 
 
 def broken_fans(fans):

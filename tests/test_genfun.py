@@ -20,10 +20,10 @@ from toricgf import (
     truncated_series,
 )
 from toricgf import lattice_polytope, normal_fan_of_polytope
-from toricgf.genfun import (_divide_binomial, _reference_point_pieces,
+from toricgf.genfun import (HalfOpenSimplicialCone, _divide_binomial, _reference_point_pieces,
                             _smith_parallelepiped_points, binomial_product, sign_canonical,
                             times_binomials)
-from toricgf.intlinalg import adjugate, determinant, matvec
+from toricgf.intlinalg import InternalCheckFailed, adjugate, determinant, matvec
 
 from conftest import (POLYTOPES, example1_fan, fan3d_brion_pool, fan_battery,
                       lattice_polygon_cone, primitive_edges)
@@ -355,13 +355,32 @@ def test_simplicial_piece_equals_the_reference_point_path(battery, request):
 def test_brion_cones_of_the_pool_compute_no_facet_normals(monkeypatch):
     from toricgf import genfun, support_from_ray_values
 
-    real, calls = genfun._inward_normals, []
-    monkeypatch.setattr(genfun, "_inward_normals", lambda gens: calls.append(gens) or real(gens))
+    real, calls = genfun._simplex, []
+    monkeypatch.setattr(genfun, "_simplex", lambda *args: calls.append(args) or real(*args))
     for fan in fan3d_brion_pool():
         h = support_from_ray_values(fan, [0] * len(fan.input_rays))
         for i in fan.maximal_ids:
             cone_genfun(tuple(-x for x in h.linear_part(i)), dual_cone(fan.cones[i]))
     assert calls == []
+
+
+def test_piece_normals_follow_the_generator_order(monkeypatch):
+    # Each flag belongs to the facet opposite its generator, in any order of
+    # the generators; a piece of dependent generators is an internal error.
+    from toricgf import genfun
+
+    c = cone_from_rays(3, [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 2, 1)])
+    pieces = _reference_point_pieces(c)
+    assert len({p.closed_flags for p in pieces}) > 1
+    monkeypatch.setattr(genfun, "_triangulate_rays",
+                        lambda c: [p.generators[1:] + p.generators[:1] for p in pieces])
+    assert _reference_point_pieces(c) == [HalfOpenSimplicialCone(
+        p.generators[1:] + p.generators[:1], p.closed_flags[1:] + p.closed_flags[:1])
+        for p in pieces]
+    monkeypatch.setattr(genfun, "_triangulate_rays",
+                        lambda c: [((1, 0, 0), (0, 1, 0), (1, 1, 0))])
+    with pytest.raises(InternalCheckFailed, match="dependent generators"):
+        _reference_point_pieces(c)
 
 
 def test_triangulate_requires_pointed_full_dim():

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from itertools import combinations
@@ -262,6 +263,22 @@ def test_build_fan_rejects_redundant_listed_ray():
     with pytest.raises(ValueError):
         build_fan(2, [[1, 0], [1, 1], [0, 1], [-1, -1]],
                   [[0, 1, 2], [2, 3], [3, 0]])
+
+
+@pytest.mark.parametrize("records, maximal, repeated", [
+    (True, [[0, 1], [1, 0], [1, 2], [2, 3], [3, 0]], "cone[(0, 1), (1, 0)]"),
+    (False, [[0, 1], [1, 2], [2, 3], [3, 0], [2, 1]], "cone[(-1, 0), (0, 1)]"),
+], ids=["record", "general"])
+def test_build_fan_rejects_a_maximal_cone_listed_twice(records, maximal, repeated,
+                                                       monkeypatch):
+    # Cones are keyed by ray mask, so a repeat would be kept once and the
+    # fan taken as complete; the error names the repeated cone.
+    import toricgf.polyhedral as polyhedral
+
+    if not records:
+        monkeypatch.setattr(polyhedral, "_simplex", lambda *args: None)
+    with pytest.raises(ValueError, match=re.escape(f"maximal cone {repeated} is listed twice")):
+        build_fan(2, [[1, 0], [0, 1], [-1, 0], [0, -1]], maximal)
 
 
 def test_build_fan_rejects_line():
