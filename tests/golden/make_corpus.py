@@ -4,12 +4,14 @@
 
 Runs the CLI on the README fan, the acceptance polytopes, a seeded battery
 of random 2-D and 3-D fans from ``conftest``, the degree-0 query of the
-5-D RP^2 fan with torsion, and ``validate`` on incomplete fans and on cone
-collections that are not fans, and stores each spec, its argv, the exit
-code and the exact stdout and stderr bytes in ``machine_corpus.json``.  A
-run that escapes the CLI with a traceback is left out.  ``test_golden.py``
-replays the corpus; rerun this script only when a change to the machine
-output or to an error is intended.
+5-D RP^2 fan with torsion and its table over the box (-1..1)^5,
+``validate`` on incomplete fans and on cone collections that are not fans,
+and ``polytope`` and ``validate`` on point lists with points that are not
+vertices.  It stores each spec, its argv, the exit code and the exact
+stdout and stderr bytes in ``machine_corpus.json``.  A run that escapes
+the CLI with a traceback is left out.  ``test_golden.py`` replays the
+corpus; rerun this script only when a change to the machine output or to
+an error is intended.
 """
 
 import io
@@ -31,6 +33,19 @@ SEED = 20261018
 README_FAN = FanSpec(dim=2, rays=((1, 1), (0, 1), (-1, 1), (0, -1)),
                      maximal_cones=((0, 1), (1, 2), (2, 3), (3, 0)),
                      support=(0, -2, 0, -2))
+
+# Point lists with points that are not vertices, so that the vertex test
+# drops some; the last is collinear and raises DegeneratePolytope.
+POINT_LISTS = (
+    ("square-3x3-all-points", 2, [(x, y) for x in range(3) for y in range(3)]),
+    ("triangle-3-with-inner-points", 2,
+     [(0, 0), (3, 0), (0, 3), (1, 0), (2, 0), (1, 1), (1, 2)]),
+    ("cube-2-with-inner-points", 3,
+     [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)] + [(1, 1, 1), (1, 0, 0)]),
+    ("square-repeated-point", 2, [(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)]),
+    ("segment-0-1-2", 1, [(0,), (1,), (2,)]),
+    ("collinear-points", 2, [(0, 0), (1, 0), (2, 0)]),
+)
 
 FAN_COMMANDS = (
     ("cohomology",),
@@ -112,8 +127,12 @@ def cases():
                                            support=tuple(values))), [
         ("cohomology", "--degree=0,0,0,0,0"),
         ("cohomology", "--degree=0,0,0,0,0", "--coefficients", "modp:2"),
+        ("cohomology", "--box=-1:1,-1:1,-1:1,-1:1,-1:1", "--coefficients", "modp:2"),
     ]
     yield from validation_cases()
+    for name, dim, points in POINT_LISTS:
+        yield name, emit_spec(FanSpec(dim=dim, polytope=tuple(map(tuple, points)))), \
+            [("polytope",), ("polytope", "--oracle"), ("validate",)]
 
 
 def run_cli(spec_text, args):

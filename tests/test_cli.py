@@ -126,7 +126,7 @@ def test_flat_documents_never_reach_pyyaml(monkeypatch):
 
     monkeypatch.setattr(yaml, "load", refuse)
     specs = [parse_spec(text) for text in GOLDEN_SPECS]
-    assert len(specs) == 99
+    assert len(specs) == 118
     specs += [FanSpec(dim=3, rays=fan.input_rays,
                       maximal_cones=tuple(tuple(fan.input_rays.index(r) for r in fan.cones[i].rays)
                                           for i in fan.maximal_ids),

@@ -1,9 +1,11 @@
 """The ``--format machine`` output, the exit code and the stderr bytes must
 stay identical on a golden corpus: the README fan, the acceptance
 polytopes, a seeded battery of random 2-D and 3-D fans, the degree-0 query
-of a 5-D fan with torsion, and ``validate`` on incomplete fans and on cone
-collections that are not fans.  ``golden/make_corpus.py`` wrote the
-corpus; see its docstring before regenerating it."""
+and a box table of a 5-D fan with torsion, ``validate`` on incomplete fans
+and on cone collections that are not fans, and ``polytope`` and
+``validate`` on point lists with points that are not vertices.
+``golden/make_corpus.py`` wrote the corpus; see its docstring before
+regenerating it."""
 
 import json
 from pathlib import Path
