@@ -255,7 +255,7 @@ def _build(spec: FanSpec):
 
 
 # The series cross-check reads the run's region, cut to at most this many
-# degrees on each axis, the width of the fixed box it once read.
+# degrees on each axis.
 ORACLE_WIDTH = 6
 
 

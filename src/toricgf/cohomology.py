@@ -134,21 +134,21 @@ def _reference_bounds(h: SupportFunction) -> tuple:
 
 
 class SweepIndex:
-    """Rays with their support values, every cone's ray set as a bitmask,
-    and the memo of subcomplexes by on-ray mask, for one support function."""
+    """Rays with their support values, every cone's ray mask as the fan
+    keeps it (bit k for ``fan.input_rays[k]``), and the memo of subcomplexes
+    by on-ray mask, for one support function."""
 
     def __init__(self, h: SupportFunction):
         fan = h.fan
         n = fan.ambient_dim
         self.fan = fan
-        bits = {r: 1 << k for k, r in enumerate(fan.rays)}
-        self._rays = tuple((bit, r, h.value(r)) for r, bit in bits.items())
-        self._cones = tuple((sum(bits[r] for r in c.rays), (-1) ** (n - c.dim))
-                            for c in fan.cones)
+        self._rays = tuple((1 << k, r, h.value(r)) for k, r in enumerate(fan.input_rays))
+        self._cones = tuple(zip(fan.masks, [(-1) ** (n - c.dim) for c in fan.cones]))
         self._memo: dict[int, Subcomplex] = {}
 
     def mask(self, b) -> int:
-        """Bit k is set when ray k satisfies <b, r> + h(r) >= 0."""
+        """Bit k is set when ray r = ``fan.input_rays[k]`` satisfies
+        <b, r> + h(r) >= 0."""
         m = 0
         for bit, r, v in self._rays:
             if dot(b, r) + v >= 0:

@@ -186,11 +186,6 @@ def _times_binomial(terms: dict[Vector, int], g: Vector) -> dict[Vector, int]:
     return out
 
 
-def binomial_product(dim: int, factors) -> LaurentPolynomial:
-    """Product of (1 - x^g) over the given factor vectors."""
-    return times_binomials(LaurentPolynomial.constant(dim, 1), factors)
-
-
 @dataclass(frozen=True)
 class RationalGF:
     """numerator / product of (1 - x^g) over the factor multiset."""

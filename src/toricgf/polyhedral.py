@@ -271,17 +271,21 @@ class Fan:
     intersections, indexed deterministically by (dim, lexicographic rays).
 
     ``facets[i]`` lists, ascending, the ids of cone i's facets.
-    ``simplices`` maps the id of each listed cone of n independent rays to
-    its ``Simplex`` record, read once when the fan was built.  ``certified``
-    says that ``build_fan``'s ridge pass proved the fan complete."""
+    ``mask_ids`` maps the ray mask that ``build_fan`` keyed each cone by
+    (bit k for ``input_rays[k]``) to its id, in id order; ``masks[i]`` is
+    cone i's mask.  ``simplices`` maps the id of each listed cone of n
+    independent rays to its ``Simplex`` record, read once when the fan was
+    built."""
 
     def __init__(self, ambient_dim: int, cones: list[Cone], facets: list[list[int]],
-                 input_rays: tuple[Vector, ...], simplices: dict[int, Simplex]):
+                 input_rays: tuple[Vector, ...], simplices: dict[int, Simplex],
+                 mask_ids: dict[int, int]):
         self.ambient_dim = ambient_dim
         self.cones = tuple(cones)
         self.input_rays = input_rays
         self.simplices = simplices
-        self.certified = False
+        self.masks = tuple(mask_ids)
+        self._mask_ids = mask_ids
         self.maximal_ids = tuple(i for i, c in enumerate(cones) if c.dim == ambient_dim)
         self.ray_ids = tuple(i for i, c in enumerate(cones) if c.dim == 1)
         # Per cone id, the ids of its facets and of the cones it is a facet of.
@@ -291,7 +295,6 @@ class Fan:
                 cofacets[fid].append(cid)
         self._facets_of = tuple(map(tuple, facets))
         self._cofacets_of = tuple(map(tuple, cofacets))
-        self._by_rays = None
         self._zero_id = 0 if self.cones and not self.cones[0].rays else None
 
     @property
@@ -308,9 +311,12 @@ class Fan:
         return frozenset((fid, cid) for cid, ids in enumerate(self._facets_of) for fid in ids)
 
     def cone_id(self, rays) -> int:
-        if self._by_rays is None:
-            self._by_rays = {frozenset(c.rays): i for i, c in enumerate(self.cones)}
-        return self._by_rays[frozenset(tuple(r) for r in rays)]
+        return self._mask_ids[sum(1 << self.input_rays.index(r) for r in set(map(tuple, rays)))]
+
+    @cached_property
+    def _ridge_verdict(self) -> CompletenessReport | InternalCheckFailed | None:
+        """``_ridge_failure(self)``, made once by whoever reads it first."""
+        return _ridge_failure(self)
 
     @property
     def zero_id(self) -> int:
@@ -394,7 +400,8 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     the three ridge tests (every ridge in exactly two maximal cones, their
     inward normals on it opposite, one interior point in one maximal cone
     only) run first: if they pass, the fan is complete and the pair check
-    is skipped.
+    is skipped.  The fan keeps that verdict for ``check_complete``, and
+    keeps each cone's ray mask, bit k for the k-th listed ray.
     """
     ray_list = []
     for r in rays:
@@ -466,9 +473,8 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
                                             bisect_left(dims, c.dim))
                            if not order[j] & ~mask])
     simplices = {id_of[m]: rec for m, rec in zip(listed, records) if rec is not None}
-    fan = Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices)
-    fan.certified = all(records) and _ridge_failure(fan) is None
-    if not fan.certified:
+    fan = Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices, id_of)
+    if not all(records) or fan._ridge_verdict is not None:
         _check_intersections(top, ray_list)
     for v in ray_list:
         if bit[v] not in cones:
@@ -486,11 +492,11 @@ class CompletenessReport:
 def check_complete(f: Fan) -> CompletenessReport:
     """A fan is complete iff every ridge lies in exactly two maximal cones:
     by the fan axioms, which ``build_fan`` checks, those lie on opposite
-    sides of it and an interior point lies in one maximal cone only.  A fan
-    whose build passed the three ridge tests is reported complete; any
-    other runs them now, and a failed side or one-point test raises
-    InternalCheckFailed."""
-    failure = None if f.certified else _ridge_failure(f)
+    sides of it and an interior point lies in one maximal cone only.  The
+    three ridge tests run once per fan: this reads the verdict of the pass
+    that ``build_fan`` ran, or runs it now.  A failed side or one-point
+    test raises InternalCheckFailed."""
+    failure = f._ridge_verdict
     if isinstance(failure, InternalCheckFailed):
         raise failure
     return failure or CompletenessReport(True)
@@ -613,20 +619,17 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Full-dimensional lattice polytope given by its vertex set."""
+    """Full-dimensional lattice polytope: its vertices and, in the same
+    order, the tangent cones that the vertex test hulled at them."""
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
-
-
-def _normal_cone(point: Vector, points: list[Vector], n: int) -> Cone:
-    ineqs = [tuple(p[i] - point[i] for i in range(n))
-             for p in points if p != point]
-    return dual_cone(cone_from_rays(n, ineqs))
+    tangent_cones: tuple[Cone, ...] = field(compare=False, repr=False)
 
 
 def lattice_polytope(ambient_dim: int, points) -> LatticePolytope:
-    """Canonical polytope from a point list: keeps exactly the extreme points.
+    """Canonical polytope from a point list: keeps exactly the extreme points,
+    those whose tangent cone is pointed, and their tangent cones.
 
     Raises DegeneratePolytope when the points do not span dimension n.
     """
@@ -640,23 +643,23 @@ def lattice_polytope(ambient_dim: int, points) -> LatticePolytope:
     diffs = [[p[i] - base[i] for i in range(ambient_dim)] for p in pts[1:]]
     if rank(diffs) != ambient_dim:
         raise DegeneratePolytope(f"points span dimension {rank(diffs)} < {ambient_dim}")
-    vertices = [p for p in pts if cone_from_rays(  # p's tangent cone is pointed
-        ambient_dim, [[q[i] - p[i] for i in range(ambient_dim)] for q in pts]).pointed]
-    return LatticePolytope(ambient_dim, tuple(sorted(vertices)))
+    cones = {p: c for p in pts if (c := cone_from_rays(  # p's tangent cone is pointed
+        ambient_dim, [[q[i] - p[i] for i in range(ambient_dim)] for q in pts])).pointed}
+    return LatticePolytope(ambient_dim, tuple(cones), tuple(cones.values()))
 
 
 def normal_fan_of_polytope(p: LatticePolytope) -> tuple[Fan, SupportFunction]:
     """Inner normal fan of a lattice polytope with its support data.
 
     The maximal cone attached to a vertex w consists of the directions
-    minimized at w; its linear part equals -w, so the shifted dual cone is
-    the tangent cone of the polytope at w.
+    minimized at w, the dual of the tangent cone the vertex test hulled at w;
+    its linear part equals -w, so the shifted dual cone is that tangent cone.
     """
     n = p.ambient_dim
     verts = list(p.vertices)
     if len(verts) < n + 1:
         raise DegeneratePolytope("a full-dimensional polytope needs >= n+1 vertices")
-    cones = [_normal_cone(w, verts, n) for w in verts]
+    cones = [dual_cone(c) for c in p.tangent_cones]
     if any(c.dim != n for c in cones):
         raise InternalCheckFailed("a vertex has a lower-dimensional normal cone")
     ray_list: list[Vector] = sorted({r for c in cones for r in c.rays})

@@ -24,7 +24,8 @@ from itertools import combinations
 import pytest
 
 from toricgf import (build_fan, cell_complex, chain_complex, check_complete, cone_from_rays,
-                     incidence, support_from_ray_values)
+                     incidence, lattice_polytope, normal_fan_of_polytope,
+                     support_from_ray_values)
 from toricgf import cellular, intlinalg, polyhedral
 from toricgf.intlinalg import (InternalCheckFailed, cross_product, dot, greedy_basis,
                                primitive_vector, rank)
@@ -33,6 +34,7 @@ from conftest import (
     DOUBLE_COVER,
     FOLDED,
     PENTAGRAM,
+    POLYTOPES,
     ZIGZAG,
     cone_collections,
     example1_fan,
@@ -230,12 +232,14 @@ def completeness_mismatches(fan):
 
 
 def pair_check_route(build):
-    """What ``build()`` returns or raises, and the pairs its fan axiom check
-    sends to the separation-lemma hull, in order."""
+    """What ``build()`` returns or raises, whether it ran the fan axiom
+    check, and the pairs that check sends to the separation-lemma hull, in
+    order."""
     real_check, real_hull = polyhedral._check_intersections, polyhedral._hull_description
-    hulls, inside = [], []
+    hulls, inside, checks = [], [], []
 
     def check(*args):
+        checks.append(args)
         inside.append(args)
         try:
             return real_check(*args)
@@ -250,17 +254,18 @@ def pair_check_route(build):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(polyhedral, "_check_intersections", check)
         m.setattr(polyhedral, "_hull_description", hull)
-        return outcome(build), hulls
+        return outcome(build), bool(checks), hulls
 
 
 def decision(build):
     """How ``build()`` and the completeness check of its fan end: the error
     and its message, or the completeness report; whether the ridge
-    certificate proved the fan; and the pairs the pair check hulls."""
-    (kind, result), hulls = pair_check_route(build)
+    certificate proved the fan, so that the build ran no pair check; and the
+    pairs the pair check hulls."""
+    (kind, result), checked, hulls = pair_check_route(build)
     if kind != "returned":
         return (kind, result), False, hulls
-    return outcome(lambda: check_complete(result)), result.certified, hulls
+    return outcome(lambda: check_complete(result)), not checked, hulls
 
 
 def certificate_mismatch(dim, rays, maximal):
@@ -477,8 +482,26 @@ def test_complete_simplicial_fans_take_no_pair_check_and_no_completeness_pass(
     monkeypatch.setattr(polyhedral, "_ridge_normal", normal)
     for dim, rays, maximal in data:
         fan = build_fan(dim, rays, maximal)
-        assert fan.certified and check_complete(fan).complete
+        assert check_complete(fan).complete
     assert calls == Counter({"_ridge_failure": len(data)})
+
+
+@pytest.mark.parametrize("build, complete", [
+    (lambda: build_fan(2, [[1, 1], [0, 1], [-1, 1], [0, -1]], [[1, 2], [2, 3], [3, 0]]), False),
+    (lambda: normal_fan_of_polytope(lattice_polytope(3, POLYTOPES[4][2]))[0], True),
+    (lambda: normal_fan_of_polytope(lattice_polytope(3, POLYTOPES[5][2]))[0], True),
+], ids=["readme-less-a-cone", "cube", "octahedron"])
+def test_one_ridge_pass_per_fan(build, complete, monkeypatch):
+    # The build's ridge pass, run where every listed cone has a record (the
+    # first two), is the verdict that check_complete reports; the normal
+    # fan of the octahedron has no record, and check_complete runs the pass.
+    calls = []
+    real = polyhedral._ridge_failure
+    monkeypatch.setattr(polyhedral, "_ridge_failure", lambda f: calls.append(f) or real(f))
+    fan = build()
+    assert check_complete(fan).complete == complete
+    assert check_complete(fan).complete == complete
+    assert calls == [fan]
 
 
 def broken_fans(fans):

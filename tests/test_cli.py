@@ -792,11 +792,13 @@ def test_support_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: InternalCheckFailed: linear part")
 
 
-def _flip_in_line_runs(real, bit, degree):
-    """A ``SweepIndex.line_runs`` that flips mask bit ``bit`` at ``degree``
-    alone, by splitting the run that holds it, in every box the sweep reads."""
+def _flip_in_line_runs(real, ray, degree):
+    """A ``SweepIndex.line_runs`` that flips the mask bit of ``ray`` at
+    ``degree`` alone, by splitting the run that holds it, in every box the
+    sweep reads."""
 
     def flipped(self, box):
+        bit = 1 << self.fan.input_rays.index(ray)
         lo = box[-1][0]
         for prefix, runs in real(self, box):
             if tuple(prefix) == degree[:-1]:
@@ -817,7 +819,7 @@ def test_oracle_signed_counts_bypass_the_sweep(tmp_path, capsys, monkeypatch):
     # cross-check all read the same wrong subcomplex, so only the per-cone
     # membership count can see it.
     monkeypatch.setattr(cohomology.SweepIndex, "line_runs",
-                        _flip_in_line_runs(cohomology.SweepIndex.line_runs, 1, (-2, 0)))
+                        _flip_in_line_runs(cohomology.SweepIndex.line_runs, (-1, 1), (-2, 0)))
     code = main(["cohomology", write(tmp_path, EX1_DOC), "--oracle", "--format", "machine"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -825,18 +827,19 @@ def test_oracle_signed_counts_bypass_the_sweep(tmp_path, capsys, monkeypatch):
     assert report["oracle"]["signed_counts_match"] is False
 
 
-@pytest.mark.parametrize("bit, degree, failing", [
-    (1, (-2, 0), {"reduced_euler", "top_cohomology"}),
-    (4, (0, -1), {"reduced_euler"}),
+# The ids number the rays in the fan's id order: ray 0 is (-1, 1), ray 2 is (0, 1).
+@pytest.mark.parametrize("ray, degree, failing", [
+    ((-1, 1), (-2, 0), {"reduced_euler", "top_cohomology"}),
+    ((0, 1), (0, -1), {"reduced_euler"}),
 ], ids=["ray0-at-(-2,0)", "ray2-at-(0,-1)"])
-def test_corollaries_check_the_sweep_against_membership(bit, degree, failing,
+def test_corollaries_check_the_sweep_against_membership(ray, degree, failing,
                                                         tmp_path, capsys, monkeypatch):
     import toricgf.cohomology as cohomology
 
     # One ray's bit flipped at the first degree of a subcomplex: the table and
     # its chi read the wrong subcomplex, the per-cone reference does not.
     monkeypatch.setattr(cohomology.SweepIndex, "line_runs",
-                        _flip_in_line_runs(cohomology.SweepIndex.line_runs, bit, degree))
+                        _flip_in_line_runs(cohomology.SweepIndex.line_runs, ray, degree))
     code = main(["brion", write(tmp_path, EX1_DOC), "--format", "machine"])
     report = json.loads(capsys.readouterr().out)
     assert code == 3

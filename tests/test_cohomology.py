@@ -26,7 +26,7 @@ from toricgf import (
     support_subcomplex,
     verify_identity,
 )
-from toricgf.cohomology import check_shell, sweep_index
+from toricgf.cohomology import DegreeRegion, check_shell, sweep_index
 from toricgf.intlinalg import dot, kernel_basis
 from toricgf.polyhedral import SupportFunction
 
@@ -184,6 +184,22 @@ def test_rp2_fan_has_two_torsion_at_degree_zero():
     assert [list(t) for t in torsion] == [[], [], [], [2], [], []]
     assert idx.cohomology(sub, 2)[0] == (0, 0, 1, 1, 0, 0)
     assert idx.cohomology(sub, 3)[0] == (0,) * 6
+
+
+@pytest.mark.parametrize("p", [None, 2], ids=["rational", "modp-2"])
+def test_rp2_fan_table_and_identity_over_a_small_box(p):
+    # The box (-1..1)^5 holds the torsion degree: its shell check passes,
+    # the torsion entry at degree 0 is the table's only one, and the
+    # identity holds with every corollary.
+    rays, maximal, values = rp2_torsion_fan_data()
+    h = support_from_ray_values(build_fan(5, rays, maximal), values)
+    table = cohomology_table(h, p, DegreeRegion(((-1, 1),) * 5))
+    assert len(table.subcomplexes) == 198
+    dims = (0, 0, 1, 1, 0, 0) if p == 2 else (0,) * 6
+    assert table.entries == {(0,) * 5: (dims, ((),) * 3 + ((2,),) + ((),) * 2, 0)}
+    report = verify_identity(h, table, brion_terms(h))
+    assert report.identity_holds
+    assert all(c.holds for c in report.corollary_results.values())
 
 
 def test_chi_polynomial_example1(ex1):

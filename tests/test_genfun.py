@@ -21,12 +21,12 @@ from toricgf import (
 )
 from toricgf import lattice_polytope, normal_fan_of_polytope
 from toricgf.genfun import (HalfOpenSimplicialCone, _divide_binomial, _reference_point_pieces,
-                            _smith_parallelepiped_points, binomial_product, sign_canonical,
-                            times_binomials)
+                            _smith_parallelepiped_points, sign_canonical, times_binomials)
 from toricgf.intlinalg import InternalCheckFailed, adjugate, determinant, matvec
 
 from conftest import (POLYTOPES, example1_fan, fan3d_brion_pool, fan_battery,
                       lattice_polygon_cone, primitive_edges)
+from reference import binomial_product
 
 
 def in_half_open_piece(piece, x) -> bool:

@@ -75,8 +75,17 @@ def test_shell_check_fails_where_the_per_point_scan_does(battery):
 
 
 def bits(fan):
-    """Each ray's bit in the sweep's masks."""
-    return {r: 1 << k for k, r in enumerate(fan.rays)}
+    """Each ray's bit in the sweep's masks: bit k for the k-th listed ray."""
+    return {r: 1 << k for k, r in enumerate(fan.input_rays)}
+
+
+def test_sweep_reads_the_fan_masks(battery):
+    # The sweep keys every cone by the ray mask the fan keeps, and that mask
+    # is the cone's rays over the listed rays.
+    for fan, h in battery:
+        assert [m for m, _ in SweepIndex(h)._cones] == list(fan.masks)
+        assert list(fan.masks) == [sum(bits(fan)[r] for r in c.rays) for c in fan.cones]
+        assert all(fan.cone_id(c.rays) == i for i, c in enumerate(fan.cones))
 
 
 def test_line_runs_hand_cases():

@@ -28,6 +28,7 @@ from conftest import (POLYTOPES, cone_collections, cross_polytope_fan_data,
                       lattice_polygon_cone, octahedron_fan, octahedron_fan_data,
                       per_pair_check_intersections, primitive_edges, random_fan_2d,
                       random_fan_3d, unit_square)
+from reference import normal_cone
 
 
 def test_cone_from_rays_basic():
@@ -867,8 +868,6 @@ def test_lattice_polytope_drops_non_vertices():
 
 
 def test_vertex_test_agrees_with_the_normal_cone_dimension():
-    from toricgf.polyhedral import _normal_cone
-
     rng = random.Random(17)
     checked = 0
     for n in (2, 3):
@@ -880,9 +879,41 @@ def test_vertex_test_agrees_with_the_normal_cone_dimension():
             except DegeneratePolytope:
                 continue
             assert list(p.vertices) == sorted(q for q in pts
-                                              if _normal_cone(q, sorted(pts), n).dim == n)
+                                              if normal_cone(q, sorted(pts), n).dim == n)
             checked += 1
     assert checked >= 60
+
+
+def test_normal_cones_are_the_duals_of_the_vertex_test_cones(monkeypatch):
+    # The tangent cone that the vertex test hulled at each vertex, from all
+    # the points, has the extreme rays and facets of the vertices' own hull:
+    # its dual is the reference normal cone, and the normal fan hulls no
+    # vertex cone again.  Only the build hulls a listed cone that is not
+    # simplicial: none on the cube, the six 4-ray cones of the octahedron.
+    import toricgf.polyhedral as polyhedral
+
+    rng = random.Random(17)
+    lists = [(dim, verts) for _, dim, verts in POLYTOPES]
+    for n in (2, 3):
+        lists += [(n, {tuple(rng.randint(-2, 2) for _ in range(n))
+                       for _ in range(rng.randint(n + 1, 3 * n + 3))}) for _ in range(40)]
+    for n, pts in lists:
+        try:
+            p = lattice_polytope(n, pts)
+        except DegeneratePolytope:
+            continue
+        for w, c in zip(p.vertices, p.tangent_cones):
+            ref = normal_cone(w, list(p.vertices), n)
+            dual = polyhedral.dual_cone(c)
+            assert (dual.rays, dual.inequalities) == (ref.rays, ref.inequalities)
+    cube, octahedron = (lattice_polytope(dim, verts) for _, dim, verts in POLYTOPES[4:6])
+    real, hulled = polyhedral.cone_from_rays, []
+    monkeypatch.setattr(polyhedral, "cone_from_rays",
+                        lambda *args, **kwargs: hulled.append(args) or real(*args, **kwargs))
+    for p, count in ((cube, 0), (octahedron, 6)):
+        hulled.clear()
+        normal_fan_of_polytope(p)
+        assert len(hulled) == count
 
 
 def test_lattice_polytope_degenerate():
