@@ -240,17 +240,18 @@ def _check_boundary_squared(cc: CellComplex) -> None:
     bases as rearrangements of their rays; other cells take ``incidence``."""
     if cc._boundary_checked:
         return
-    fan, signs = cc.fan, cc._incidence
+    fan, signs, basis = cc.fan, cc._incidence, cc.basis
     facets = fan._facets_of
     parity = {cc.empty_cell: 1}
     for s, c in enumerate(fan.cones):
-        if not facets[s]:
+        if not (below := facets[s]):
             continue
-        sign = parity[s] = _permutation_sign(cc.basis[s], c.rays)
+        b = basis[s]
+        sign = parity[s] = 1 if b == c.rays else _permutation_sign(b, c.rays)
         total = {}
-        for t in facets[s]:
-            st = signs.get((s, t)) or sign * parity[t] or incidence(cc, s, t)
-            signs[s, t], sign = st, -sign
+        for t in below:
+            st = signs[key] = signs.get(key := (s, t)) or sign * parity[t] or incidence(cc, s, t)
+            sign = -sign
             for q in facets[t]:
                 total[q] = total.get(q, 0) + st * signs[t, q]
         if any(total.values()):

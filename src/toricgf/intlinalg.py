@@ -26,10 +26,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
@@ -128,17 +124,13 @@ def greedy_basis(vectors) -> list[Vector]:
 
 
 def adjugate(a: Matrix) -> Matrix:
-    """Adjugate matrix, so that a @ adjugate(a) == det(a) * I."""
+    """Adjugate matrix, so that a @ adjugate(a) == det(a) * I: column i is
+    (-1)^i times the cross product of the rows of a but the i-th."""
     n = len(a)
-    if n == 0:
-        return []
-    adj = zero_matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * determinant(minor)
-    return adj
+    if n <= 1:
+        return [[1]] if n else []
+    columns = [cross_product(a[:i] + a[i + 1:]) for i in range(n)]
+    return [[-x if i % 2 else x for i, x in enumerate(row)] for row in zip(*columns)]
 
 
 def primitive_vector(v) -> Vector:
@@ -312,7 +304,7 @@ def cramer(crosses, det: int, b) -> Vector | None:
     determinant det != 0, or None when x is not integral: x = sum (-1)^i b_i
     C_i / det, C_i = ``crosses[i]`` the cross product of the rows but a_i."""
     signed = [-bi if i % 2 else bi for i, bi in enumerate(b)]
-    x = [dot(signed, col) for col in zip(*crosses)]
+    x = dots(signed, zip(*crosses))
     return None if any(xj % det for xj in x) else tuple(xj // det for xj in x)
 
 

@@ -8,16 +8,17 @@ a facet is the set of rays tight on one facet normal.  Each normal is the
 cross product of d-1 generators and the span equations of a d-dimensional
 cone, and the faces are the facets' ray sets closed under intersection.  A
 simplicial cone, rays as many as its dimension, is read off its rays: its
-faces are its ray subsets, its facets those one ray short.  A fan is built
-from ray sets and ray bitmasks, and a listed cone of n independent rays in
-Z^n is read once into a ``Simplex`` record: each ridge's cross product,
-made once and shared by the two cones on it, the determinant, whose sign
-turns each cross product into an inward facet normal, and those normals.
-The records feed the support solve (Cramer's rule on the record), the
-ridge normals of completeness (the normal opposite the ray left out) and
-the cell orientation (the determinant's sign).  A face of a listed cone is
-its ray set and its dimension, and is hulled only when its inequalities
-are read.
+faces are the submasks of its ray mask, its facets those one ray short.  A
+fan is built from ray sets and ray bitmasks, and a listed cone of n
+independent rays in Z^n is read once into a ``Simplex`` record: each
+ridge's cross product, made once and shared by the two cones on it, the
+determinant, whose sign turns each cross product into an inward facet
+normal, and those normals.  The records feed the support solve (Cramer's
+rule on the record), the ridge normals of completeness (the normal
+opposite the ray left out) and the cell orientation (the determinant's
+sign).  A face of a listed cone is its ray set and its dimension, and is
+hulled only when its inequalities are read.  A normal fan's listed cones
+are the duals of its tangent cones, handed to the build with no hull.
 
 Completeness is three ridge tests, made in one pass over the fan's face
 relation: every ridge lies in exactly two maximal cones, their inward
@@ -40,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from operator import add
+from operator import add, neg
 
 from .intlinalg import (
     InternalCheckFailed,
@@ -77,14 +78,15 @@ class DegeneratePolytope(Exception):
     """The given points do not span a full-dimensional polytope."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cone:
     """A rational polyhedral cone in a double description.
 
     ``rays`` is the minimal generating set (the extreme rays) when the cone
     is pointed; for non-pointed cones it is a primitive generating set that
     includes both directions of each line.  ``inequalities`` is hulled from
-    the rays when first read, unless it was given; ``==`` compares the rays.
+    the rays when first read, unless it was given; ``==`` and the hash read
+    the other fields.  Not frozen: a frozen cone costs 4x as much to make.
     """
 
     ambient_dim: int
@@ -96,8 +98,7 @@ class Cone:
     @property
     def inequalities(self) -> tuple[Vector, ...]:
         if self._inequalities is None:
-            object.__setattr__(self, "_inequalities",
-                               _face(self.ambient_dim, self.rays).inequalities)
+            self._inequalities = _face(self.ambient_dim, self.rays).inequalities
         return self._inequalities
 
     def contains(self, x) -> bool:
@@ -167,20 +168,25 @@ def _simplex(rays, idx, ridges: dict) -> Simplex | None:
     the same rows in both."""
     ids = sorted(idx, key=rays.__getitem__)
     gens = [rays[i] for i in ids]
-    mask = sum(1 << i for i in ids)
-    shared = []
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    crosses, prims = [], []
     for k, i in enumerate(ids):
         ridge = ridges.get(key := mask ^ (1 << i))
         if ridge is None:
             u = cross_product(gens[:k] + gens[k + 1:])
             ridge = ridges[key] = u, primitive_vector(u) if any(u) else u
-        shared.append(ridge)
-    det = dot(shared[0][0], gens[0])
+        crosses.append(ridge[0])
+        prims.append(ridge[1])
+    det = dot(crosses[0], gens[0])
     if not det:
         return None
-    normals = tuple(p if (det > 0) == (k % 2 == 0) else tuple(-x for x in p)
-                    for k, (_, p) in enumerate(shared))
-    return Simplex(tuple(ids), tuple(u for u, _ in shared), normals, det)
+    # The k-th cross product is inward when (-1)^k det > 0: the odd ones
+    # flip when det > 0, the even ones when det < 0.
+    odd = det > 0
+    normals = tuple([tuple(map(neg, p)) if k & 1 == odd else p for k, p in enumerate(prims)])
+    return Simplex(tuple(ids), tuple(crosses), normals, det)
 
 
 def cone_from_rays(ambient_dim: int, generators, *, require_pointed: bool = False) -> Cone:
@@ -250,12 +256,24 @@ def _face_ray_sets(c: Cone) -> set[frozenset[Vector]]:
     return ray_sets
 
 
+def _submasks(mask: int) -> list[int]:
+    """The proper submasks of a ray mask, descending, 0 last: the ray masks
+    of a simplicial cone's proper faces."""
+    out, s = [], mask
+    while s:
+        s = (s - 1) & mask
+        out.append(s)
+    return out
+
+
 def _faces(c: Cone) -> list[tuple[Vector, ...]]:
     """The sorted rays of each face of a strongly convex cone, c and the zero
     cone included: every ray subset of a simplicial cone (as many rays as its
-    dimension), else the facets' ray sets closed under intersection."""
+    dimension), read off the submasks of its rays, else the facets' ray sets
+    closed under intersection."""
     if len(c.rays) == c.dim:
-        return [f for k in range(c.dim + 1) for f in combinations(c.rays, k)]
+        return [c.rays] + [tuple(r for k, r in enumerate(c.rays) if s >> k & 1)
+                           for s in _submasks((1 << c.dim) - 1)]
     return [tuple(sorted(rs)) for rs in _face_ray_sets(c)]
 
 
@@ -286,16 +304,18 @@ class Fan:
         self.simplices = simplices
         self.masks = tuple(mask_ids)
         self._mask_ids = mask_ids
-        self.maximal_ids = tuple(i for i, c in enumerate(cones) if c.dim == ambient_dim)
-        self.ray_ids = tuple(i for i, c in enumerate(cones) if c.dim == 1)
+        # Ids grow with dimension, so each dimension's cones are a range.
+        dims = [c.dim for c in cones]
+        self.maximal_ids = tuple(range(bisect_left(dims, ambient_dim), len(dims)))
+        self.ray_ids = tuple(range(bisect_left(dims, 1), bisect_left(dims, 2)))
         # Per cone id, the ids of its facets and of the cones it is a facet of.
-        cofacets: list[list[int]] = [[] for _ in self.cones]
+        cofacets: list[list[int]] = [[] for _ in dims]
         for cid, ids in enumerate(facets):
             for fid in ids:
                 cofacets[fid].append(cid)
         self._facets_of = tuple(map(tuple, facets))
         self._cofacets_of = tuple(map(tuple, cofacets))
-        self._zero_id = 0 if self.cones and not self.cones[0].rays else None
+        self._zero_id = 0 if dims and not dims[0] else None
 
     @property
     def rays(self) -> tuple[Vector, ...]:
@@ -387,8 +407,9 @@ def _check_intersections(top: list[Cone], rays=None) -> None:
 
 
 def _facet_masks(mask: int, rays, bit: dict) -> list[int]:
-    """The ray masks of a simplicial cone's facets: its mask less one ray."""
-    return [mask ^ bit[r] for r in rays]
+    """The ray masks of a simplicial cone's facets, its mask less one of its
+    sorted rays, the last first: in id order, as ids sort by rays."""
+    return [mask ^ bit[r] for r in reversed(rays)]
 
 
 def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
@@ -396,30 +417,31 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
 
     Raises ValueError if a maximal cone is listed twice, NonPointedCone if
     a listed cone contains a line and FanAxiomViolation if two listed cones
-    intersect in a non-face.  When every listed cone is n independent rays,
-    the three ridge tests (every ridge in exactly two maximal cones, their
+    intersect in a non-face.  A listed cone of n independent rays is read
+    off its ``Simplex`` record, and its faces off the submasks of its ray
+    mask; any other is hulled.  When every listed cone has a record, the
+    three ridge tests (every ridge in exactly two maximal cones, their
     inward normals on it opposite, one interior point in one maximal cone
     only) run first: if they pass, the fan is complete and the pair check
     is skipped.  The fan keeps that verdict for ``check_complete``, and
     keeps each cone's ray mask, bit k for the k-th listed ray.
     """
-    ray_list = []
+    bit = {}
     for r in rays:
         v = primitive_vector(tuple(r))
         if len(v) != ambient_dim:
             raise ValueError(f"ray {r} does not live in dimension {ambient_dim}")
-        if v in ray_list:
+        if v in bit:
             raise ValueError(f"duplicate ray {v}")
-        ray_list.append(v)
-    bit = {r: 1 << i for i, r in enumerate(ray_list)}
+        bit[v] = 1 << len(bit)
+    ray_list = list(bit)
     used = set()
-    top, records = [], []
-    ridges, cones = {}, {}
+    ridges, listed, records = {}, {}, {}
     for idxset in maximal_cones:
         idx = sorted(set(idxset))
         if not idx:
             raise ValueError("empty maximal cone")
-        if any(i < 0 or i >= len(ray_list) for i in idx):
+        if idx[0] < 0 or idx[-1] >= len(ray_list):
             raise ValueError(f"ray index out of range in {idxset}")
         used.update(idx)
         # n independent rays in Z^n are read off their record: pointed,
@@ -428,35 +450,44 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         if rec is None:
             c = cone_from_rays(ambient_dim, [ray_list[i] for i in idx], require_pointed=True)
         else:
-            c = Cone(ambient_dim, tuple(ray_list[i] for i in rec.ids), ambient_dim,
+            c = Cone(ambient_dim, tuple([ray_list[i] for i in rec.ids]), ambient_dim,
                      True, tuple(sorted(rec.normals)))
         mask = sum(bit[r] for r in c.rays)
-        if mask in cones:
+        if mask in listed:
             raise ValueError(f"maximal cone {c} is listed twice")
-        cones[mask] = c
-        top.append(c)
-        records.append(rec)
+        listed[mask] = c
+        if rec is not None:
+            records[mask] = rec
     if used != set(range(len(ray_list))):
         missing = sorted(set(range(len(ray_list))) - used)
         raise ValueError(f"rays {missing} are not used by any maximal cone")
-    listed = list(cones)
+    return _fan(ambient_dim, ray_list, bit, listed, records)
 
+
+def _fan(n: int, ray_list: list[Vector], bit: dict, listed: dict[int, Cone],
+         records: dict[int, Simplex]) -> Fan:
+    """The fan of the listed cones, keyed by ray mask (``bit[r]`` for ray
+    r), with their records, checked by the ridge pass or the pair check."""
     # The faces of the listed cones are all the cones of the fan, keyed by
     # ray mask, and a listed cone is its own top face.  Any other face is
     # pointed with its ray set as extreme rays: it is its rays and dim,
-    # hulled when read.  The simplicial cones go first: a face of one has
-    # its size as its dim.
-    for c in sorted(top, key=lambda c: len(c.rays) > c.dim):
-        simplicial = len(c.rays) == c.dim
-        for face in _faces(c):
-            mask = 0
-            for r in face:
-                mask |= bit[r]
-            if mask not in cones:
-                dim = len(face) if simplicial or not face else rank(face)
-                cones[mask] = Cone(ambient_dim, face, dim, pointed=True)
+    # hulled when read.  The faces of a simplicial cone are the submasks of
+    # its mask, of their size as dim; they go first.
+    cones = dict(listed)
+    for mask, c in listed.items():
+        if len(c.rays) == c.dim:
+            for s in _submasks(mask):
+                if s not in cones:
+                    cones[s] = Cone(n, tuple([r for r in c.rays if bit[r] & s]), s.bit_count(),
+                                    True)
+    for c in listed.values():
+        if len(c.rays) > c.dim:
+            for rs in _face_ray_sets(c):
+                mask = sum(bit[r] for r in rs)
+                if mask not in cones:
+                    cones[mask] = Cone(n, tuple(sorted(rs)), rank(rs) if rs else 0, True)
 
-    order = sorted(cones, key=lambda m: (cones[m].dim, cones[m].rays))
+    order = [m for _, _, m in sorted((c.dim, c.rays, m) for m, c in cones.items())]
     ordered = [cones[m] for m in order]
     id_of = {m: i for i, m in enumerate(order)}
     # A simplicial cone's facets are its ray subsets one short.  For any
@@ -467,15 +498,15 @@ def build_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     facets = []
     for mask, c in zip(order, ordered):
         if len(c.rays) == c.dim:
-            facets.append(sorted([id_of[m] for m in _facet_masks(mask, c.rays, bit)]))
+            facets.append([id_of[m] for m in _facet_masks(mask, c.rays, bit)])
         else:
             facets.append([j for j in range(bisect_left(dims, c.dim - 1),
                                             bisect_left(dims, c.dim))
                            if not order[j] & ~mask])
-    simplices = {id_of[m]: rec for m, rec in zip(listed, records) if rec is not None}
-    fan = Fan(ambient_dim, ordered, facets, tuple(ray_list), simplices, id_of)
-    if not all(records) or fan._ridge_verdict is not None:
-        _check_intersections(top, ray_list)
+    fan = Fan(n, ordered, facets, tuple(ray_list),
+              {id_of[m]: rec for m, rec in records.items()}, id_of)
+    if len(records) < len(listed) or fan._ridge_verdict is not None:
+        _check_intersections(list(listed.values()), ray_list)
     for v in ray_list:
         if bit[v] not in cones:
             raise ValueError(
@@ -524,7 +555,8 @@ def _ridge_failure(f: Fan) -> CompletenessReport | InternalCheckFailed | None:
     passes all three tests."""
     if not f.maximal_ids:
         return CompletenessReport(False, "no full-dimensional cones")
-    ridges = [i for i, c in enumerate(f.cones) if c.dim == f.ambient_dim - 1]
+    ridges = range(bisect_left(f.cones, f.ambient_dim - 1, key=lambda c: c.dim),
+                   f.maximal_ids[0])
     for i in ridges:
         if len(ids := f._cofacets_of[i]) != 2:
             return CompletenessReport(
@@ -591,28 +623,28 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
     # every parent is done before its faces.  Each solved functional is
     # checked to take the values on its cone's rays; a face's rays are among
     # its parent's, so then every face/parent pair agrees too.
-    cofacets = f._cofacets_of
+    cones, cofacets, simplices = f.cones, f._cofacets_of, f.simplices
     parts: dict[int, Vector] = {}
-    for i in reversed(range(len(f.cones))):
-        if cofacets[i]:
-            parts[i] = parts[cofacets[i][0]]
+    for i in reversed(range(len(cones))):
+        if up := cofacets[i]:
+            parts[i] = parts[up[0]]
             continue
-        c = f.cones[i]
-        a = [list(r) for r in c.rays]
-        b = [by_ray[r] for r in c.rays]
-        rec = f.simplices.get(i)
-        h = solve_integral(a, b) if rec is None else cramer(rec.crosses, rec.det, b)
+        rays = cones[i].rays
+        b = [by_ray[r] for r in rays]
+        rec = simplices.get(i)
+        h = cramer(rec.crosses, rec.det, b) if rec else solve_integral(
+            a := [list(r) for r in rays], b)
         if h is None:
             if rec is not None or rationally_solvable(a, b):
                 raise NotIntegral(
-                    f"values {b} on cone {list(c.rays)} need a non-integral functional")
+                    f"values {b} on cone {list(rays)} need a non-integral functional")
             raise NotLinearOnCone(
-                f"values {b} on cone {list(c.rays)} admit no linear functional")
-        for r, v in zip(c.rays, b):
-            if dot(h, r) != v:
-                raise InternalCheckFailed(
-                    f"linear part {list(h)} of cone {list(c.rays)} takes {dot(h, r)} "
-                    f"on ray {r}, not its value {v}")
+                f"values {b} on cone {list(rays)} admit no linear functional")
+        if dots(h, rays) != b:
+            r, v = next((r, v) for r, v in zip(rays, b) if dot(h, r) != v)
+            raise InternalCheckFailed(
+                f"linear part {list(h)} of cone {list(rays)} takes {dot(h, r)} "
+                f"on ray {r}, not its value {v}")
         parts[i] = h
     return SupportFunction(fan=f, ray_values=by_ray, linear_parts=parts)
 
@@ -663,9 +695,18 @@ def normal_fan_of_polytope(p: LatticePolytope) -> tuple[Fan, SupportFunction]:
     if any(c.dim != n for c in cones):
         raise InternalCheckFailed("a vertex has a lower-dimensional normal cone")
     ray_list: list[Vector] = sorted({r for c in cones for r in c.rays})
+    # The dual cones are the fan's listed cones, as build_fan would make
+    # them: those of n rays with their records, every other one as it is,
+    # with no second hull.
     index = {r: i for i, r in enumerate(ray_list)}
-    maximal = [[index[r] for r in c.rays] for c in cones]
-    fan = build_fan(n, ray_list, maximal)
+    bit = {r: 1 << i for r, i in index.items()}
+    ridges, listed, records = {}, {}, {}
+    for c in cones:
+        mask = sum(bit[r] for r in c.rays)
+        listed[mask] = c
+        if len(c.rays) == n and (rec := _simplex(ray_list, [index[r] for r in c.rays], ridges)):
+            records[mask] = rec
+    fan = _fan(n, ray_list, bit, listed, records)
     values = [-min(dot(w, r) for w in verts) for r in ray_list]
     support = support_from_ray_values(fan, values)
     return fan, support

@@ -15,12 +15,12 @@ import pytest
 from toricgf import (build_fan, cone_from_rays, dual_cone, lattice_polytope,
                      normal_fan_of_polytope, support_from_ray_values)
 from toricgf.genfun import box_points
-from toricgf.intlinalg import adjugate, determinant, dot, matvec, primitive_vector, rank
+from toricgf.intlinalg import determinant, dot, matvec, primitive_vector, rank
 from toricgf import cellular, polyhedral
 from toricgf.polyhedral import (CompletenessReport, FanAxiomViolation, NotIntegral,
                                 NotLinearOnCone, _face_ray_sets)
 
-from reference import binomial_product
+from reference import binomial_product, minor_adjugate
 
 
 def example1_fan():
@@ -486,7 +486,7 @@ def adjugate_degree_region(h):
         a = [list(r) for r in subset]
         det = determinant(a)
         if det:
-            sol = matvec(adjugate(a), [-h.value(r) for r in subset])
+            sol = matvec(minor_adjugate(a), [-h.value(r) for r in subset])
             vertices.append(tuple(Fraction(x, det) for x in sol))
     return tuple((floor(min(v[i] for v in vertices)), ceil(max(v[i] for v in vertices)))
                  for i in range(n))

@@ -2,8 +2,9 @@
 package because no command reaches them."""
 
 from toricgf.genfun import LaurentPolynomial, times_binomials
-from toricgf.intlinalg import Matrix, Vector, dot, transpose
-from toricgf.polyhedral import Cone, cone_from_rays, dual_cone
+from toricgf.intlinalg import Matrix, Vector, determinant, dot, transpose
+from toricgf.polyhedral import (Cone, build_fan, cone_from_rays, dual_cone,
+                                support_from_ray_values)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -13,6 +14,22 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
+
+
+def minor_adjugate(a: Matrix) -> Matrix:
+    """The adjugate by its n^2 cofactors, each a Bareiss determinant: the
+    reference for ``intlinalg.adjugate``, which reads the columns off cross
+    products."""
+    n = len(a)
+    if n == 0:
+        return []
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[a[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            adj[j][i] = (-1) ** (i + j) * determinant(minor)
+    return adj
 
 
 def binomial_product(dim: int, factors) -> LaurentPolynomial:
@@ -26,3 +43,16 @@ def normal_cone(point: Vector, points: list[Vector], n: int) -> Cone:
     ineqs = [tuple(p[i] - point[i] for i in range(n))
              for p in points if p != point]
     return dual_cone(cone_from_rays(n, ineqs))
+
+
+def rehulled_normal_fan(p):
+    """``normal_fan_of_polytope`` with the dual cones handed to ``build_fan``
+    as ray indices, so the build hulls again each one that is not
+    simplicial."""
+    n, verts = p.ambient_dim, p.vertices
+    cones = [dual_cone(c) for c in p.tangent_cones]
+    ray_list = sorted({r for c in cones for r in c.rays})
+    index = {r: i for i, r in enumerate(ray_list)}
+    fan = build_fan(n, ray_list, [[index[r] for r in c.rays] for c in cones])
+    values = [-min(dot(w, r) for w in verts) for r in ray_list]
+    return fan, support_from_ray_values(fan, values)

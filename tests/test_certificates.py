@@ -19,7 +19,7 @@ seeded 4-D cross-polytope fans."""
 
 import random
 from collections import Counter
-from itertools import combinations
+from dataclasses import replace
 
 import pytest
 
@@ -136,9 +136,13 @@ def outcome(fn):
 
 def face_mismatches(fan):
     """Listed cones whose faces, as ``_faces`` reads them off the cone and as
-    the fan holds them with their dimensions, differ from the general hull's
-    facet closure with a rank per face."""
-    out = []
+    the rebuilt fan holds them with their dimensions, differ from the
+    general hull's facet closure with a rank per face; a rebuild that fails
+    is a mismatch too."""
+    kind, built = outcome(lambda: rebuilt(fan))
+    if kind != "returned":
+        return [(kind, built)]
+    fan, out = built, []
     for i in fan.maximal_ids:
         c = fan.cones[i]
         ref = {(tuple(sorted(rs)), rank(rs) if rs else 0) for rs in polyhedral._face_ray_sets(
@@ -348,11 +352,9 @@ def outward_facets(real):
 
 
 def facets_left_out(real):
-    # The ray subsets one short of the facets.
-    def mutant(c):
-        if len(c.rays) > c.dim:
-            return real(c)
-        return [f for k in range(c.dim - 1) for f in combinations(c.rays, k)] + [c.rays]
+    # The submasks one short of the facets, and none of the facets.
+    def mutant(mask):
+        return [s for s in real(mask) if s.bit_count() < mask.bit_count() - 1]
     return mutant
 
 
@@ -409,7 +411,7 @@ def unordered_sign(real):
 
 
 MUTANTS = {"hull": (polyhedral, "_simplicial_facets", outward_facets),
-           "faces": (polyhedral, "_faces", facets_left_out),
+           "faces": (polyhedral, "_submasks", facets_left_out),
            "relation": (polyhedral, "_facet_masks", facet_dropped),
            "normals": (polyhedral, "_simplex", outward_normals),
            "support": (polyhedral, "cramer", unsigned_functional),
@@ -484,6 +486,54 @@ def test_complete_simplicial_fans_take_no_pair_check_and_no_completeness_pass(
         fan = build_fan(dim, rays, maximal)
         assert check_complete(fan).complete
     assert calls == Counter({"_ridge_failure": len(data)})
+
+
+def test_query_fans_build_one_cone_per_id_with_no_hull(request, monkeypatch):
+    # The build of every fan of these batteries reads each cone off a listed
+    # cone's record or ray submasks: one Cone made per cone id, no hull, no
+    # facet closure, one primitive vector per listed ray and one per ridge.
+    data = [(fan.ambient_dim, fan.input_rays, listed_cones(fan))
+            for name in ("pool", "deep", "cross4d") for fan, _ in fan_battery(name, request)]
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(polyhedral, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("Cone", "cone_from_rays", "_faces", "primitive_vector"):
+        monkeypatch.setattr(polyhedral, name, counted(name))
+    for dim, rays, maximal in data:
+        calls.clear()
+        fan = build_fan(dim, rays, maximal)
+        ridges = sum(1 for c in fan.cones if c.dim == dim - 1)
+        assert calls == Counter({"Cone": len(fan.cones), "primitive_vector": len(rays) + ridges})
+
+
+def test_cones_compare_and_hash_by_their_rays():
+    # ``==`` and the hash ignore the held inequalities, given, hulled on
+    # first read, or wrong; the repr and ``dataclasses.replace`` are as for
+    # a frozen dataclass.
+    rays = ((0, 1), (1, 0))
+    bare, given = polyhedral.Cone(2, rays, 2, True), polyhedral.Cone(2, rays, 2, True, rays)
+    wrong = polyhedral.Cone(2, rays, 2, True, ((1, 1),))
+    before = hash(bare)
+    assert bare == given == wrong and len({bare, given, wrong}) == 1
+    assert bare._inequalities is None and bare.inequalities == rays
+    assert hash(bare) == before == hash(given) == hash(wrong)
+    assert bare != polyhedral.Cone(2, rays, 2, False) == replace(bare, pointed=False)
+    assert (repr(bare), repr(replace(given, pointed=False))) == (
+        "cone[(0, 1), (1, 0)]", "cone*[(0, 1), (1, 0)]")
+    assert replace(given, rays=rays[:1], dim=1).inequalities == rays
+    for gens in ([(1, 0), (0, 1), (1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                 [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(1, 0), (-1, 0)]):
+        general = general_cone_from_rays(len(gens[0]), gens)
+        fast = cone_from_rays(len(gens[0]), gens)
+        assert general == fast and general.inequalities == fast.inequalities
+        assert hash(general) == hash(fast)
 
 
 @pytest.mark.parametrize("build, complete", [

@@ -22,11 +22,11 @@ from toricgf import (
 from toricgf import lattice_polytope, normal_fan_of_polytope
 from toricgf.genfun import (HalfOpenSimplicialCone, _divide_binomial, _reference_point_pieces,
                             _smith_parallelepiped_points, sign_canonical, times_binomials)
-from toricgf.intlinalg import InternalCheckFailed, adjugate, determinant, matvec
+from toricgf.intlinalg import InternalCheckFailed, determinant, matvec
 
 from conftest import (POLYTOPES, example1_fan, fan3d_brion_pool, fan_battery,
                       lattice_polygon_cone, primitive_edges)
-from reference import binomial_product
+from reference import binomial_product, minor_adjugate
 
 
 def in_half_open_piece(piece, x) -> bool:
@@ -35,7 +35,7 @@ def in_half_open_piece(piece, x) -> bool:
     n = len(gens[0])
     g_cols = [[gens[j][i] for j in range(n)] for i in range(n)]
     det = determinant(g_cols)
-    lam_num = matvec(adjugate(g_cols), list(x))
+    lam_num = matvec(minor_adjugate(g_cols), list(x))
     for i in range(n):
         num = lam_num[i] if det > 0 else -lam_num[i]
         if num < 0 or (num == 0 and not piece.closed_flags[i]):

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from toricgf.intlinalg import (
     _smith_solve,
+    adjugate,
     cross_product,
     determinant,
     identity_matrix,
@@ -19,7 +21,7 @@ from toricgf.intlinalg import (
     unimodular_inverse,
 )
 
-from reference import matmul
+from reference import matmul, minor_adjugate
 
 
 def check_snf(a):
@@ -179,6 +181,28 @@ def test_unimodular_inverse():
     assert matmul(u, uinv) == identity_matrix(2)
     with pytest.raises(ValueError):
         unimodular_inverse([[2, 0], [0, 1]])
+
+
+def test_adjugate_from_cross_products_equals_the_cofactors():
+    # n = 1..5, with singular matrices: repeated rows, a zero row, rank-one.
+    rng = random.Random(41)
+    checked = Counter()
+    for n in range(1, 6):
+        for _ in range(60):
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            kind = rng.randrange(4)
+            if kind == 1 and n > 1:
+                a[-1] = list(a[0])
+            elif kind == 2:
+                a[rng.randrange(n)] = [0] * n
+            elif kind == 3 and n > 1:
+                a = [[x * k for x in a[0]] for k in range(1, n + 1)]
+            adj, det = adjugate(a), determinant(a)
+            assert adj == minor_adjugate(a), a
+            assert matmul(a, adj) == [[det * (i == j) for j in range(n)] for i in range(n)]
+            checked[n, det == 0] += 1
+    assert all(checked[n, True] and checked[n, False] for n in range(1, 6)), checked
+    assert adjugate([]) == [] and adjugate([[7]]) == [[1]]
 
 
 def test_rank_mod_p():

@@ -28,7 +28,7 @@ from conftest import (POLYTOPES, cone_collections, cross_polytope_fan_data,
                       lattice_polygon_cone, octahedron_fan, octahedron_fan_data,
                       per_pair_check_intersections, primitive_edges, random_fan_2d,
                       random_fan_3d, unit_square)
-from reference import normal_cone
+from reference import normal_cone, rehulled_normal_fan
 
 
 def test_cone_from_rays_basic():
@@ -888,8 +888,8 @@ def test_normal_cones_are_the_duals_of_the_vertex_test_cones(monkeypatch):
     # The tangent cone that the vertex test hulled at each vertex, from all
     # the points, has the extreme rays and facets of the vertices' own hull:
     # its dual is the reference normal cone, and the normal fan hulls no
-    # vertex cone again.  Only the build hulls a listed cone that is not
-    # simplicial: none on the cube, the six 4-ray cones of the octahedron.
+    # vertex cone again, nor does its build: the dual cones are its listed
+    # cones, the octahedron's six 4-ray cones too.
     import toricgf.polyhedral as polyhedral
 
     rng = random.Random(17)
@@ -910,10 +910,49 @@ def test_normal_cones_are_the_duals_of_the_vertex_test_cones(monkeypatch):
     real, hulled = polyhedral.cone_from_rays, []
     monkeypatch.setattr(polyhedral, "cone_from_rays",
                         lambda *args, **kwargs: hulled.append(args) or real(*args, **kwargs))
-    for p, count in ((cube, 0), (octahedron, 6)):
-        hulled.clear()
+    for p in (cube, octahedron):
         normal_fan_of_polytope(p)
-        assert len(hulled) == count
+    assert hulled == []
+
+
+def outcome(fn):
+    """What fn() returns, or the name and message of what it raises."""
+    try:
+        return "returned", fn()
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def normal_fan_description(build):
+    """The rays, the cones with their inequalities, the face relation, the
+    record ids and the linear parts of a normal fan's build, or its error."""
+    def describe():
+        fan, support = build()
+        return (fan.input_rays, [(c, c.inequalities) for c in fan.cones], fan.face_relation,
+                sorted(fan.simplices), support.linear_parts)
+    return outcome(describe)
+
+
+def test_normal_fan_reuses_its_dual_cones_as_the_rehulling_build_does():
+    # The normal fan hands its dual cones to the build with no second hull;
+    # the reference hands their ray indices to build_fan, which hulls again
+    # every one that is not simplicial.
+    rng = random.Random(23)
+    lists = [(dim, verts) for _, dim, verts in POLYTOPES]
+    lists += [(2, [(0, 0), (1, 1), (2, 2)]), (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])]
+    for n in (2, 3):
+        lists += [(n, {tuple(rng.randint(-2, 2) for _ in range(n))
+                       for _ in range(rng.randint(n + 1, 3 * n + 3))}) for _ in range(40)]
+    kinds = Counter()
+    for n, pts in lists:
+        got = normal_fan_description(lambda: normal_fan_of_polytope(lattice_polytope(n, pts)))
+        want = normal_fan_description(
+            lambda: rehulled_normal_fan(lattice_polytope(n, pts)))
+        assert got == want, pts
+        kinds[got[0]] += 1
+        if got[0] == "returned":
+            kinds["not simplicial"] += any(len(c.rays) > c.dim for c, _ in got[1][1])
+    assert kinds["returned"] >= 60 and kinds["DegeneratePolytope"] and kinds["not simplicial"]
 
 
 def test_lattice_polytope_degenerate():
