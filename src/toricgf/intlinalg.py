@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import mul, neg
 
 Vector = tuple[int, ...]
 Matrix = list[list[int]]
@@ -136,6 +136,8 @@ def adjugate(a: Matrix) -> Matrix:
 def primitive_vector(v) -> Vector:
     """Divide a nonzero integer vector by the gcd of its entries."""
     g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -305,6 +307,8 @@ def cramer(crosses, det: int, b) -> Vector | None:
     C_i / det, C_i = ``crosses[i]`` the cross product of the rows but a_i."""
     signed = [-bi if i % 2 else bi for i, bi in enumerate(b)]
     x = dots(signed, zip(*crosses))
+    if det == 1 or det == -1:
+        return tuple(x) if det == 1 else tuple(map(neg, x))
     return None if any(xj % det for xj in x) else tuple(xj // det for xj in x)
 
 
