@@ -10,9 +10,9 @@ cell, or else compares two determinants.  Incidences are computed only on
 the face relation, where the boundary matrices have their sole nonzero
 entries: all in one pass at the first d∘d = 0 check, once per complex.  The
 homology of a subcomplex first removes free pairs, a cell and a facet of it
-with unit incidence where one of the two has no other live neighbour; the
-cells left keep their own boundary entries, and only their matrices reach
-the Smith normal form.
+with unit incidence where one of the two has no other live neighbour, on
+bitmasks of cone ids; the cells left keep their own boundary entries, and
+only their matrices reach the Smith normal form, none when none is left.
 ``chain_complex`` builds a whole subcomplex's matrices, the reference.
 """
 
@@ -55,6 +55,7 @@ class CellComplex:
     _incidence: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _orientation: dict[int, tuple] = field(default_factory=dict, repr=False)
     _boundary_checked: bool = field(default=False, repr=False)
+    _masks: tuple[list[int], list[int]] | None = field(default=None, repr=False)
 
     @property
     def empty_cell(self) -> int:
@@ -298,6 +299,18 @@ def homology_dims_mod_p(c: ChainComplex, p: int) -> dict[int, int]:
             for d in range(-1, n)}
 
 
+def _cell_masks(cc: CellComplex) -> tuple[list[int], list[int]]:
+    """Per cone id, the masks of its facets and of its cofacets, bit i for
+    cone id i: built on the complex's first homology and then kept."""
+    if cc._masks is None:
+        facet_masks, cofacet_masks = cc._masks = [0] * len(cc.fan.cones), [0] * len(cc.fan.cones)
+        for s, below in enumerate(cc.fan._facets_of):
+            for t in below:
+                facet_masks[s] |= 1 << t
+                cofacet_masks[t] |= 1 << s
+    return cc._masks
+
+
 def _free_pairs(cc: CellComplex, keep):
     """Free pairs (a, b), a a facet of b, removed one after another from a
     face-closed subcomplex plus the empty cell: b is the only live cofacet
@@ -309,58 +322,52 @@ def _free_pairs(cc: CellComplex, keep):
     (2009).  A pair with a unit incidence splits off with no fill-in when
     one side has no other live neighbour, so after any number of pairs the
     cells left, with their own boundary entries, have the subcomplex's
-    integral homology.  Each pair's incidence is checked to be a unit.
-    Cells are visited from the top down and reductions tried first, which
-    on the test batteries leaves exactly one cell per Betti number."""
-    fan = cc.fan
-    facets, cofacets = fan._facets_of, fan._cofacets_of
+    integral homology.  Each pair's incidence is checked to be a unit.  The
+    live cells are one int; a cell is free when its live cofacets, or else
+    its live facets, are one bit.  Visited top down, reductions first, the
+    pairs leave one cell per Betti number on every test battery, n <= 4."""
+    facet_masks, cofacet_masks = _cell_masks(cc)
     signs = cc._incidence
     todo = [cc.empty_cell, *sorted(keep)]
-    live = [False] * len(fan.cones)
-    live_facets = [0] * len(fan.cones)
-    live_cofacets = [0] * len(fan.cones)
-    for s in todo:
-        live[s] = True
-    for s in keep:
-        below = facets[s]
-        live_facets[s] = len(below)
-        for t in below:
-            live_cofacets[t] += 1
+    live = sum(1 << s for s in todo)
     while todo:
         c = todo.pop()
-        if not live[c]:
+        if not live >> c & 1:
             continue
-        if live_cofacets[c] == 1:
-            a = c
-            b = next(s for s in cofacets[c] if live[s])
-        elif live_facets[c] == 1:
-            a = next(t for t in facets[c] if live[t])
-            b = c
+        if (x := cofacet_masks[c] & live) and not x & (x - 1):
+            a, b = c, x.bit_length() - 1
+        elif (x := facet_masks[c] & live) and not x & (x - 1):
+            a, b = x.bit_length() - 1, c
         else:
             continue
         unit = signs.get((b, a)) or incidence(cc, b, a)
         if unit != 1 and unit != -1:
             raise InternalCheckFailed(f"free pair of cones {a} and {b} has incidence {unit}")
-        live[a] = live[b] = False
+        live ^= 1 << a | 1 << b
         for x in (a, b):
-            for t in facets[x]:
-                if live[t]:
-                    live_cofacets[t] -= 1
-                    todo.append(t)
-            for s in cofacets[x]:
-                if live[s]:
-                    live_facets[s] -= 1
-                    todo.append(s)
+            m = (facet_masks[x] | cofacet_masks[x]) & live
+            while m:
+                low = m & -m
+                todo.append(low.bit_length() - 1)
+                m ^= low
         yield a, b
 
 
 def subcomplex_homology(cc: CellComplex, keep) -> HomologyResult:
     """Reduced homology of the subcomplex of the given cone ids: the
     homology of the cells its free pairs leave, whose boundary matrices are
-    the only ones that reach the Smith normal form."""
-    keep = _face_closed(cc, keep)
+    the only ones that reach the Smith normal form, or all zero when none is
+    left.  Face closure is read off the facet masks; a failure raises as
+    ``_face_closed`` does."""
+    keep, facet_masks = frozenset(keep), _cell_masks(cc)[0]
+    live = sum(1 << i for i in keep) | 1 << cc.empty_cell
+    if cc.empty_cell in keep or any(facet_masks[i] | live != live for i in keep):
+        _face_closed(cc, keep)  # raises, naming the first cone with a missing facet
     _check_boundary_squared(cc)
-    left = {cc.empty_cell, *keep}
-    for pair in _free_pairs(cc, keep):
-        left.difference_update(pair)
-    return reduced_homology(_restricted_chain_complex(cc, left))
+    for a, b in _free_pairs(cc, keep):
+        live ^= 1 << a | 1 << b
+    if live:
+        return reduced_homology(_restricted_chain_complex(
+            cc, [i for i in range(live.bit_length()) if live >> i & 1]))
+    degrees = range(-1, cc.fan.ambient_dim)
+    return HomologyResult(dict.fromkeys(degrees, 0), dict.fromkeys(degrees, ()))

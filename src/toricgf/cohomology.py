@@ -35,7 +35,7 @@ degree <b, r> is computed once per ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add
 
@@ -77,14 +77,15 @@ def membership(h: SupportFunction, sigma_id: int, b) -> bool:
 class Subcomplex:
     """One distinct degree subcomplex, equal only to itself.
 
-    ``keep`` holds the ids of its nonzero cones and ``signed_count`` sums
-    (-1)^codim over every cone it keeps, the zero cone included; its
-    ``homology``, read for every field, is filled in on first use.
+    ``keep`` holds its nonzero cones' ids, ``signed_count`` sums (-1)^codim
+    over every cone it keeps, the zero cone included, and its ``homology``
+    and what each field p reads off it, ``derived[p]``, are made on first use.
     """
 
     keep: frozenset[int]
     signed_count: int
     homology: HomologyResult | None = None
+    derived: dict = field(default_factory=dict)
 
 
 def reference_subcomplex(h: SupportFunction, b) -> Subcomplex:
@@ -211,9 +212,11 @@ class SweepIndex:
         return self.lookup(self.mask(b))
 
     def cohomology(self, sub: Subcomplex, p: int | None = None):
-        """(dims, torsion, chi) of a subcomplex over Q, or over F_p when p
-        is given, read off its homology (computed once per subcomplex) and
-        Euler-checked against its signed count."""
+        """(dims, torsion, chi) over Q, or F_p when p is given, once per field."""
+        return sub.derived.get(p) or sub.derived.setdefault(p, self._derive(sub, p))
+
+    def _derive(self, sub: Subcomplex, p: int | None):
+        """(dims, torsion, chi) read off the homology; chi must be the signed count."""
         hom = sub.homology
         if hom is None:
             hom = sub.homology = subcomplex_homology(fan_cell_complex(self.fan), sub.keep)

@@ -623,13 +623,15 @@ def test_parse_spec_bounds_nesting_without_libyaml(monkeypatch):
 
 @pytest.mark.parametrize("argv,calls", [
     (("validate",), 0),
-    (("cohomology", "--degree=-1,0"), 1),
+    (("cohomology", "--degree=-1,0"), 0),
     (("cohomology", "--degree", "0,0", "--coefficients", "modp:3"), 1),
-], ids=["validate", "degree", "degree-modp3"])
+    (("cohomology", "--degree=0,-1"), 1),
+], ids=["validate", "degree", "degree-modp3", "degree-nonzero"])
 def test_chain_complexes_per_run(argv, calls, tmp_path, capsys, monkeypatch):
     # Completeness needs no cell complex; a one-degree query takes the
-    # homology of one chain complex, the free-pair remainder of that
-    # degree's subcomplex, and nothing else.
+    # homology of at most one chain complex, the free-pair remainder of that
+    # degree's subcomplex, and none when nothing is left: -1,0 has zero
+    # cohomology and collapses, while 0,0 keeps an H^1 and 0,-1 an H^2.
     import toricgf.cellular as cellular
 
     counted = {}
@@ -708,8 +710,12 @@ def test_brion_builds_each_stage_once(argv, tmp_path, capsys, monkeypatch):
 
 
 def test_each_distinct_subcomplex_reaches_homology_once(tmp_path, capsys, monkeypatch):
-    # The mod-3 table and the rational corollaries read one homology per
-    # distinct subcomplex of the region, kept on the subcomplex.
+    # The table and the rational corollaries read one homology per distinct
+    # subcomplex of the region, kept on the subcomplex, and derive its
+    # (dims, torsion, chi) once per field, though each reads it: a rational
+    # run reads every subcomplex twice and derives it once.
+    from collections import Counter
+
     import toricgf.cohomology as cohomology
     from toricgf.genfun import box_points
 
@@ -726,10 +732,28 @@ def test_each_distinct_subcomplex_reaches_homology_once(tmp_path, capsys, monkey
         return real(cc, keep)
 
     monkeypatch.setattr(cohomology, "subcomplex_homology", counted)
-    assert main(["brion", write(tmp_path, EX1_DOC), "--coefficients", "modp:3",
-                 "--format", "machine"]) == 0
-    assert json.loads(capsys.readouterr().out)["identity_holds"] is True
-    assert sorted(keeps, key=sorted) == sorted(distinct, key=sorted)
+    real_read, real_derive = cohomology.SweepIndex.cohomology, cohomology.SweepIndex._derive
+    reads, derived = [], []
+
+    def counted_read(self, sub, p=None):
+        reads.append(p)
+        return real_read(self, sub, p)
+
+    def counted_derive(self, sub, p):
+        derived.append((sub.keep, p))
+        return real_derive(self, sub, p)
+
+    monkeypatch.setattr(cohomology.SweepIndex, "cohomology", counted_read)
+    monkeypatch.setattr(cohomology.SweepIndex, "_derive", counted_derive)
+    for coefficients, fields in (("modp:3", (3, None)), ("rational", (None,))):
+        for calls in (keeps, reads, derived):
+            calls.clear()
+        assert main(["brion", write(tmp_path, EX1_DOC), "--coefficients", coefficients,
+                     "--format", "machine"]) == 0
+        assert json.loads(capsys.readouterr().out)["identity_holds"] is True
+        assert sorted(keeps, key=sorted) == sorted(distinct, key=sorted)
+        assert Counter(derived) == Counter((keep, p) for keep in distinct for p in fields)
+        assert len(reads) == 2 * len(distinct)
 
 
 @pytest.mark.parametrize("command, doc", [("brion", EX1_DOC), ("polytope", SQUARE_DOC)])

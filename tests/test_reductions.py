@@ -4,7 +4,8 @@ Smith form, with the Smith form of the whole ``chain_complex``; and
 ``reference_subcomplex``, which pairs each degree with each ray once, with
 ``membership`` on every cone.  The batteries are the acceptance suite's
 random cases, the benchmark's fan pool, the deep 3-D fans, the polytope
-corpus and seeded 4-D cross-polytope fans."""
+corpus and seeded 4-D cross-polytope fans; and, with no claim on the size
+of the remainder, seeded 5-D cross-polytope fans and the RP^2 torsion fan."""
 
 import random
 from itertools import islice
@@ -12,12 +13,15 @@ from itertools import islice
 import pytest
 
 import toricgf.cellular as cellular
-from toricgf import cell_complex, chain_complex, reduced_homology
+from toricgf import (NotFaceClosed, build_fan, cell_complex, chain_complex, reduced_homology,
+                     support_from_ray_values)
 from toricgf.cellular import subcomplex_homology
 from toricgf.cohomology import degree_region, membership, reference_subcomplex, sweep_index
 from toricgf.intlinalg import InternalCheckFailed
 
-from conftest import face_closure, fan_battery, octahedron_fan, random_fan_3d
+from conftest import (cross_polytope_battery, cross_polytope_fan_data, face_closure,
+                      fan3d_brion_pool_supports, fan_battery, octahedron_fan, random_fan_3d,
+                      rp2_torsion_fan_data)
 
 # The deep and 4-D batteries have about 4.8 million and 0.5 million region
 # degrees, too many for one membership test per cone at each; there the
@@ -34,11 +38,11 @@ def battery(request):
                            for fan, h in fan_battery(request.param, request)]
 
 
-def first_degrees(h):
-    """The first degree in box order of each distinct subcomplex of h's
-    derived region, keyed by the subcomplex's cone ids."""
+def first_degrees(h, box=None):
+    """The first degree in box order of each distinct subcomplex of the box,
+    by default h's derived region, keyed by the subcomplex's cone ids."""
     idx = sweep_index(h)
-    box = degree_region(h).box
+    box = box or degree_region(h).box
     lo = box[-1][0]
     firsts = {}
     for prefix, runs in idx.line_runs(box):
@@ -78,6 +82,74 @@ def test_free_pair_homology_equals_the_smith_reference(battery):
             left = free_pair_remainder(cc, keep)
             assert len(left) == sum(got.betti.values())
             assert not has_nonzero_boundary(cc, left)
+
+
+def test_free_pair_homology_equals_the_smith_reference_in_5d():
+    # Two seeded 5-D cross-polytope fans per subdivision count 0-4, values in
+    # [-1, 1]: 2,944 distinct subcomplexes.  Here some remainders keep more
+    # cells than their Betti sum, so only the homology is compared.
+    rng = random.Random(505)
+    count = 0
+    for subdivisions in range(5):
+        for _ in range(2):
+            rays, maximal = cross_polytope_fan_data(rng, 5, subdivisions)
+            fan = build_fan(5, rays, maximal)
+            h = support_from_ray_values(fan, [rng.randint(-1, 1) for _ in rays])
+            cc = cell_complex(fan)
+            for keep in first_degrees(h):
+                assert subcomplex_homology(cc, keep) == reduced_homology(chain_complex(cc, keep))
+                count += 1
+    assert count == 2944
+
+
+def test_torsion_fan_free_pair_homology_equals_the_smith_reference():
+    # The 198 distinct subcomplexes of the RP^2 fan's (-1..1)^5 box, the one
+    # torsion case: degree 0 keeps the Z/2 of H_1(RP^2) through the collapse.
+    rays, maximal, values = rp2_torsion_fan_data()
+    fan = build_fan(5, rays, maximal)
+    cc = cell_complex(fan)
+    firsts = first_degrees(support_from_ray_values(fan, values), ((-1, 1),) * 5)
+    assert len(firsts) == 198
+    torsion = {}
+    for keep, b in firsts.items():
+        got = subcomplex_homology(cc, keep)
+        assert got == reduced_homology(chain_complex(cc, keep))
+        if any(got.torsion.values()):
+            torsion[b] = got.torsion
+    assert torsion == {(0,) * 5: {-1: (), 0: (), 1: (2,), 2: (), 3: (), 4: ()}}
+
+
+def raised(fn, cc, keep):
+    """The type and message of the face-closure error fn raises on keep."""
+    with pytest.raises((ValueError, NotFaceClosed)) as info:
+        fn(cc, keep)
+    return type(info.value), str(info.value)
+
+
+def test_face_closure_errors_equal_the_reference():
+    # subcomplex_homology reads face closure off its facet masks and raises
+    # what chain_complex raises, naming the same first missing facet: on the
+    # octahedron's lone maximal cone, on the zero cone, and on seeded
+    # selections of pool and 4-D fans, some with the zero cone in them.
+    fan = octahedron_fan()
+    cases = [(fan, frozenset({fan.maximal_ids[0]})), (fan, frozenset({fan.zero_id})),
+             (fan, nonzero_ids(fan) | {fan.zero_id})]
+    rng = random.Random(2701)
+    for fan, _ in [*fan3d_brion_pool_supports(), *cross_polytope_battery()]:
+        for _ in range(6):
+            closed = face_closure(fan, rng.sample(fan.maximal_ids, rng.randint(1, 3)))
+            keep = closed - set(rng.sample(sorted(closed), rng.randint(1, 4)))
+            keep |= {fan.zero_id} if rng.random() < 0.3 else set()
+            if fan.zero_id in keep or face_closure(fan, keep) != keep:
+                cases.append((fan, keep))
+    assert len(cases) > 150
+    kinds = set()
+    for fan, keep in cases:
+        cc = cell_complex(fan)
+        error = raised(subcomplex_homology, cc, keep)
+        assert error == raised(chain_complex, cc, keep)
+        kinds.add(error[0])
+    assert kinds == {ValueError, NotFaceClosed}
 
 
 def test_reference_subcomplex_equals_per_cone_membership(battery):
