@@ -139,7 +139,8 @@ def test_face_closure_errors_equal_the_reference():
         for _ in range(6):
             closed = face_closure(fan, rng.sample(fan.maximal_ids, rng.randint(1, 3)))
             keep = closed - set(rng.sample(sorted(closed), rng.randint(1, 4)))
-            keep |= {fan.zero_id} if rng.random() < 0.3 else set()
+            if rng.random() < 0.3:
+                keep = keep | {fan.zero_id}
             if fan.zero_id in keep or face_closure(fan, keep) != keep:
                 cases.append((fan, keep))
     assert len(cases) > 150
