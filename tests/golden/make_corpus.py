@@ -6,12 +6,12 @@ Runs the CLI on the README fan, the acceptance polytopes, a seeded battery
 of random 2-D and 3-D fans from ``conftest``, the degree-0 query of the
 5-D RP^2 fan with torsion and its table over the box (-1..1)^5,
 ``validate`` on incomplete fans and on cone collections that are not fans,
-and ``polytope`` and ``validate`` on point lists with points that are not
-vertices.  It stores each spec, its argv, the exit code and the exact
-stdout and stderr bytes in ``machine_corpus.json``.  A run that escapes
-the CLI with a traceback is left out.  ``test_golden.py`` replays the
-corpus; rerun this script only when a change to the machine output or to
-an error is intended.
+``polytope`` and ``validate`` on point lists with points that are not
+vertices, and on 4-D point lists.  It stores each spec, its argv, the exit
+code and the exact stdout and stderr bytes in ``machine_corpus.json``.  A
+run that escapes the CLI with a traceback is left out.  ``test_golden.py``
+replays the corpus; rerun this script only when a change to the machine
+output or to an error is intended.
 """
 
 import io
@@ -20,6 +20,7 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 from conftest import (DOUBLE_COVER, FOLDED, PENTAGRAM, POLYTOPES, SQUARE_AND_INNER_CONE,
@@ -45,6 +46,19 @@ POINT_LISTS = (
     ("square-repeated-point", 2, [(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)]),
     ("segment-0-1-2", 1, [(0,), (1,), (2,)]),
     ("collinear-points", 2, [(0, 0), (1, 0), (2, 0)]),
+)
+
+# 4-D point lists, run through ``polytope`` and ``validate`` only: the
+# 4-cube, the cross-polytope, a simplex with an interior point and a point
+# on an edge, and a set of rank 3, which raises DegeneratePolytope.
+POINT_LISTS_4D = (
+    ("cube-4", 4, list(product((0, 1), repeat=4))),
+    ("cross-polytope-4", 4, [tuple(s * (i == j) for j in range(4))
+                             for i in range(4) for s in (1, -1)]),
+    ("simplex-4-with-inner-and-edge-points", 4,
+     [(0, 0, 0, 0), (5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5),
+      (1, 1, 1, 1), (2, 0, 0, 0)]),
+    ("rank-3-points", 4, [(x, y, z, 0) for x, y, z in product((0, 1), repeat=3)]),
 )
 
 FAN_COMMANDS = (
@@ -133,6 +147,9 @@ def cases():
     for name, dim, points in POINT_LISTS:
         yield name, emit_spec(FanSpec(dim=dim, polytope=tuple(map(tuple, points)))), \
             [("polytope",), ("polytope", "--oracle"), ("validate",)]
+    for name, dim, points in POINT_LISTS_4D:
+        yield name, emit_spec(FanSpec(dim=dim, polytope=tuple(map(tuple, points)))), \
+            [("polytope",), ("validate",)]
 
 
 def run_cli(spec_text, args):

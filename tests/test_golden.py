@@ -3,7 +3,8 @@ stay identical on a golden corpus: the README fan, the acceptance
 polytopes, a seeded battery of random 2-D and 3-D fans, the degree-0 query
 and a box table of a 5-D fan with torsion, ``validate`` on incomplete fans
 and on cone collections that are not fans, and ``polytope`` and
-``validate`` on point lists with points that are not vertices.
+``validate`` on point lists with points that are not vertices and on 4-D
+point lists.
 ``golden/make_corpus.py`` wrote the corpus; see its docstring before
 regenerating it."""
 
