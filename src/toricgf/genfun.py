@@ -31,7 +31,7 @@ from .intlinalg import (
     smith_normal_form,
     unimodular_inverse,
 )
-from .polyhedral import Cone, _simplex, cone_from_rays
+from .polyhedral import Cone, _face, _simplex, cone_from_rays
 
 
 class NotPointed(Exception):
@@ -376,14 +376,17 @@ class HalfOpenSimplicialCone:
 
 
 def _triangulate_rays(c: Cone) -> list[tuple[Vector, ...]]:
-    """Pulling triangulation using only the rays of the cone: the first ray
-    is coned over the triangulated facets that miss it."""
+    """Pulling triangulation using only the rays of the pointed cone c: the
+    first ray is coned over the triangulated facets that miss it.  A facet
+    of as many rays as its dimension is its own triangulation; any other
+    is a face of c, pointed with its rays extreme, and is hulled as one."""
     if c.dim == len(c.rays):
         return [c.rays]
     r0 = c.rays[0]
     facets = sorted({tuple(g for g in c.rays if dot(u, g) == 0) for u in c.inequalities})
     return [(r0,) + sub for facet in facets if r0 not in facet
-            for sub in _triangulate_rays(cone_from_rays(c.ambient_dim, facet))]
+            for sub in ([facet] if len(facet) == c.dim - 1
+                        else _triangulate_rays(_face(c.ambient_dim, facet)))]
 
 
 # The 46 primes below 200.

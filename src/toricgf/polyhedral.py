@@ -17,8 +17,12 @@ normal, and those normals.  The records feed the support solve (Cramer's
 rule on the record), the ridge normals of completeness (the normal
 opposite the ray left out) and the cell orientation (the determinant's
 sign).  A face of a listed cone is its ray set and its dimension, and is
-hulled only when its inequalities are read.  A normal fan's listed cones
-are the duals of its tangent cones, handed to the build with no hull.
+hulled only when its inequalities are read.  A lattice polytope's facets
+are enumerated once, one cross product per n points, and each is kept
+with the mask of the points on it: the vertices, the edges and so the
+tangent cones are read off those masks, with no hull.  A normal fan's
+listed cones are the duals of the tangent cones, handed to the build with
+no hull.
 
 Completeness is three ridge tests, made in one pass over the fan's face
 relation: every ridge lies in exactly two maximal cones, their inward
@@ -41,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from operator import add, neg
+from operator import add, index, neg, sub
 
 from .intlinalg import (
     InternalCheckFailed,
@@ -609,14 +613,20 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
     cones that are faces of no other and inherited by their faces.
 
     ``values`` is aligned with the ray list the fan was built from.  Raises
-    NotLinearOnCone when no common functional exists on some cone and
-    NotIntegral when a functional exists over Q but not over Z.
+    ValueError for a value that is not an integer, NotLinearOnCone when no
+    common functional exists on some cone and NotIntegral when a functional
+    exists over Q but not over Z.
     """
     values = list(values)
     if len(values) != len(f.input_rays):
         raise ValueError(
             f"expected {len(f.input_rays)} ray values, got {len(values)}")
-    by_ray = dict(zip(f.input_rays, (int(v) for v in values)))
+    by_ray = {}
+    for r, v in zip(f.input_rays, values):
+        try:
+            by_ray[r] = index(v)
+        except TypeError:
+            raise ValueError(f"ray value {v!r} is not an integer") from None
     # A cone with a parent takes the parent's functional, which restricts to
     # one on the face; only the cones that are faces of none get solved, a
     # simplicial listed cone's off its record.  Ids grow with dimension, so
@@ -651,41 +661,110 @@ def support_from_ray_values(f: Fan, values) -> SupportFunction:
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Full-dimensional lattice polytope: its vertices and, in the same
-    order, the tangent cones that the vertex test hulled at them."""
+    """Full-dimensional lattice polytope: its vertices, sorted, and in the
+    same order their tangent cones, the cones the other points span from
+    each vertex, read off the facets tight at it."""
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
     tangent_cones: tuple[Cone, ...] = field(compare=False, repr=False)
 
 
-def lattice_polytope(ambient_dim: int, points) -> LatticePolytope:
-    """Canonical polytope from a point list: keeps exactly the extreme points,
-    those whose tangent cone is pointed, and their tangent cones.
+def _lattice_point(p) -> Vector:
+    """The point p as an integer tuple; ValueError names a point with a
+    coordinate that ``operator.index`` refuses, so none is truncated."""
+    try:
+        return tuple(map(index, p))
+    except TypeError:
+        raise ValueError(f"point {list(p)} has a coordinate that is not an integer") from None
 
-    Raises DegeneratePolytope when the points do not span dimension n.
+
+def _polytope_facets(pts: list[Vector], n: int) -> list[tuple[Vector, int]]:
+    """The facets of conv(pts), as (primitive inward normal u, mask of the
+    points with <u, p> minimal, bit j for ``pts[j]``), or [] when the
+    points span less than dimension n.  Each n points with independent
+    differences give one candidate hyperplane, crossed once: it is a facet
+    when every point lies on one side of it."""
+    facets, seen = [], set()
+    for subset in combinations(pts, n):
+        p0 = subset[0]
+        u = cross_product([[q[i] - p0[i] for i in range(n)] for q in subset[1:]])
+        if not any(u):
+            continue
+        u = primitive_vector(u)
+        c = dot(u, p0)
+        if (u, c) in seen:
+            continue
+        seen.update(((u, c), (tuple(map(neg, u)), -c)))
+        values = dots(u, pts)
+        lo, hi = min(values), max(values)
+        if c == hi > lo:
+            u = tuple(map(neg, u))
+        elif not c == lo < hi:
+            continue
+        facets.append((u, sum(1 << j for j, x in enumerate(values) if x == c)))
+    return facets
+
+
+def lattice_polytope(ambient_dim: int, points) -> LatticePolytope:
+    """Canonical polytope from a point list: keeps exactly its vertices,
+    with their tangent cones, from one enumeration of the facets.
+
+    Each facet is its inward normal and its point mask, and the smallest
+    face holding some points is the meet of the masks of the facets tight
+    at all of them (every point, when none is).  A point is a vertex when
+    its smallest face holds it alone, that is when the normals tight at it
+    have rank n; two vertices span an edge when their smallest face holds
+    no third vertex.  A vertex's tangent cone has the edge directions from
+    it as its extreme rays and the normals tight at it as its facet
+    normals: the dual of its normal cone, with no hull.  Raises
+    DegeneratePolytope when the points do not span dimension n, and
+    ValueError for a point of another dimension or with a coordinate that
+    is not an integer.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    n = ambient_dim
+    pts = sorted({_lattice_point(p) for p in points})
     if not pts:
         raise DegeneratePolytope("no points given")
     for p in pts:
-        if len(p) != ambient_dim:
-            raise ValueError(f"point {p} does not live in dimension {ambient_dim}")
-    base = pts[0]
-    diffs = [[p[i] - base[i] for i in range(ambient_dim)] for p in pts[1:]]
-    if rank(diffs) != ambient_dim:
-        raise DegeneratePolytope(f"points span dimension {rank(diffs)} < {ambient_dim}")
-    cones = {p: c for p in pts if (c := cone_from_rays(  # p's tangent cone is pointed
-        ambient_dim, [[q[i] - p[i] for i in range(ambient_dim)] for q in pts])).pointed}
-    return LatticePolytope(ambient_dim, tuple(cones), tuple(cones.values()))
+        if len(p) != n:
+            raise ValueError(f"point {p} does not live in dimension {n}")
+    facets = _polytope_facets(pts, n)
+    if not facets:
+        base = pts[0]
+        d = rank([[p[i] - base[i] for i in range(n)] for p in pts[1:]])
+        raise DegeneratePolytope(f"points span dimension {d} < {n}")
+    # on[j]: the facets tight at pts[j], bit k for facets[k].
+    on = [sum(1 << k for k, (_, mask) in enumerate(facets) if mask >> j & 1)
+          for j in range(len(pts))]
+
+    def face(tight: int) -> int:
+        """The point mask of the face cut by the facets in ``tight``."""
+        out = (1 << len(pts)) - 1
+        for k, (_, mask) in enumerate(facets):
+            if tight >> k & 1:
+                out &= mask
+        return out
+
+    ids = [j for j in range(len(pts)) if face(on[j]) == 1 << j]
+    vertex_mask = sum(1 << j for j in ids)
+    cones = []
+    for j in ids:
+        p = pts[j]
+        rays = sorted(primitive_vector(tuple(map(sub, pts[i], p))) for i in ids
+                      if i != j and face(on[j] & on[i]) & vertex_mask == 1 << i | 1 << j)
+        normals = sorted(u for k, (u, _) in enumerate(facets) if on[j] >> k & 1)
+        cones.append(Cone(n, tuple(rays), n, True, tuple(normals)))
+    return LatticePolytope(n, tuple(pts[j] for j in ids), tuple(cones))
 
 
 def normal_fan_of_polytope(p: LatticePolytope) -> tuple[Fan, SupportFunction]:
     """Inner normal fan of a lattice polytope with its support data.
 
     The maximal cone attached to a vertex w consists of the directions
-    minimized at w, the dual of the tangent cone the vertex test hulled at w;
-    its linear part equals -w, so the shifted dual cone is that tangent cone.
+    minimized at w, the dual of the tangent cone that ``lattice_polytope``
+    read at w; its linear part equals -w, so the shifted dual cone is that
+    tangent cone.
     """
     n = p.ambient_dim
     verts = list(p.vertices)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -20,10 +21,12 @@ from toricgf import (
     membership,
     normal_fan_of_polytope,
     lattice_polytope,
+    polynomial_sum,
     rational_equal,
     signed_count,
     support_from_ray_values,
     support_subcomplex,
+    triangulate_halfopen,
     verify_identity,
 )
 from toricgf.cohomology import DegreeRegion, check_shell, sweep_index
@@ -338,6 +341,38 @@ def test_verify_identity_polytopes():
         rep = verify_identity(h)
         assert rep.identity_holds
         assert all(c.holds for c in rep.corollary_results.values())
+
+
+def test_random_polytope_battery_verifies_the_identity(monkeypatch):
+    # Seeded 3-D polytopes of 8-12 points in [-2, 2]^3: their tangent cones
+    # are mostly not simplicial, their triangulations have several pieces,
+    # and many pieces have |det| > 1, so the Brion terms run the Smith
+    # parallelepiped path.  Wider boxes derive degree regions of hundreds
+    # of degrees per axis, and the table then costs seconds per polytope.
+    from toricgf import genfun
+    from toricgf.intlinalg import determinant
+
+    real, smith = genfun._smith_parallelepiped_points, []
+    monkeypatch.setattr(genfun, "_smith_parallelepiped_points",
+                        lambda *args: smith.append(args) or real(*args))
+    rng = random.Random(28)
+    kinds = Counter()
+    for _ in range(8):
+        pts = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(8, 12))]
+        p = lattice_polytope(3, pts)
+        _, h = normal_fan_of_polytope(p)
+        terms = brion_terms(h)
+        report = verify_identity(h, terms=terms)
+        assert report.identity_holds, pts
+        assert all(c.holds for c in report.corollary_results.values()), pts
+        summed = polynomial_sum(gf for _, gf in terms).total
+        assert rational_equal(brion_sum(h, terms), RationalGF.from_polynomial(summed)), pts
+        for c in p.tangent_cones:
+            pieces = triangulate_halfopen(c)
+            kinds["not simplicial"] += len(c.rays) > 3
+            kinds["several pieces"] += len(pieces) > 1
+            kinds["|det| > 1"] += sum(abs(determinant(q.generators)) > 1 for q in pieces)
+    assert min(kinds.values()) >= 30 and len(kinds) == 3 and len(smith) >= 30
 
 
 def test_octahedron_polytope_nonsimplicial_cones():

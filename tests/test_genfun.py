@@ -22,7 +22,7 @@ from toricgf import (
 from toricgf import lattice_polytope, normal_fan_of_polytope
 from toricgf.genfun import (HalfOpenSimplicialCone, _divide_binomial, _reference_point_pieces,
                             _smith_parallelepiped_points, sign_canonical, times_binomials)
-from toricgf.intlinalg import InternalCheckFailed, determinant, matvec
+from toricgf.intlinalg import InternalCheckFailed, determinant, dot, matvec
 
 from conftest import (POLYTOPES, example1_fan, fan3d_brion_pool, fan_battery,
                       lattice_polygon_cone, primitive_edges)
@@ -312,6 +312,52 @@ def test_triangulate_cone_over_a_48_gon():
     for pt in product(range(-3, 4), range(-3, 4), range(0, 3)):
         hits = sum(1 for p in pieces if in_half_open_piece(p, pt))
         assert hits == (1 if c.contains(pt) else 0), pt
+
+
+def seeded_cones(rng, n, count):
+    """Pointed full-dimensional cones of n + 1 to n + 4 generators drawn in
+    [-2, 2]^n, the first ``count`` of them."""
+    cones = []
+    while len(cones) < count:
+        gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(n + 1, n + 4))]
+        c = cone_from_rays(n, gens)
+        if c.pointed and c.dim == n:
+            cones.append(c)
+    return cones
+
+
+def test_triangulation_equals_the_hull_path(monkeypatch):
+    # Returning a simplicial facet as it is, and hulling any other as a
+    # face, gives the pieces and flags of hulling every facet; the 4-D
+    # cones reach facets that are not simplicial.
+    from toricgf import genfun
+    from reference import hulled_triangulation
+
+    rng = random.Random(31)
+    cones = [c for _, dim, verts in POLYTOPES for c in lattice_polytope(dim, verts).tangent_cones]
+    cones += seeded_cones(rng, 3, 40) + seeded_cones(rng, 4, 25)
+    got = [triangulate_halfopen(c) for c in cones]
+    monkeypatch.setattr(genfun, "_triangulate_rays", hulled_triangulation)
+    assert got == [triangulate_halfopen(c) for c in cones]
+    multi = [c for c, pieces in zip(cones, got) if len(pieces) > 1]
+    wide_facets = [c for c in multi if any(
+        len([r for r in c.rays if dot(u, r) == 0]) > c.dim - 1 for u in c.inequalities)]
+    assert len(multi) >= 30 and any(c.ambient_dim == 4 for c in wide_facets)
+
+
+def test_octahedron_triangulation_hulls_no_facet(monkeypatch):
+    # The octahedron's tangent cones have four rays and triangular facets:
+    # each is two pieces, coned over its facets with no hull.
+    from toricgf import genfun
+
+    calls = []
+    for name in ("cone_from_rays", "_face"):
+        real = getattr(genfun, name)
+        monkeypatch.setattr(genfun, name, lambda *args, _real=real, **kwargs:
+                            calls.append(args) or _real(*args, **kwargs))
+    octahedron = lattice_polytope(3, POLYTOPES[5][2])
+    pieces = [triangulate_halfopen(c) for c in octahedron.tangent_cones]
+    assert calls == [] and [len(p) for p in pieces] == [2] * 6
 
 
 def test_reference_point_keeps_the_prime_windows():

@@ -2,7 +2,8 @@ import random
 import re
 import time
 from collections import Counter
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -28,7 +29,7 @@ from conftest import (POLYTOPES, cone_collections, cross_polytope_fan_data,
                       lattice_polygon_cone, octahedron_fan, octahedron_fan_data,
                       per_pair_check_intersections, primitive_edges, random_fan_2d,
                       random_fan_3d, unit_square)
-from reference import normal_cone, rehulled_normal_fan
+from reference import hulled_lattice_polytope, normal_cone, rehulled_normal_fan
 
 
 def test_cone_from_rays_basic():
@@ -867,36 +868,44 @@ def test_lattice_polytope_drops_non_vertices():
     assert p.vertices == ((0, 0), (0, 2), (2, 0))
 
 
+# Seeded point sets in [-2, 2]^n: per n, how many sets and the most points
+# in one.  The hulled references cost C(m, n - 1) cross products at each of
+# m points, so the 4-D sets are fewer and smaller.
+POINT_SET_DRAWS = {1: (20, 6), 2: (40, 9), 3: (40, 12), 4: (12, 10)}
+
+
+def random_point_sets(rng):
+    """(n, point set) for each draw of ``POINT_SET_DRAWS``, n = 1..4."""
+    for n, (count, most) in POINT_SET_DRAWS.items():
+        for _ in range(count):
+            yield n, {tuple(rng.randint(-2, 2) for _ in range(n))
+                      for _ in range(rng.randint(n + 1, most))}
+
+
 def test_vertex_test_agrees_with_the_normal_cone_dimension():
-    rng = random.Random(17)
-    checked = 0
-    for n in (2, 3):
-        for _ in range(40):
-            pts = {tuple(rng.randint(-2, 2) for _ in range(n))
-                   for _ in range(rng.randint(n + 1, 3 * n + 3))}
-            try:
-                p = lattice_polytope(n, pts)
-            except DegeneratePolytope:
-                continue
-            assert list(p.vertices) == sorted(q for q in pts
-                                              if normal_cone(q, sorted(pts), n).dim == n)
-            checked += 1
-    assert checked >= 60
+    checked = Counter()
+    for n, pts in random_point_sets(random.Random(17)):
+        try:
+            p = lattice_polytope(n, pts)
+        except DegeneratePolytope:
+            continue
+        assert list(p.vertices) == sorted(q for q in pts
+                                          if normal_cone(q, sorted(pts), n).dim == n)
+        checked[n] += 1
+    assert min(checked[n] for n in POINT_SET_DRAWS) >= 8 and checked.total() >= 80
 
 
 def test_normal_cones_are_the_duals_of_the_vertex_test_cones(monkeypatch):
-    # The tangent cone that the vertex test hulled at each vertex, from all
-    # the points, has the extreme rays and facets of the vertices' own hull:
-    # its dual is the reference normal cone, and the normal fan hulls no
-    # vertex cone again, nor does its build: the dual cones are its listed
-    # cones, the octahedron's six 4-ray cones too.
+    # The tangent cone that the vertex test read off the facets at each
+    # vertex has the extreme rays and facets of the vertices' own hull: its
+    # dual is the reference normal cone, and the normal fan hulls no vertex
+    # cone again, nor does its build: the dual cones are its listed cones,
+    # the octahedron's six 4-ray cones too.
     import toricgf.polyhedral as polyhedral
 
-    rng = random.Random(17)
     lists = [(dim, verts) for _, dim, verts in POLYTOPES]
-    for n in (2, 3):
-        lists += [(n, {tuple(rng.randint(-2, 2) for _ in range(n))
-                       for _ in range(rng.randint(n + 1, 3 * n + 3))}) for _ in range(40)]
+    lists += list(random_point_sets(random.Random(17)))
+    dims = Counter()
     for n, pts in lists:
         try:
             p = lattice_polytope(n, pts)
@@ -906,6 +915,8 @@ def test_normal_cones_are_the_duals_of_the_vertex_test_cones(monkeypatch):
             ref = normal_cone(w, list(p.vertices), n)
             dual = polyhedral.dual_cone(c)
             assert (dual.rays, dual.inequalities) == (ref.rays, ref.inequalities)
+        dims[n] += 1
+    assert set(dims) == {1, 2, 3, 4}
     cube, octahedron = (lattice_polytope(dim, verts) for _, dim, verts in POLYTOPES[4:6])
     real, hulled = polyhedral.cone_from_rays, []
     monkeypatch.setattr(polyhedral, "cone_from_rays",
@@ -913,6 +924,87 @@ def test_normal_cones_are_the_duals_of_the_vertex_test_cones(monkeypatch):
     for p in (cube, octahedron):
         normal_fan_of_polytope(p)
     assert hulled == []
+
+
+# Point sets with repeated, collinear, interior and edge points, sets of
+# rank below n, and sets of one point or none.
+SPECIAL_POINT_SETS = (
+    (1, [(3,), (3,), (-1,), (0,), (1,)]),
+    (1, [(2,), (2,)]),
+    (2, []),
+    (2, [(0, 0), (1, 1), (2, 2), (1, 1)]),
+    (2, [(0, 0), (2, 0), (0, 2), (1, 0), (1, 1), (0, 1), (0, 0)]),
+    (2, [(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)]),
+    (3, [(1, 2, 3)]),
+    (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0)]),
+    (3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0), (1, 1, 0), (0, 0, 1),
+         (1, 0, 1)]),
+    (3, list(product(range(3), repeat=3))),
+    (3, [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 1)]),
+    (4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)]),
+    (4, [(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3),
+         (1, 1, 0, 0), (1, 0, 0, 0), (0, 1, 1, 1), (1, 1, 1, 0)]),
+    (4, list(product((0, 1), repeat=4)) + [(1, 1, 1, 1), (0, 0, 1, 1)]),
+    (4, [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+     + [(0, 0, 0, 0)]),
+)
+
+
+def polytope_description(n, pts):
+    """The vertices and each tangent cone's rays, inequalities, dim and
+    pointedness of the polytope of pts, or the error it raises."""
+    def describe(build):
+        p = build(n, pts)
+        return p.vertices, [(c.rays, c.inequalities, c.dim, c.pointed)
+                            for c in p.tangent_cones]
+    return describe
+
+
+def test_vertex_test_agrees_with_the_per_point_hull():
+    lists = list(SPECIAL_POINT_SETS) + [(dim, verts) for _, dim, verts in POLYTOPES]
+    lists += list(random_point_sets(random.Random(29)))
+    kinds = Counter()
+    for n, pts in lists:
+        describe = polytope_description(n, pts)
+        got = outcome(lambda: describe(lattice_polytope))
+        assert got == outcome(lambda: describe(hulled_lattice_polytope)), (n, pts)
+        kinds[got[0], n] += 1
+    assert all(kinds["returned", n] >= 8 for n in POINT_SET_DRAWS)
+    assert kinds["DegeneratePolytope", 2] and kinds["DegeneratePolytope", 4]
+
+
+def test_vertex_test_crosses_each_candidate_once_and_hulls_no_cone(monkeypatch):
+    # One cross product per n points and nothing else: no rank, no record,
+    # no hull, at a vertex on n facets (the cubes) or more (the octahedron,
+    # the cross-polytope).
+    import toricgf.polyhedral as polyhedral
+
+    calls = Counter()
+    for name in ("cone_from_rays", "_hull_description", "_simplex", "cross_product", "rank"):
+        real = getattr(polyhedral, name)
+        monkeypatch.setattr(polyhedral, name, lambda *args, _real=real, _name=name, **kwargs:
+                            calls.update([_name]) or _real(*args, **kwargs))
+    cross4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    for n, pts, candidates in ((3, POLYTOPES[4][2], 56), (3, POLYTOPES[5][2], 20),
+                               (4, list(product((0, 1), repeat=4)), 1820), (4, cross4, 70)):
+        calls.clear()
+        lattice_polytope(n, pts)
+        assert calls == Counter(cross_product=candidates)
+
+
+@pytest.mark.parametrize("bad", [0.9, 2.0, Fraction(1, 2), "1"])
+def test_lattice_polytope_refuses_a_coordinate_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match=re.escape(f"point {[bad, 0]} has a coordinate")):
+        lattice_polytope(2, [[bad, 0], [2, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("values", [[0.5, 1.9, -0.7], [0, 1, 2.0], [0, Fraction(1, 2), 0],
+                                    [0, 0, "1"]])
+def test_support_refuses_a_value_that_is_not_an_integer(values):
+    fan = build_fan(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
+    bad = next(v for v in values if type(v) is not int)
+    with pytest.raises(ValueError, match=re.escape(f"ray value {bad!r} is not an integer")):
+        support_from_ray_values(fan, values)
 
 
 def outcome(fn):
