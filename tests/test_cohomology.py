@@ -30,7 +30,7 @@ from toricgf import (
     verify_identity,
 )
 from toricgf.cohomology import DegreeRegion, check_shell, sweep_index
-from toricgf.intlinalg import dot, kernel_basis
+from toricgf.intlinalg import determinant, dot, kernel_basis
 from toricgf.polyhedral import SupportFunction
 
 from conftest import (
@@ -350,7 +350,6 @@ def test_random_polytope_battery_verifies_the_identity(monkeypatch):
     # parallelepiped path.  Wider boxes derive degree regions of hundreds
     # of degrees per axis, and the table then costs seconds per polytope.
     from toricgf import genfun
-    from toricgf.intlinalg import determinant
 
     real, smith = genfun._smith_parallelepiped_points, []
     monkeypatch.setattr(genfun, "_smith_parallelepiped_points",

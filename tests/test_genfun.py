@@ -26,7 +26,7 @@ from toricgf.intlinalg import InternalCheckFailed, determinant, dot, matvec
 
 from conftest import (POLYTOPES, example1_fan, fan3d_brion_pool, fan_battery,
                       lattice_polygon_cone, primitive_edges)
-from reference import binomial_product, minor_adjugate
+from reference import binomial_product, hulled_triangulation, minor_adjugate
 
 
 def in_half_open_piece(piece, x) -> bool:
@@ -331,7 +331,6 @@ def test_triangulation_equals_the_hull_path(monkeypatch):
     # face, gives the pieces and flags of hulling every facet; the 4-D
     # cones reach facets that are not simplicial.
     from toricgf import genfun
-    from reference import hulled_triangulation
 
     rng = random.Random(31)
     cones = [c for _, dim, verts in POLYTOPES for c in lattice_polytope(dim, verts).tangent_cones]

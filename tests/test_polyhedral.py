@@ -927,11 +927,13 @@ def test_normal_cones_are_the_duals_of_the_vertex_test_cones(monkeypatch):
 
 
 # Point sets with repeated, collinear, interior and edge points, sets of
-# rank below n, and sets of one point or none.
+# rank below n, sets of one point or none, and a point of another
+# dimension.
 SPECIAL_POINT_SETS = (
     (1, [(3,), (3,), (-1,), (0,), (1,)]),
     (1, [(2,), (2,)]),
     (2, []),
+    (2, [(0, 0), (1,), (0, 1), (1, 0)]),
     (2, [(0, 0), (1, 1), (2, 2), (1, 1)]),
     (2, [(0, 0), (2, 0), (0, 2), (1, 0), (1, 1), (0, 1), (0, 0)]),
     (2, [(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)]),
@@ -950,14 +952,14 @@ SPECIAL_POINT_SETS = (
 )
 
 
-def polytope_description(n, pts):
-    """The vertices and each tangent cone's rays, inequalities, dim and
-    pointedness of the polytope of pts, or the error it raises."""
-    def describe(build):
+def polytope_description(build, n, pts):
+    """The vertices of build(n, pts) and each tangent cone's rays,
+    inequalities, dim and pointedness, or the error it raises."""
+    def describe():
         p = build(n, pts)
         return p.vertices, [(c.rays, c.inequalities, c.dim, c.pointed)
                             for c in p.tangent_cones]
-    return describe
+    return outcome(describe)
 
 
 def test_vertex_test_agrees_with_the_per_point_hull():
@@ -965,9 +967,8 @@ def test_vertex_test_agrees_with_the_per_point_hull():
     lists += list(random_point_sets(random.Random(29)))
     kinds = Counter()
     for n, pts in lists:
-        describe = polytope_description(n, pts)
-        got = outcome(lambda: describe(lattice_polytope))
-        assert got == outcome(lambda: describe(hulled_lattice_polytope)), (n, pts)
+        got = polytope_description(lattice_polytope, n, pts)
+        assert got == polytope_description(hulled_lattice_polytope, n, pts), (n, pts)
         kinds[got[0], n] += 1
     assert all(kinds["returned", n] >= 8 for n in POINT_SET_DRAWS)
     assert kinds["DegeneratePolytope", 2] and kinds["DegeneratePolytope", 4]
