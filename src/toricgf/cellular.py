@@ -14,6 +14,8 @@ with unit incidence where one of the two has no other live neighbour, on
 bitmasks of cone ids; the cells left keep their own boundary entries, and
 only their matrices reach the Smith normal form, none when none is left.
 ``chain_complex`` builds a whole subcomplex's matrices, the reference.
+In R^2 and R^3 the sweep takes ``component_homology`` instead: by Alexander
+duality in S^1 or S^2, two component counts on ray bitmasks.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class CellComplex:
     _orientation: dict[int, tuple] = field(default_factory=dict, repr=False)
     _boundary_checked: bool = field(default=False, repr=False)
     _masks: tuple[list[int], list[int]] | None = field(default=None, repr=False)
+    _graphs: tuple | None = field(default=None, repr=False)
 
     @property
     def empty_cell(self) -> int:
@@ -371,3 +374,63 @@ def subcomplex_homology(cc: CellComplex, keep) -> HomologyResult:
             cc, [i for i in range(live.bit_length()) if live >> i & 1]))
     degrees = range(-1, cc.fan.ambient_dim)
     return HomologyResult(dict.fromkeys(degrees, 0), dict.fromkeys(degrees, ()))
+
+
+def _component_graphs(cc: CellComplex) -> tuple[int, list[int], list[int]]:
+    """The mask of the rays and, per ray bit k (``fan.input_rays[k]``), the
+    masks of the rays sharing a 2-dim cone with it and of those sharing a
+    maximal cone: built on the first homology and kept.  The duality needs
+    a complete fan, so a ridge not on two maximal cones is refused."""
+    if cc._graphs is None:
+        fan, n = cc.fan, cc.fan.ambient_dim
+        adjacency = {d: [0] * len(fan.input_rays) for d in (2, n)}
+        for i, c in enumerate(fan.cones):
+            if c.dim == n - 1 and len(fan._cofacets_of[i]) != 2:
+                raise ValueError(f"the fan is not complete: ridge {c} lies in "
+                                 f"{len(fan._cofacets_of[i])} maximal cone(s)")
+            if c.dim in adjacency:
+                m = fan.masks[i]
+                for k in range(m.bit_length()):
+                    if m >> k & 1:
+                        adjacency[c.dim][k] |= m
+        cc._graphs = sum(fan.masks[i] for i in fan.ray_ids), adjacency[2], adjacency[n]
+    return cc._graphs
+
+
+def _components(nodes: int, adjacency: list[int]) -> int:
+    """The number of connected components of the graph on the set bits of
+    nodes in which bit k is joined to the bits of ``adjacency[k]``."""
+    count = 0
+    while nodes:
+        count += 1
+        todo = seen = nodes & -nodes
+        while todo:
+            low = todo & -todo
+            new = adjacency[low.bit_length() - 1] & nodes & ~seen
+            todo ^= low | new
+            seen |= new
+        nodes &= ~seen
+    return count
+
+
+def component_homology(cc: CellComplex, m: int) -> HomologyResult:
+    """Reduced homology of the subcomplex K of the cones whose ray masks lie
+    in m, for a complete fan in R^2 or R^3.  S^(n-1) - K retracts onto the
+    dual graph of the maximal cones and ridges outside K, so by Alexander
+    duality (Hatcher, *Algebraic Topology*, Thm 3.44), with c_K the
+    components of K's rays joined by its 2-dim cones and c_C those of that
+    graph: H~_-1 = [K empty], H~_0 = c_K - 1, H~_(n-2) = c_C - 1, H~_(n-1) =
+    [K whole], all free.  A cone outside K has a ray off m, whose maximal
+    cones are joined by its ridges, so c_C counts the off rays joined by a
+    shared maximal cone.  In R^2 both count K's arcs unless K is empty or
+    whole, and must agree.  d∘d is checked as for ``subcomplex_homology``."""
+    _check_boundary_squared(cc)
+    rays, edges, stars = _component_graphs(cc)
+    n = cc.fan.ambient_dim
+    c_k, c_c = _components(m & rays, edges), _components(rays & ~m, stars)
+    if n == 2 and c_k and c_c and c_k != c_c:
+        raise InternalCheckFailed(f"{c_k} components inside ray mask {m:#x}, "
+                                  f"but {c_c} outside it")
+    betti = {-1: int(not c_k), 0: max(c_k - 1, 0), n - 1: int(not c_c)}
+    betti[n - 2] = max(c_c - 1, 0)
+    return HomologyResult(betti, dict.fromkeys(betti, ()))

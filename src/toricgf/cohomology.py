@@ -15,12 +15,14 @@ So a degree has one on-ray bitmask, and a cone is kept when its own ray
 mask is a subset of it.  The box is swept one line of the last coordinate
 at a time: on a line each ray's condition is a single threshold, so the
 masks along it come in runs, found by sorting at most one threshold per
-ray.  A ``SweepIndex`` per support function memoises, per distinct mask,
-a ``Subcomplex``: the kept cones, the signed count and the homology, from
-which each field's dimensions are read.  ``cohomology_table`` is a run's
-single pass, one lookup per run of the box widened by one: the shell runs
-certify the box and the inner runs fill the table, which keeps the first
-degree of each distinct subcomplex; the Euler polynomial, the identity
+ray, stepped along each row of the second-to-last axis.  A ``SweepIndex``
+per support function memoises, per distinct mask, a ``Subcomplex``: the
+kept cones, the signed count and the homology, from which each field's
+dimensions are read; in R^2 and R^3 the homology is read off component
+counts on the mask.  ``cohomology_table`` is a run's single pass, one
+lookup per run of the box widened by one: the shell runs certify the box
+and the inner runs fill the table, which keeps the first degree of each
+distinct subcomplex; the Euler polynomial, the identity
 check and the corollaries read it.
 The identity is checked by ``genfun.polynomial_sum``: the sign-canonical
 terms are added one at a time, and each denominator factor is divided out
@@ -36,10 +38,11 @@ degree <b, r> is computed once per ray.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count, repeat
 from operator import add
 
-from .cellular import HomologyResult, fan_cell_complex, subcomplex_homology
+from .cellular import (HomologyResult, component_homology, fan_cell_complex,
+                       subcomplex_homology)
 from .genfun import (LaurentPolynomial, RationalGF, box_points, cone_genfun, polynomial_sum,
                      sign_canonical)
 from .intlinalg import InternalCheckFailed, cross_product, dot
@@ -78,12 +81,14 @@ class Subcomplex:
     """One distinct degree subcomplex, equal only to itself.
 
     ``keep`` holds its nonzero cones' ids, ``signed_count`` sums (-1)^codim
-    over every cone it keeps, the zero cone included, and its ``homology``
-    and what each field p reads off it, ``derived[p]``, are made on first use.
+    over every cone it keeps, the zero cone included, ``mask`` is the mask
+    ``lookup`` keyed it by, and its ``homology`` and what each field p reads
+    off it, ``derived[p]``, are made on first use.
     """
 
     keep: frozenset[int]
     signed_count: int
+    mask: int | None = None
     homology: HomologyResult | None = None
     derived: dict = field(default_factory=dict)
 
@@ -164,36 +169,44 @@ class SweepIndex:
         With s = <prefix, r'> + h(r), where r' drops the last entry c of r,
         the ray is on over the whole line when c = 0 and s >= 0, from index
         -(s // c) - lo on when c > 0, and up to index s // -c - lo when c < 0.
+        s is paired once per row of the second-to-last axis, at its first
+        prefix, and then stepped by r's second-to-last entry along the row.
         """
         *head, (lo, hi) = box
         width = hi - lo + 1
-        up = [(bit, r[:-1], r[-1], v) for bit, r, v in self._rays if r[-1] > 0]
-        down = [(bit, r[:-1], -r[-1], v) for bit, r, v in self._rays if r[-1] < 0]
-        flat = [(bit, r[:-1], v) for bit, r, v in self._rays if r[-1] == 0]
-        for prefix in box_points(head):
-            m, flips = 0, {}
-            for bit, r, c, v in up:
-                k = -((dot(prefix, r) + v) // c) - lo  # on from index k
-                if k <= 0:
-                    m |= bit
-                elif k < width:
-                    flips[k] = flips.get(k, 0) | bit
-            for bit, r, c, v in down:
-                k = (dot(prefix, r) + v) // c - lo + 1  # on before index k
-                if k > 0:
-                    m |= bit
-                    if k < width:
+        *outer, (x0, x1) = head or [(0, 0)]  # n = 1: one row of one line
+        groups = [[(bit, r, v) for bit, r, v in self._rays if (r[-1] > 0) - (r[-1] < 0) == sign]
+                  for sign in (1, -1, 0)]
+        up, down, flat = ([(bit, abs(r[-1])) for bit, r, _ in g] for g in groups)
+        pairs = [[(r[:-2], r[-2] if head else 0, v) for _, r, v in g] for g in groups]
+        for row in box_points(outer):
+            # Per group, the tuple of its rays' s on each line of the row.
+            lines = [zip(*[count(dot(row, r) + x0 * t + v, t) for r, t, v in pair])
+                     if pair else repeat(()) for pair in pairs]
+            for x, su, sd, sf in zip(range(x0, x1 + 1), *lines):
+                m, flips = 0, {}
+                for (bit, c), s in zip(up, su):
+                    k = -(s // c) - lo  # on from index k
+                    if k <= 0:
+                        m |= bit
+                    elif k < width:
                         flips[k] = flips.get(k, 0) | bit
-            for bit, r, v in flat:
-                if dot(prefix, r) + v >= 0:
-                    m |= bit
-            runs, first = [], 0
-            for k in sorted(flips):
-                runs.append((first, k, m))
-                m ^= flips[k]
-                first = k
-            runs.append((first, width, m))
-            yield prefix, runs
+                for (bit, c), s in zip(down, sd):
+                    k = s // c - lo + 1  # on before index k
+                    if k > 0:
+                        m |= bit
+                        if k < width:
+                            flips[k] = flips.get(k, 0) | bit
+                for (bit, _), s in zip(flat, sf):
+                    if s >= 0:
+                        m |= bit
+                runs, first = [], 0
+                for k in sorted(flips):
+                    runs.append((first, k, m))
+                    m ^= flips[k]
+                    first = k
+                runs.append((first, width, m))
+                yield ((*row, x) if head else ()), runs
 
     def lookup(self, m: int) -> Subcomplex:
         """The subcomplex of the cones whose rays are all on in mask m."""
@@ -205,7 +218,7 @@ class SweepIndex:
                     signed += sign
                     if cm:
                         keep.append(i)
-            sub = self._memo[m] = Subcomplex(frozenset(keep), signed)
+            sub = self._memo[m] = Subcomplex(frozenset(keep), signed, m)
         return sub
 
     def subcomplex(self, b) -> Subcomplex:
@@ -216,11 +229,14 @@ class SweepIndex:
         return sub.derived.get(p) or sub.derived.setdefault(p, self._derive(sub, p))
 
     def _derive(self, sub: Subcomplex, p: int | None):
-        """(dims, torsion, chi) read off the homology; chi must be the signed count."""
+        """(dims, torsion, chi) read off the homology, which in R^2 and R^3
+        comes from component counts; chi must be the signed count."""
+        n = self.fan.ambient_dim
         hom = sub.homology
         if hom is None:
-            hom = sub.homology = subcomplex_homology(fan_cell_complex(self.fan), sub.keep)
-        n = self.fan.ambient_dim
+            cc = fan_cell_complex(self.fan)
+            hom = sub.homology = (component_homology(cc, sub.mask) if 2 <= n <= 3
+                                  else subcomplex_homology(cc, sub.keep))
         betti = hom.betti if p is None else hom.betti_mod_p(p)
         dims = tuple(betti[n - 1 - k] for k in range(n + 1))
         torsion = tuple(hom.torsion[n - 1 - k] for k in range(n + 1))

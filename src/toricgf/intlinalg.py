@@ -105,6 +105,14 @@ def cross_product(rows) -> Vector:
     if len(rows) == 2 and len(rows[0]) == 3:
         (a, b, c), (d, e, f) = rows
         return (b * f - c * e, c * d - a * f, a * e - b * d)
+    if len(rows) == 3 and len(rows[0]) == 4:
+        # Each 3x3 minor expanded along the third row, over the 2x2 minors
+        # p_jk of the first two.
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        return (c1 * p23 - c2 * p13 + c3 * p12, c2 * p03 - c0 * p23 - c3 * p02,
+                c0 * p13 - c1 * p03 + c3 * p01, c1 * p02 - c0 * p12 - c2 * p01)
     k = len(rows)
     minors = (_bareiss([[*row[:i], *row[i + 1:]] for row in rows]) for i in range(k + 1))
     return tuple((-1) ** i * pivot if r == k else 0 for i, (r, pivot) in enumerate(minors))

@@ -533,8 +533,8 @@ def deep_fans():
 def fan_battery(name, request):
     """(fan, support) pairs of one agreement battery: the acceptance suite's
     random cases, the benchmark's fan pool, the deep 3-D fans with spread-2
-    support, the polytope corpus's normal fans, or the seeded 4-D
-    cross-polytope fans."""
+    support, the polytope corpus's normal fans, the random polytope
+    battery's normal fans, or the seeded 4-D cross-polytope fans."""
     if name == "acceptance":
         return random_battery()
     if name == "pool":
@@ -546,4 +546,15 @@ def fan_battery(name, request):
     if name == "polytopes":
         return [normal_fan_of_polytope(lattice_polytope(dim, verts))
                 for _, dim, verts in POLYTOPES]
+    if name == "random-polytopes":
+        return [normal_fan_of_polytope(lattice_polytope(3, pts))
+                for pts in random_polytope_points()]
     return cross_polytope_battery()
+
+
+def random_polytope_points():
+    """Eight seeded lists of 8-12 points in [-2, 2]^3: the random polytope
+    battery, whose tangent cones are mostly not simplicial."""
+    rng = random.Random(28)
+    return [[tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(8, 12))]
+            for _ in range(8)]

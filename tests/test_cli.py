@@ -38,6 +38,23 @@ dim: 2
 polytope: [[0,0],[1,0],[0,1],[1,1]]
 """
 
+# The fan over the 4-D cross-polytope's faces: ray k is e_(k+1) and ray
+# k + 4 is -e_(k+1).  Its table has 27 distinct subcomplexes and one H^3.
+CROSS4_DOC = """\
+dim: 4
+rays: [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1],[-1,0,0,0],[0,-1,0,0],[0,0,-1,0],[0,0,0,-1]]
+maximal_cones: [%s]
+support: [-1,-1,-1,0,-1,-1,-1,0]
+""" % ",".join(f"[{a},{b},{c},{d}]" for a in (0, 4) for b in (1, 5) for c in (2, 6)
+               for d in (3, 7))
+
+OCTAHEDRON_DOC = """\
+dim: 3
+rays: [[1,0,0],[0,1,0],[0,0,1],[-1,0,0],[0,-1,0],[0,0,-1]]
+maximal_cones: [[0,1,2],[0,1,5],[0,4,2],[0,4,5],[3,1,2],[3,1,5],[3,4,2],[3,4,5]]
+support: [1,-1,0,-1,0,1]
+"""
+
 
 def write(tmp_path, text, name="spec.fan"):
     path = tmp_path / name
@@ -621,23 +638,32 @@ def test_parse_spec_bounds_nesting_without_libyaml(monkeypatch):
         parse_spec("dim:\n" + "- " * 63 + "1\n")
 
 
-@pytest.mark.parametrize("argv,calls", [
-    (("validate",), 0),
-    (("cohomology", "--degree=-1,0"), 0),
-    (("cohomology", "--degree", "0,0", "--coefficients", "modp:3"), 1),
-    (("cohomology", "--degree=0,-1"), 1),
-], ids=["validate", "degree", "degree-modp3", "degree-nonzero"])
-def test_chain_complexes_per_run(argv, calls, tmp_path, capsys, monkeypatch):
-    # Completeness needs no cell complex; a one-degree query takes the
-    # homology of at most one chain complex, the free-pair remainder of that
-    # degree's subcomplex, and none when nothing is left: -1,0 has zero
-    # cohomology and collapses, while 0,0 keeps an H^1 and 0,-1 an H^2.
+@pytest.mark.parametrize("argv,doc,calls", [
+    (("validate",), EX1_DOC, {}),
+    (("cohomology", "--degree=-1,0"), EX1_DOC, {"component_homology": 1}),
+    (("cohomology", "--degree", "0,0", "--coefficients", "modp:3"), EX1_DOC,
+     {"component_homology": 1}),
+    (("cohomology", "--degree=0,-1"), EX1_DOC, {"component_homology": 1}),
+    (("cohomology", "--degree=-1,0,0,0"), CROSS4_DOC, {"subcomplex_homology": 1}),
+    (("cohomology", "--degree=0,0,0,0"), CROSS4_DOC,
+     {"subcomplex_homology": 1, "reduced_homology": 1}),
+], ids=["validate", "degree", "degree-modp3", "degree-nonzero", "4d-degree", "4d-degree-nonzero"])
+def test_chain_complexes_per_run(argv, doc, calls, tmp_path, capsys, monkeypatch):
+    # Completeness needs no homology, and a one-degree query takes one.  In
+    # R^2 it comes from component counts and builds no chain complex: -1,0
+    # has zero cohomology, 0,0 an H^1 and 0,-1 an H^2.  In R^4 it is the
+    # homology of the free-pair remainder of that degree's subcomplex, and
+    # none when nothing is left: -1,0,0,0 has zero cohomology and collapses,
+    # while 0,0,0,0 keeps an H^3.
     import toricgf.cellular as cellular
+    import toricgf.cohomology as cohomology
 
     counted = {}
     _count_calls(monkeypatch, counted, "reduced_homology", cellular)
-    assert main([argv[0], write(tmp_path, EX1_DOC), *argv[1:]]) == 0
-    assert counted.get("reduced_homology", 0) == calls
+    _count_calls(monkeypatch, counted, "component_homology", cohomology)
+    _count_calls(monkeypatch, counted, "subcomplex_homology", cohomology)
+    assert main([argv[0], write(tmp_path, doc), *argv[1:]]) == 0
+    assert counted == calls
 
 
 @pytest.mark.parametrize("p,code", [(4, 2), (9, 2), (1, 2), (2, 0), (3, 0), (5, 0), (7, 0)])
@@ -713,27 +739,28 @@ def test_each_distinct_subcomplex_reaches_homology_once(tmp_path, capsys, monkey
     # The table and the rational corollaries read one homology per distinct
     # subcomplex of the region, kept on the subcomplex, and derive its
     # (dims, torsion, chi) once per field, though each reads it: a rational
-    # run reads every subcomplex twice and derives it once.
+    # run reads every subcomplex twice and derives it once.  In R^2 the
+    # homology is component_homology of the subcomplex's ray mask; in R^4 it
+    # is subcomplex_homology, whose free-pair remainder reaches the Smith
+    # form once for each subcomplex with nonzero homology.
     from collections import Counter
 
+    import toricgf.cellular as cellular
     import toricgf.cohomology as cohomology
     from toricgf.genfun import box_points
 
-    spec = parse_spec(EX1_DOC)
-    fan = build_fan(spec.dim, spec.rays, spec.maximal_cones)
-    h = support_from_ray_values(fan, spec.support)
-    distinct = {cohomology.reference_subcomplex(h, b).keep
-                for b in box_points(cohomology.degree_region(h).box)}
-    real = cohomology.subcomplex_homology
-    keeps = []
+    keeps, reads, derived, smith = [], [], [], []
 
-    def counted(cc, keep):
+    def kept(fan, m):
+        return frozenset(i for i, cm in enumerate(fan.masks) if cm and cm & m == cm)
+
+    def counted_component(cc, m):
+        keeps.append(kept(cc.fan, m))
+        return real_component(cc, m)
+
+    def counted_subcomplex(cc, keep):
         keeps.append(frozenset(keep))
-        return real(cc, keep)
-
-    monkeypatch.setattr(cohomology, "subcomplex_homology", counted)
-    real_read, real_derive = cohomology.SweepIndex.cohomology, cohomology.SweepIndex._derive
-    reads, derived = [], []
+        return real_subcomplex(cc, keep)
 
     def counted_read(self, sub, p=None):
         reads.append(p)
@@ -743,17 +770,35 @@ def test_each_distinct_subcomplex_reaches_homology_once(tmp_path, capsys, monkey
         derived.append((sub.keep, p))
         return real_derive(self, sub, p)
 
+    real_component, real_subcomplex = cohomology.component_homology, cohomology.subcomplex_homology
+    real_read, real_derive = cohomology.SweepIndex.cohomology, cohomology.SweepIndex._derive
+    real_reduced = cellular.reduced_homology
+    monkeypatch.setattr(cohomology, "component_homology", counted_component)
+    monkeypatch.setattr(cohomology, "subcomplex_homology", counted_subcomplex)
     monkeypatch.setattr(cohomology.SweepIndex, "cohomology", counted_read)
     monkeypatch.setattr(cohomology.SweepIndex, "_derive", counted_derive)
-    for coefficients, fields in (("modp:3", (3, None)), ("rational", (None,))):
-        for calls in (keeps, reads, derived):
-            calls.clear()
-        assert main(["brion", write(tmp_path, EX1_DOC), "--coefficients", coefficients,
-                     "--format", "machine"]) == 0
-        assert json.loads(capsys.readouterr().out)["identity_holds"] is True
-        assert sorted(keeps, key=sorted) == sorted(distinct, key=sorted)
-        assert Counter(derived) == Counter((keep, p) for keep in distinct for p in fields)
-        assert len(reads) == 2 * len(distinct)
+    monkeypatch.setattr(cellular, "reduced_homology", lambda c: smith.append(c) or real_reduced(c))
+    for doc, path in ((EX1_DOC, "component_homology"), (CROSS4_DOC, "subcomplex_homology")):
+        spec = parse_spec(doc)
+        fan = build_fan(spec.dim, spec.rays, spec.maximal_cones)
+        h = support_from_ray_values(fan, spec.support)
+        distinct = {cohomology.reference_subcomplex(h, b).keep
+                    for b in box_points(cohomology.degree_region(h).box)}
+        cc = cellular.cell_complex(fan)
+        nonzero = sum(any(real_reduced(cellular.chain_complex(cc, keep)).betti.values())
+                      for keep in distinct)
+        assert len(distinct) == (8 if path == "component_homology" else 27)
+        assert nonzero == (2 if path == "component_homology" else 1)
+        for coefficients, fields in (("modp:3", (3, None)), ("rational", (None,))):
+            for calls in (keeps, reads, derived, smith):
+                calls.clear()
+            assert main(["brion", write(tmp_path, doc), "--coefficients", coefficients,
+                         "--format", "machine"]) == 0
+            assert json.loads(capsys.readouterr().out)["identity_holds"] is True
+            assert sorted(keeps, key=sorted) == sorted(distinct, key=sorted)
+            assert Counter(derived) == Counter((keep, p) for keep in distinct for p in fields)
+            assert len(reads) == 2 * len(distinct)
+            assert len(smith) == (0 if path == "component_homology" else nonzero)
 
 
 @pytest.mark.parametrize("command, doc", [("brion", EX1_DOC), ("polytope", SQUARE_DOC)])
@@ -801,6 +846,48 @@ def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: InternalCheckFailed: Euler characteristic")
+
+
+@pytest.mark.parametrize("case", ["flipped-incidence-brion", "flipped-incidence-degree",
+                                  "component-count", "arc-mismatch"])
+def test_component_path_keeps_its_checks(case, tmp_path, capsys, monkeypatch):
+    # In R^2 and R^3 the homology is read off component counts, and each run
+    # still checks d∘d on the whole face relation at its first homology, the
+    # Euler characteristic against the signed count, and in R^2 that both
+    # counts agree.
+    import toricgf.cellular as cellular
+
+    if case.startswith("flipped-incidence"):
+        real = cellular.cell_complex
+
+        def flipped(fan):
+            cc = real(fan)
+            sid = fan.maximal_ids[0]
+            tau = fan.facet_ids(sid)[0]
+            cc._incidence[sid, tau] = -cellular.incidence(cc, sid, tau)
+            return cc
+
+        monkeypatch.setattr(cellular, "cell_complex", flipped)
+        argv = (["brion"] if case.endswith("brion") else ["cohomology", "--degree=5,5,5"])
+        doc, message = OCTAHEDRON_DOC, "boundary of boundary is nonzero"
+    else:
+        # One of the two counts off by one: the first (c_K) in 3-D, the
+        # second (c_C) in 2-D, where degree 0,0 of EX1 keeps two points.
+        real, calls = cellular._components, []
+
+        def off_by_one(nodes, adjacency):
+            calls.append(nodes)
+            return real(nodes, adjacency) + (len(calls) % 2 == (case == "component-count"))
+
+        monkeypatch.setattr(cellular, "_components", off_by_one)
+        if case == "component-count":
+            argv, doc, message = ["brion"], OCTAHEDRON_DOC, "Euler characteristic mismatch"
+        else:
+            argv, doc, message = ["cohomology", "--degree=0,0"], EX1_DOC, "2 components inside"
+    assert main([argv[0], write(tmp_path, doc), *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: InternalCheckFailed: {message}")
 
 
 def test_support_check_failure_exits_4(tmp_path, capsys, monkeypatch):

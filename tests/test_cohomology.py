@@ -44,6 +44,7 @@ from conftest import (
     random_battery,
     random_fan_2d,
     random_fan_3d,
+    random_polytope_points,
     random_support_2d,
     random_support_3d,
     rp2_torsion_fan_data,
@@ -354,10 +355,8 @@ def test_random_polytope_battery_verifies_the_identity(monkeypatch):
     real, smith = genfun._smith_parallelepiped_points, []
     monkeypatch.setattr(genfun, "_smith_parallelepiped_points",
                         lambda *args: smith.append(args) or real(*args))
-    rng = random.Random(28)
     kinds = Counter()
-    for _ in range(8):
-        pts = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(8, 12))]
+    for pts in random_polytope_points():
         p = lattice_polytope(3, pts)
         _, h = normal_fan_of_polytope(p)
         terms = brion_terms(h)

@@ -277,6 +277,25 @@ def test_closed_form_cross_products_equal_the_minors():
     assert dependent > 500
 
 
+def test_closed_form_cross_product_in_z4_equals_the_minors():
+    # Three rows in Z^4: random, the last a multiple of the first, the last
+    # a combination of the first two, or all on one line.
+    rng = random.Random(2901)
+    kinds = Counter()
+    for _ in range(3000):
+        rows = dependent_or_random_rows(rng, 3)
+        kind = rng.randrange(4)
+        if kind == 2:
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[2] = tuple(s * x + t * y for x, y in zip(rows[0], rows[1]))
+        elif kind == 3:
+            rows = [tuple(m * x for x in rows[0]) for m in (rng.randint(-2, 2) for _ in range(3))]
+        u = cross_product(rows)
+        assert u == bareiss_minors(rows), rows
+        kinds[rank(rows)] += 1
+    assert kinds[3] > 1000 and kinds[2] > 500 and kinds[1] + kinds[0] > 300, kinds
+
+
 def test_square_solve_equals_the_smith_route():
     rng = random.Random(1602)
     seen = {"solved": 0, "non-integral": 0, "singular": 0}

@@ -3,7 +3,8 @@
 widened box, ``degree_region`` with the adjugate reference, ``check_shell``
 with a per-point scan of the shell, and the table with one lookup per
 degree.  The batteries are the acceptance suite's random cases, the deep 3-D
-fans, the polytope corpus, seeded 4-D cross-polytope fans and 1-D fans."""
+fans, the polytope corpus, seeded 4-D cross-polytope fans, 1-D fans and the
+5-D RP^2 fan on a small box, whose lines have three outer axes."""
 
 import random
 
@@ -15,7 +16,7 @@ from toricgf.cohomology import (DegreeRegion, SweepIndex, check_shell, cohomolog
 from toricgf.genfun import box_points
 
 from conftest import (adjugate_degree_region, fan_battery, first_shell_failure,
-                      random_fan_3d, random_support_3d)
+                      random_fan_3d, random_support_3d, rp2_torsion_fan_data)
 
 
 def line_fan(values):
@@ -23,11 +24,20 @@ def line_fan(values):
     return fan, support_from_ray_values(fan, values)
 
 
-@pytest.fixture(scope="module", params=["acceptance", "deep", "polytopes", "cross4d", "1d"])
+@pytest.fixture(scope="module", params=["acceptance", "deep", "polytopes", "cross4d", "1d", "rp2"])
 def battery(request):
+    """(fan, support, box) triples, the box the support's derived region;
+    for the RP^2 fan it is (-1..1)^5, whose region (-5..5)^5 is too large
+    for the per-point references."""
+    if request.param == "rp2":
+        rays, maximal, values = rp2_torsion_fan_data()
+        fan = build_fan(5, rays, maximal)
+        return [(fan, support_from_ray_values(fan, values), ((-1, 1),) * 5)]
     if request.param == "1d":
-        return [line_fan([a, b]) for a in range(-3, 3) for b in range(-3, 3)]
-    return fan_battery(request.param, request)
+        cases = [line_fan([a, b]) for a in range(-3, 3) for b in range(-3, 3)]
+    else:
+        cases = fan_battery(request.param, request)
+    return [(fan, h, degree_region(h).box) for fan, h in cases]
 
 
 def assert_runs_give_the_mask(idx, box):
@@ -45,22 +55,21 @@ def assert_runs_give_the_mask(idx, box):
 
 
 def test_region_equals_the_adjugate_reference(battery):
-    for _, h in battery:
+    for _, h, _ in battery:
         assert degree_region(h).box == adjugate_degree_region(h)
 
 
 def test_line_runs_give_the_mask_on_a_widened_box(battery):
-    for _, h in battery:
-        box = [(lo - 2, hi + 1) for lo, hi in degree_region(h).box]
+    for _, h, region in battery:
+        box = [(lo - 2, hi + 1) for lo, hi in region]
         assert_runs_give_the_mask(SweepIndex(h), box)
 
 
 def test_shell_check_fails_where_the_per_point_scan_does(battery):
     # Shrunk boxes leave nonzero counts on the shell of most fans; both routes
     # must agree on the first failing degree in box order and its count.
-    for _, h in battery:
+    for _, h, full in battery:
         idx = sweep_index(h)
-        full = degree_region(h).box
         shrunk = [(lo + 1, max(lo + 1, hi - 1)) for lo, hi in full]
         for box in (full, shrunk, [(lo, lo) for lo, _ in full], [(hi, hi) for _, hi in full]):
             expected = first_shell_failure(idx, box)
@@ -82,7 +91,7 @@ def bits(fan):
 def test_sweep_reads_the_fan_masks(battery):
     # The sweep keys every cone by the ray mask the fan keeps, and that mask
     # is the cone's rays over the listed rays.
-    for fan, h in battery:
+    for fan, h, _ in battery:
         assert [m for m, _ in SweepIndex(h)._cones] == list(fan.masks)
         assert list(fan.masks) == [sum(bits(fan)[r] for r in c.rays) for c in fan.cones]
         assert all(fan.cone_id(c.rays) == i for i, c in enumerate(fan.cones))

@@ -4,8 +4,11 @@ Smith form, with the Smith form of the whole ``chain_complex``; and
 ``reference_subcomplex``, which pairs each degree with each ray once, with
 ``membership`` on every cone.  The batteries are the acceptance suite's
 random cases, the benchmark's fan pool, the deep 3-D fans, the polytope
-corpus and seeded 4-D cross-polytope fans; and, with no claim on the size
-of the remainder, seeded 5-D cross-polytope fans and the RP^2 torsion fan."""
+corpus, the random polytope battery and seeded 4-D cross-polytope fans; and,
+with no claim on the size of the remainder, seeded 5-D cross-polytope fans
+and the RP^2 torsion fan.  In R^2 and R^3, ``component_homology`` is checked
+against ``subcomplex_homology`` on every battery and on every ray mask of
+small fans."""
 
 import random
 from itertools import islice
@@ -15,23 +18,24 @@ import pytest
 import toricgf.cellular as cellular
 from toricgf import (NotFaceClosed, build_fan, cell_complex, chain_complex, reduced_homology,
                      support_from_ray_values)
-from toricgf.cellular import subcomplex_homology
+from toricgf.cellular import component_homology, subcomplex_homology
 from toricgf.cohomology import degree_region, membership, reference_subcomplex, sweep_index
 from toricgf.intlinalg import InternalCheckFailed
 
-from conftest import (cross_polytope_battery, cross_polytope_fan_data, face_closure,
-                      fan3d_brion_pool_supports, fan_battery, octahedron_fan, random_fan_3d,
-                      rp2_torsion_fan_data)
+from conftest import (cross_polytope_battery, cross_polytope_fan_data, example1_fan,
+                      face_closure, fan3d_brion_pool_supports, fan_battery, octahedron_fan,
+                      random_fan_3d, rp2_torsion_fan_data)
 
-# The deep and 4-D batteries have about 4.8 million and 0.5 million region
-# degrees, too many for one membership test per cone at each; there the
-# reference is compared at the first degree of every distinct subcomplex and
-# at a seeded sample of the region.
-SAMPLED = ("deep", "cross4d")
+# The deep, random polytope and 4-D batteries have about 4.8, 4.2 and 0.5
+# million region degrees, too many for one membership test per cone at each;
+# there the reference is compared at the first degree of every distinct
+# subcomplex and at a seeded sample of the region.
+SAMPLED = ("deep", "random-polytopes", "cross4d")
 SAMPLE = 150
 
 
-@pytest.fixture(scope="module", params=["acceptance", "pool", "deep", "polytopes", "cross4d"])
+@pytest.fixture(scope="module",
+                params=["acceptance", "pool", "deep", "polytopes", "random-polytopes", "cross4d"])
 def battery(request):
     """The battery's name and its (fan, support, first degrees) triples."""
     return request.param, [(fan, h, first_degrees(h))
@@ -72,16 +76,20 @@ def has_nonzero_boundary(cc, cells):
 def test_free_pair_homology_equals_the_smith_reference(battery):
     # The ordering (top down, reductions first) leaves one cell per Betti
     # number on every battery, so no remainder reaches the Smith form with a
-    # nonzero boundary.
+    # nonzero boundary.  In R^2 and R^3 the component counts on the
+    # subcomplex's ray mask give the same homology.
     _, cases = battery
-    for fan, _, firsts in cases:
+    for fan, h, firsts in cases:
         cc = cell_complex(fan)
-        for keep in firsts:
+        idx = sweep_index(h)
+        for keep, b in firsts.items():
             got = subcomplex_homology(cc, keep)
             assert got == reduced_homology(chain_complex(cc, keep))
             left = free_pair_remainder(cc, keep)
             assert len(left) == sum(got.betti.values())
             assert not has_nonzero_boundary(cc, left)
+            if 2 <= fan.ambient_dim <= 3:
+                assert component_homology(cc, idx.mask(b)) == got, b
 
 
 def test_free_pair_homology_equals_the_smith_reference_in_5d():
@@ -117,6 +125,23 @@ def test_torsion_fan_free_pair_homology_equals_the_smith_reference():
         if any(got.torsion.values()):
             torsion[b] = got.torsion
     assert torsion == {(0,) * 5: {-1: (), 0: (), 1: (2,), 2: (), 3: (), 4: ()}}
+
+
+def test_component_homology_equals_the_smith_reference_on_every_ray_mask():
+    # A degree's ray mask cuts each maximal cone by a hyperplane, and the
+    # counts hold for any mask: on the square cones of the octahedron's
+    # normal fan, two opposite rays off and two on leave the cone outside K.
+    fans = [example1_fan(), octahedron_fan(), random_fan_3d(random.Random(29), 2)]
+    fans += [fan for fan, _ in fan_battery("polytopes", None)
+             if fan.ambient_dim in (2, 3) and len(fan.input_rays) <= 10]
+    count = 0
+    for fan in fans:
+        cc = cell_complex(fan)
+        for m in range(1 << len(fan.input_rays)):
+            keep = frozenset(i for i, cm in enumerate(fan.masks) if cm and cm & m == cm)
+            assert component_homology(cc, m) == subcomplex_homology(cc, keep), (fan, m)
+            count += 1
+    assert count > 1500
 
 
 def raised(fn, cc, keep):
