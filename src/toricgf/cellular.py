@@ -2,34 +2,30 @@
 
 Each nonzero cone of the fan meets the sphere in one closed cell of
 dimension dim(cone) - 1; the empty cell sits in degree -1 and carries the
-augmentation.  A simplicial cell's basis is its rays, oriented on a
-maximal cone by the sign of the determinant its fan's ``Simplex`` record
-holds, or else of a minor.  An incidence number
-is the sign of a permutation of the cell's basis, as on every simplicial
-cell, or else compares two determinants.  Incidences are computed only on
-the face relation, where the boundary matrices have their sole nonzero
-entries: all in one pass at the first d∘d = 0 check, once per complex.  The
-homology of a subcomplex first removes free pairs, a cell and a facet of it
-with unit incidence where one of the two has no other live neighbour, on
-bitmasks of cone ids; the cells left keep their own boundary entries, and
-only their matrices reach the Smith normal form, none when none is left.
-``chain_complex`` builds a whole subcomplex's matrices, the reference.
-In R^2 and R^3 the sweep takes ``component_homology`` instead: by Alexander
-duality in S^1 or S^2, two component counts on ray bitmasks.
+augmentation.  The cells form a regular complex, whose face relation fixes
+its incidence numbers up to one sign per cell (Cooke and Finney,
+*Homology of Cell Complexes*, 1967), so no cell needs a geometric
+orientation.  One pass over the cells in id order, at the first homology of
+a complex, signs every facet of a cell: its first facet +1, and each later
+one the sign that cancels a ridge it shares with a facet signed before it.
+The pass checks d∘d = 0 on every ridge of every cell, and that each ridge
+lies on exactly two facets of the cell, as in a regular complex.  Ids grow
+with dimension, so a facet is signed before its cofacets, and [ray : empty]
+= 1.  The boundary matrices have their sole nonzero entries on the face
+relation.  The homology of a subcomplex first removes free pairs, a cell and
+a facet of it with unit incidence where one of the two has no other live
+neighbour, on bitmasks of cone ids; the cells left keep their own boundary
+entries, and only their matrices reach the Smith normal form, none when
+none is left.  ``chain_complex`` builds a whole subcomplex's matrices, the
+reference.  In R^2 and R^3 the sweep takes ``component_homology`` instead:
+by Alexander duality in S^1 or S^2, two component counts on ray bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .intlinalg import (
-    InternalCheckFailed,
-    determinant,
-    greedy_basis,
-    invariant_factors,
-    rank_mod_p,
-)
+from .intlinalg import InternalCheckFailed, invariant_factors, rank_mod_p
 from .polyhedral import Fan
 
 
@@ -37,26 +33,16 @@ class NotFaceClosed(Exception):
     """The selected cone ids do not form a subcomplex."""
 
 
-class NoIncidenceWitness(Exception):
-    """A facet's basis plus a ray of the cone off the facet is singular,
-    which means the rank computations behind the fan are wrong."""
-
-
 @dataclass
 class CellComplex:
     """Regular cell decomposition of S^(n-1) coming from a fan.
 
-    ``basis`` holds, per nonzero cone, the ordered spanning rays used to
-    orient its cell.  Any consistent choice works; this one is deterministic
-    so that boundary matrices are reproducible.
-    """
+    ``_incidence`` maps each (cell, facet) pair of the face relation to its
+    incidence number once the first homology has made them."""
 
     fan: Fan
-    basis: dict[int, tuple]
     cells_by_degree: dict[int, tuple[int, ...]]
-    _incidence: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-    _orientation: dict[int, tuple] = field(default_factory=dict, repr=False)
-    _boundary_checked: bool = field(default=False, repr=False)
+    _incidence: dict[tuple[int, int], int] | None = field(default=None, repr=False)
     _masks: tuple[list[int], list[int]] | None = field(default=None, repr=False)
     _graphs: tuple | None = field(default=None, repr=False)
 
@@ -67,33 +53,10 @@ class CellComplex:
 
 def cell_complex(f: Fan) -> CellComplex:
     """Build the sphere cell complex of a complete fan."""
-    n = f.ambient_dim
-    basis = {}
-    cells: dict[int, list[int]] = {d: [] for d in range(-1, n)}
-    cells[-1].append(f.zero_id)
+    cells: dict[int, list[int]] = {d: [] for d in range(-1, f.ambient_dim)}
     for i, c in enumerate(f.cones):
-        if c.dim == 0:
-            continue
-        b = _cell_basis(c)
-        if c.dim == n and n >= 2 and _orientation(f, i, b) < 0:
-            b[0], b[1] = b[1], b[0]
-        basis[i] = tuple(b)
         cells[c.dim - 1].append(i)
-    return CellComplex(fan=f, basis=basis,
-                       cells_by_degree={d: tuple(ids) for d, ids in cells.items()})
-
-
-def _cell_basis(c) -> list:
-    """A simplicial cone's rays; any other cone's first independent rays."""
-    return list(c.rays) if len(c.rays) == c.dim else greedy_basis(c.rays)
-
-
-def _orientation(f: Fan, i: int, basis) -> int:
-    """A number with the sign of det(basis) for a maximal cone: its record's
-    determinant for a simplicial listed cone, whose basis is its rays in
-    order, else that determinant itself."""
-    rec = f.simplices.get(i)
-    return _minor(basis, range(f.ambient_dim)) if rec is None else rec.det
+    return CellComplex(fan=f, cells_by_degree={d: tuple(ids) for d, ids in cells.items()})
 
 
 def fan_cell_complex(f: Fan) -> CellComplex:
@@ -105,68 +68,12 @@ def fan_cell_complex(f: Fan) -> CellComplex:
     return f._cell_complex
 
 
-def _minor(cols, rows) -> int:
-    """Determinant of the columns restricted to the given rows."""
-    return determinant([[col[r] for col in cols] for r in rows])
-
-
-def _permutation_sign(cols, ref) -> int:
-    """The sign of cols as a rearrangement of ref, or 0 when it is none."""
-    if cols == ref:
-        return 1
-    position = {r: k for k, r in enumerate(ref)}
-    if len(cols) != len(position) or position.keys() != set(cols):
-        return 0
-    return (-1) ** sum(position[a] > position[b] for a, b in combinations(cols, 2))
-
-
-def _first_independent_rows(cols, d, n):
-    """Lexicographically first row subset on which the column set is
-    invertible, with that nonzero minor."""
-    for rows in combinations(range(n), d):
-        minor = _minor(cols, rows)
-        if minor != 0:
-            return rows, minor
-    raise InternalCheckFailed("columns are not independent")
-
-
 def incidence(cc: CellComplex, sigma_id: int, tau_id: int) -> int:
-    """Incidence number of the cells of two cones; 0 unless tau is a facet
-    of sigma.  Rays are incident to the empty cell with coefficient 1.
-
-    The sign compares sigma's basis with tau's basis plus the first ray w of
-    sigma that is not a ray of tau, which lies off span(tau) because tau is
-    a face.  When tau's basis plus w rearranges sigma's, as on a simplicial
-    cell, it is the sign of that permutation (Munkres, *Elements of
-    Algebraic Topology*, §5); otherwise the two determinants are compared on
-    the first rows where sigma's basis is invertible."""
-    key = (sigma_id, tau_id)
-    cached = cc._incidence.get(key)
-    if cached is not None:
-        return cached
-    fan = cc.fan
-    if tau_id not in fan.facet_ids(sigma_id):
-        result = 0
-    elif tau_id == cc.empty_cell:
-        result = 1
-    else:
-        tau_rays = fan.cones[tau_id].rays
-        w = next((r for r in fan.cones[sigma_id].rays if r not in tau_rays), None)
-        cols = (*cc.basis[tau_id], w)
-        result = _permutation_sign(cols, cc.basis[sigma_id])
-        if not result:
-            orientation = cc._orientation.get(sigma_id)
-            if orientation is None:
-                orientation = cc._orientation[sigma_id] = _first_independent_rows(
-                    cc.basis[sigma_id], fan.cones[sigma_id].dim, fan.ambient_dim)
-            rows, det_s = orientation
-            det_c = 0 if w is None else _minor(cols, rows)
-            if det_c == 0:
-                raise NoIncidenceWitness(
-                    f"no ray of cone {sigma_id} extends the basis of its facet {tau_id}")
-            result = 1 if (det_s > 0) == (det_c > 0) else -1
-    cc._incidence[key] = result
-    return result
+    """Incidence number of the cells of two cones, as the first homology's
+    pass signs it; 0 unless tau is a facet of sigma.  Rays are incident to
+    the empty cell with coefficient 1."""
+    _check_boundary_squared(cc)
+    return cc._incidence.get((sigma_id, tau_id), 0)
 
 
 @dataclass
@@ -212,10 +119,10 @@ def _face_closed(cc: CellComplex, keep) -> frozenset[int]:
 
 
 def _restricted_chain_complex(cc: CellComplex, cells) -> ChainComplex:
-    """The boundary matrices restricted to the given cells.  Incidences are
-    computed only on the face relation, where the matrices have their sole
-    nonzero entries."""
-    fan = cc.fan
+    """The boundary matrices restricted to the given cells, read off the
+    pass's incidences on the face relation, where the matrices have their
+    sole nonzero entries."""
+    fan, signs = cc.fan, cc._incidence
     n = fan.ambient_dim
     by_degree: dict[int, list[int]] = {d: [] for d in range(-1, n)}
     for i in sorted(cells):
@@ -228,7 +135,7 @@ def _restricted_chain_complex(cc: CellComplex, cells) -> ChainComplex:
             for t in fan.facet_ids(s):
                 k = row_of.get(t)
                 if k is not None:
-                    mat[k][j] = incidence(cc, s, t)
+                    mat[k][j] = signs[s, t]
         boundaries[d] = mat
     return ChainComplex(ambient_dim=n, ranks={d: len(ids) for d, ids in by_degree.items()},
                         boundaries=boundaries)
@@ -238,29 +145,45 @@ def _check_boundary_squared(cc: CellComplex) -> None:
     """Every incidence of the face relation, and d∘d = 0 on it, in one pass
     over the cells in id order, once per cell complex: a subcomplex's
     boundary columns are the whole complex's, since every facet of a kept
-    cell is kept.  A cached incidence is read, not recomputed.  Ids grow with
-    (dim, rays), so the j-th facet of a simplicial cell drops the (d-1-j)-th
-    of its d sorted rays, and the incidence is (-1)^j times the signs of both
-    bases as rearrangements of their rays; other cells take ``incidence``."""
-    if cc._boundary_checked:
+    cell is kept.  A cell's first facet gets +1; each later one, taken once
+    it shares a ridge with a facet signed before it, the sign that cancels
+    that ridge.  The boundary of the cell's boundary is summed per ridge as
+    its facets are signed, and must vanish, so every ridge lies on two or
+    more of the cell's facets; a count of (facet, ridge) pairs puts each on
+    exactly two, as in a regular complex.  Each later facet is then signed
+    off a ridge that one unit-signed facet has met, so every sign is a
+    unit."""
+    if cc._incidence is not None:
         return
-    fan, signs, basis = cc.fan, cc._incidence, cc.basis
-    facets = fan._facets_of
-    parity = {cc.empty_cell: 1}
-    for s, c in enumerate(fan.cones):
-        if not (below := facets[s]):
+    facets, signs = cc.fan._facets_of, {}
+    for s, below in enumerate(facets):
+        if not below:
             continue
-        b = basis[s]
-        sign = parity[s] = 1 if b == c.rays else _permutation_sign(b, c.rays)
-        total = {}
-        for t in below:
-            st = signs[key] = signs.get(key := (s, t)) or sign * parity[t] or incidence(cc, s, t)
-            sign = -sign
-            for q in facets[t]:
-                total[q] = total.get(q, 0) + st * signs[t, q]
+        first, *todo = below
+        signs[s, first] = 1
+        total = {q: signs[first, q] for q in facets[first]}
+        met = len(total)
+        while todo:
+            left = []
+            for t in todo:
+                for q in facets[t]:
+                    if total.get(q):
+                        st = signs[s, t] = -total[q] * signs[t, q]
+                        for r in facets[t]:
+                            total[r] = total.get(r, 0) + st * signs[t, r]
+                        met += len(facets[t])
+                        break
+                else:
+                    left.append(t)
+            if len(left) == len(todo):
+                raise InternalCheckFailed(f"the facets of cone {s} do not all meet through ridges")
+            todo = left
         if any(total.values()):
-            raise InternalCheckFailed(f"boundary of boundary is nonzero in degree {c.dim - 1}")
-    cc._boundary_checked = True
+            raise InternalCheckFailed(
+                f"boundary of boundary is nonzero in degree {cc.fan.cones[s].dim - 1}")
+        if 2 * len(total) != met:
+            raise InternalCheckFailed(f"a ridge of cone {s} lies on more than two of its facets")
+    cc._incidence = signs
 
 
 @dataclass
@@ -343,7 +266,7 @@ def _free_pairs(cc: CellComplex, keep):
             a, b = x.bit_length() - 1, c
         else:
             continue
-        unit = signs.get((b, a)) or incidence(cc, b, a)
+        unit = signs[b, a]
         if unit != 1 and unit != -1:
             raise InternalCheckFailed(f"free pair of cones {a} and {b} has incidence {unit}")
         live ^= 1 << a | 1 << b

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields
 from functools import cache
 from math import isqrt
 
-from .cellular import NoIncidenceWitness
 from .cohomology import (
     REGION_CAVEAT,
     DegreeRegion,
@@ -63,8 +62,7 @@ from .polyhedral import (
 
 DOMAIN_ERRORS = (FanAxiomViolation, NonPointedCone, NotLinearOnCone, NotIntegral,
                  DegeneratePolytope, NotPointed, NotFullDimensional,
-                 DependentGenerators, ShellCheckFailed, NoArrangementVertices,
-                 NoIncidenceWitness, ValueError)
+                 DependentGenerators, ShellCheckFailed, NoArrangementVertices, ValueError)
 
 
 class SchemaError(Exception):

@@ -90,6 +90,10 @@ class LaurentPolynomial:
         return isinstance(other, LaurentPolynomial) and self.terms == other.terms
 
     def __hash__(self):
+        # A constant equals its int, so it hashes as that int.
+        origin = (0,) * self.dim
+        if self.terms.keys() <= {origin}:
+            return hash(self.terms.get(origin, 0))
         return hash(frozenset(self.terms.items()))
 
     def _coerce(self, other) -> "LaurentPolynomial":

@@ -118,19 +118,6 @@ def cross_product(rows) -> Vector:
     return tuple((-1) ** i * pivot if r == k else 0 for i, (r, pivot) in enumerate(minors))
 
 
-def greedy_basis(vectors) -> list[Vector]:
-    """Maximal linearly independent subset, scanning in the given order."""
-    if rank(vectors) == len(vectors):
-        return list(vectors)
-    basis: list[Vector] = []
-    r = 0
-    for v in vectors:
-        if rank([list(b) for b in basis] + [list(v)]) > r:
-            basis.append(v)
-            r += 1
-    return basis
-
-
 def adjugate(a: Matrix) -> Matrix:
     """Adjugate matrix, so that a @ adjugate(a) == det(a) * I: column i is
     (-1)^i times the cross product of the rows of a but the i-th."""
@@ -292,20 +279,14 @@ def rank_mod_p(a: Matrix, p: int) -> int:
 
 
 def solve_integral(a: Matrix, b) -> Vector | None:
-    """One integer solution x of a @ x == b, or None if none exists; a
-    square a with det != 0 takes ``cramer`` and other systems the Smith
-    form."""
+    """One integer solution x of a @ x == b, or None if none exists, by the
+    Smith form."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(b) != rows:
         raise ValueError("right hand side length does not match row count")
     if rows == 0:
         return tuple([0] * cols)
-    if rows == cols:
-        crosses = [cross_product(a[:i] + a[i + 1:]) for i in range(rows)]
-        det = dot(a[0], crosses[0])
-        if det:
-            return cramer(crosses, det, b)
     return _smith_solve(a, b)
 
 

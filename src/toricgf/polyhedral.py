@@ -14,10 +14,9 @@ independent rays in Z^n is read once into a ``Simplex`` record: each
 ridge's cross product, made once and shared by the two cones on it, the
 determinant, whose sign turns each cross product into an inward facet
 normal, and those normals.  The records feed the support solve (Cramer's
-rule on the record), the ridge normals of completeness (the normal
-opposite the ray left out) and the cell orientation (the determinant's
-sign).  A face of a listed cone is its ray set and its dimension, and is
-hulled only when its inequalities are read.  A lattice polytope's facets
+rule on the record) and the ridge normals of completeness (the normal
+opposite the ray left out).  A face of a listed cone is its ray set and its
+dimension, and is hulled only when its inequalities are read.  A lattice polytope's facets
 are enumerated once, one cross product per n points, and each is kept
 with the mask of the points on it: the vertices, the edges and so the
 tangent cones are read off those masks, with no hull.  A normal fan's

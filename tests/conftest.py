@@ -20,7 +20,7 @@ from toricgf import cellular, polyhedral
 from toricgf.polyhedral import (CompletenessReport, FanAxiomViolation, NotIntegral,
                                 NotLinearOnCone, _face_ray_sets)
 
-from reference import binomial_product, minor_adjugate
+from reference import binomial_product, first_independent_rows, minor_adjugate
 
 
 def example1_fan():
@@ -389,41 +389,40 @@ def fan3d_brion_pool_supports():
     return cases
 
 
-def dense_boundaries(cc, keep):
+def dense_boundaries(cc, keep, bases, e):
     """The boundary matrices of a subcomplex with one incidence per (cell,
-    lower cell) pair, each found from scratch: the witness is the first ray
-    that raises the rank of the facet's basis, and the cell's rows and minor
-    are recomputed per pair.  The slow reference for ``chain_complex`` and
-    ``incidence``."""
+    lower cell) pair, each found from scratch from the cells' bases and
+    scaled by the cells' signs e: the witness is the first ray that raises
+    the rank of the facet's basis, and the cell's rows and minor are
+    recomputed per pair.  The slow reference for ``chain_complex``, whose
+    incidences are e[s] e[t] times these when the two agree."""
     fan, n = cc.fan, cc.fan.ambient_dim
 
     def sign(s, t):
         if (t, s) not in fan.face_relation:
             return 0
         if t == cc.empty_cell:
-            return 1
-        bs, bt, d = cc.basis[s], list(cc.basis[t]), fan.cones[s].dim
+            return e[s] * e[t]
+        bs, bt, d = bases[s], bases[t], fan.cones[s].dim
         w = next(r for r in fan.cones[s].rays if rank(bt + [r]) == d)
-        rows = next(rows for rows in combinations(range(n), d)
-                    if determinant([[v[r] for v in bs] for r in rows]))
-        det_s = determinant([[v[r] for v in bs] for r in rows])
+        rows, det_s = first_independent_rows(bs, n)
         det_c = determinant([[v[r] for v in bt + [w]] for r in rows])
-        return 1 if (det_s > 0) == (det_c > 0) else -1
+        return e[s] * e[t] * (1 if (det_s > 0) == (det_c > 0) else -1)
 
     cells = {d: [i for i in ids if d < 0 or i in keep] for d, ids in cc.cells_by_degree.items()}
     return {d: [[sign(s, t) for s in cells[d]] for t in cells[d - 1]] for d in range(n)}
 
 
-def minor_incidence(cc, s, t):
-    """The incidence of a facet t of s with no permutation shortcut: det of
-    t's basis plus the first ray of s off t against det of s's basis, on the
-    first rows where s's basis is invertible.  The slow reference for the
-    parity path of ``incidence``."""
-    fan = cc.fan
+def minor_incidence(fan, bases, s, t):
+    """The incidence of a facet t of s from the cells' bases with no
+    permutation shortcut: det of t's basis plus the first ray of s off t
+    against det of s's basis, on the first rows where s's basis is
+    invertible; 1 on the empty cell."""
+    if t == fan.zero_id:
+        return 1
     w = next(r for r in fan.cones[s].rays if r not in fan.cones[t].rays)
-    rows, det_s = cellular._first_independent_rows(
-        cc.basis[s], fan.cones[s].dim, fan.ambient_dim)
-    det_c = cellular._minor((*cc.basis[t], w), rows)
+    rows, det_s = first_independent_rows(bases[s], fan.ambient_dim)
+    det_c = determinant([[col[r] for col in (*bases[t], w)] for r in rows])
     assert det_c != 0
     return 1 if (det_s > 0) == (det_c > 0) else -1
 
@@ -534,7 +533,8 @@ def fan_battery(name, request):
     """(fan, support) pairs of one agreement battery: the acceptance suite's
     random cases, the benchmark's fan pool, the deep 3-D fans with spread-2
     support, the polytope corpus's normal fans, the random polytope
-    battery's normal fans, or the seeded 4-D cross-polytope fans."""
+    battery's normal fans, the seeded 4-D cross-polytope fans, or the RP^2
+    torsion fan."""
     if name == "acceptance":
         return random_battery()
     if name == "pool":
@@ -549,6 +549,10 @@ def fan_battery(name, request):
     if name == "random-polytopes":
         return [normal_fan_of_polytope(lattice_polytope(3, pts))
                 for pts in random_polytope_points()]
+    if name == "rp2":
+        rays, maximal, values = rp2_torsion_fan_data()
+        fan = build_fan(5, rays, maximal)
+        return [(fan, support_from_ray_values(fan, values))]
     return cross_polytope_battery()
 
 

@@ -1,6 +1,8 @@
 """Reference code that only the tests use: plain paths kept out of the
 package because no command reaches them."""
 
+from itertools import combinations
+
 from toricgf.genfun import LaurentPolynomial, times_binomials
 from toricgf.intlinalg import Matrix, Vector, determinant, dot, rank, transpose
 from toricgf.polyhedral import (Cone, DegeneratePolytope, LatticePolytope, build_fan,
@@ -85,3 +87,77 @@ def hulled_triangulation(c: Cone) -> list[tuple[Vector, ...]]:
     facets = sorted({tuple(g for g in c.rays if dot(u, g) == 0) for u in c.inequalities})
     return [(r0,) + sub for facet in facets if r0 not in facet
             for sub in hulled_triangulation(cone_from_rays(c.ambient_dim, facet))]
+
+
+def greedy_basis(vectors) -> list[Vector]:
+    """Maximal linearly independent subset, scanning in the given order."""
+    basis: list[Vector] = []
+    for v in vectors:
+        if rank([*basis, v]) > len(basis):
+            basis.append(v)
+    return basis
+
+
+def cell_bases(fan) -> dict[int, list[Vector]]:
+    """Per nonzero cone id, the ordered spanning rays that orient its cell:
+    a simplicial cone's rays, any other cone's ``greedy_basis``, the first
+    two swapped on a maximal cone whose determinant is negative."""
+    n, bases = fan.ambient_dim, {}
+    for i, c in enumerate(fan.cones):
+        if c.dim:
+            b = bases[i] = list(c.rays) if len(c.rays) == c.dim else greedy_basis(c.rays)
+            if c.dim == n >= 2 and determinant([list(v) for v in b]) < 0:
+                b[0], b[1] = b[1], b[0]
+    return bases
+
+
+def permutation_sign(cols, ref) -> int:
+    """The sign of cols as a rearrangement of ref, or 0 when it is none."""
+    position = {r: k for k, r in enumerate(ref)}
+    if len(cols) != len(position) or position.keys() != set(cols):
+        return 0
+    return (-1) ** sum(position[a] > position[b] for a, b in combinations(cols, 2))
+
+
+def first_independent_rows(cols, n: int) -> tuple[tuple[int, ...], int]:
+    """The lexicographically first rows on which the columns are invertible,
+    with that nonzero minor."""
+    for rows in combinations(range(n), len(cols)):
+        if minor := determinant([[col[r] for col in cols] for r in rows]):
+            return rows, minor
+    raise ValueError("columns are not independent")
+
+
+def geometric_incidence(fan, bases, s: int, t: int) -> int:
+    """[s : t] from the cells' bases, 0 off the face relation and 1 on the
+    empty cell: the sign that compares s's basis with t's basis plus the
+    first ray w of s off t.  When those are the same vectors in another
+    order, as on every simplicial cell, it is the sign of that permutation
+    (Munkres, *Elements of Algebraic Topology*, section 5); otherwise the two
+    determinants are compared on the first rows where s's basis is
+    invertible."""
+    if t not in fan.facet_ids(s):
+        return 0
+    if t == fan.zero_id:
+        return 1
+    w = next(r for r in fan.cones[s].rays if r not in fan.cones[t].rays)
+    cols = (*bases[t], w)
+    if sign := permutation_sign(cols, bases[s]):
+        return sign
+    rows, det_s = first_independent_rows(bases[s], fan.ambient_dim)
+    det_c = determinant([[col[r] for col in cols] for r in rows])
+    if det_c == 0:
+        raise ValueError(f"no ray of cone {s} extends the basis of its facet {t}")
+    return 1 if (det_s > 0) == (det_c > 0) else -1
+
+
+def cell_signs(fan, signs, reference) -> dict[int, int]:
+    """One sign per cell, e[t] = 1 on the empty cell and e[s] = [s : t] e[t]
+    reference(s, t) for the first facet t of s, so that signs agrees with
+    the reference incidence exactly when [s : t] = e[s] e[t] reference(s, t)
+    on every pair."""
+    e = {fan.zero_id: 1}
+    for s, below in enumerate(fan._facets_of):
+        if below:
+            e[s] = signs(s, below[0]) * e[below[0]] * reference(s, below[0])
+    return e

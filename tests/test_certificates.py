@@ -1,34 +1,35 @@
 """The shortcuts that read a simplicial cone off its rays, and the ridge
 pass that certifies completeness in the build, agree with the slow
-references they replace: the incidence by a permutation's sign with the
-determinant incidence, a simplicial ``cone_from_rays`` with the rank
+references they replace: a simplicial ``cone_from_rays`` with the rank
 route, the faces of a listed cone with its facet closure and a rank per
-face, its facets with the ray subsets one dimension lower, the cell bases
-with ``greedy_basis``, the one-pass incidences with the determinant
-incidence, and ``check_complete`` with the homology of the sphere cell
-complex.  Every reader of a listed cone's ``Simplex`` record agrees with
-the path it skips, taken by the same fan built with no record: the facet
-normals, the support functionals, the orientation signs, the ridge
-normals of completeness, and the build's ridge pass that decides the fan
+face, its facets with the ray subsets one dimension lower, the incidences
+that the first d∘d check signs off the face relation with the geometric
+incidences of the cells' bases, up to one sign per cell, and
+``check_complete`` with the homology of the sphere cell complex.  Every
+reader of a listed cone's ``Simplex`` record agrees with the path it skips,
+taken by the same fan built with no record: the facet normals, the
+support functionals, the ridge normals of completeness, and the build's
+ridge pass that decides the fan
 axioms and completeness in place of the pair check, the last also on
 broken cone collections in dimensions 2-5.  A mutant of each shortcut
 fails its check, and so does the ridge pass with its side or its
 one-point test dropped.  The batteries are the acceptance suite's random
-cases, the benchmark's fan pool, deep 3-D fans, the polytope corpus and
-seeded 4-D cross-polytope fans."""
+cases, the benchmark's fan pool, deep 3-D fans, the polytope corpus,
+seeded 4-D cross-polytope fans and, for the incidences, the 5-D RP^2
+torsion fan."""
 
+import inspect
 import random
+import textwrap
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from toricgf import (build_fan, cell_complex, chain_complex, check_complete, cone_from_rays,
-                     incidence, lattice_polytope, normal_fan_of_polytope,
-                     support_from_ray_values)
+from toricgf import (build_fan, cell_complex, check_complete, cone_from_rays, incidence,
+                     lattice_polytope, normal_fan_of_polytope, support_from_ray_values)
 from toricgf import cellular, intlinalg, polyhedral
-from toricgf.intlinalg import (InternalCheckFailed, cross_product, dot, greedy_basis,
-                               primitive_vector, rank)
+from toricgf.intlinalg import InternalCheckFailed, cross_product, dot, primitive_vector, rank
 
 from conftest import (
     DOUBLE_COVER,
@@ -46,21 +47,41 @@ from conftest import (
     sphere_homology_completeness,
     subset_face_relation,
 )
+from reference import cell_bases, cell_signs, geometric_incidence
+
+BATTERIES = ["acceptance", "pool", "deep", "polytopes", "cross4d"]
 
 
-@pytest.fixture(scope="module", params=["acceptance", "pool", "deep", "polytopes", "cross4d"])
-def fans(request):
+def battery_fans(request):
     if request.param == "deep":
         return [random_fan_3d(random.Random(seed), 12) for seed in range(3)]
     return [fan for fan, _ in fan_battery(request.param, request)]
 
 
-def test_parity_incidence_equals_the_minor_incidence(fans):
-    for fan in fans:
-        cc = cell_complex(fan)
+@pytest.fixture(scope="module", params=BATTERIES)
+def fans(request):
+    return battery_fans(request)
+
+
+@pytest.fixture(scope="module", params=[*BATTERIES, "rp2"])
+def incidence_fans(request):
+    return battery_fans(request)
+
+
+def test_parity_incidence_equals_the_minor_incidence(incidence_fans):
+    # [s : t] = e[s] e[t] times the geometric incidence of the cells' bases,
+    # for one sign e per cell, and the geometric rule's permutation sign is
+    # its minor incidence.
+    for fan in incidence_fans:
+        cc, bases = cell_complex(fan), cell_bases(fan)
+
+        def geometric(s, t):
+            return geometric_incidence(fan, bases, s, t)
+
+        e = cell_signs(fan, lambda s, t: incidence(cc, s, t), geometric)
         for t, s in fan.face_relation:
-            if t != fan.zero_id:
-                assert incidence(cc, s, t) == minor_incidence(cc, s, t)
+            assert incidence(cc, s, t) == e[s] * e[t] * geometric(s, t)
+            assert geometric(s, t) == minor_incidence(fan, bases, s, t)
 
 
 def hull_mismatches(fan):
@@ -77,28 +98,24 @@ def test_simplicial_cone_from_rays_equals_the_general_route(fans):
     assert any(c.dim == len(c.rays) == fan.ambient_dim for fan in fans for c in fan.cones)
 
 
-def greedy_cell_complex(fan):
-    """``cell_complex`` with every cell's basis from ``greedy_basis``."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(cellular, "_cell_basis", lambda c: greedy_basis(c.rays))
-        return cell_complex(fan)
-
-
-def basis_mismatches(fan):
-    """Cells whose basis differs from the ``greedy_basis`` one."""
-    got, ref = cell_complex(fan).basis, greedy_cell_complex(fan).basis
-    return [i for i in ref if got[i] != ref[i]] + sorted(got.keys() ^ ref.keys())
-
-
 def incidence_mismatches(fan):
-    """Face pairs whose incidence from the first d∘d check differs from the
-    determinant incidence, and pairs that check left out or added."""
-    cc = cell_complex(fan)
-    cellular._check_boundary_squared(cc)
-    relation = {(s, t) for t, s in fan.face_relation}
-    out = sorted(relation ^ cc._incidence.keys())
-    return out + [(s, t) for (s, t), v in sorted(cc._incidence.items()) if (s, t) in relation
-                  and v != (1 if t == fan.zero_id else minor_incidence(cc, s, t))]
+    """What the first d∘d check raises; else the pairs it signed off the
+    face relation or left out, and face pairs whose incidence is not e[s]
+    e[t] times the minor incidence of the cells' bases, for one sign e per
+    cell."""
+    cc, bases = cell_complex(fan), cell_bases(fan)
+    kind, result = outcome(lambda: cellular._check_boundary_squared(cc))
+    if kind != "returned":
+        return [(kind, result)]
+    signs, relation = cc._incidence, {(s, t) for t, s in fan.face_relation}
+    if out := sorted(relation ^ signs.keys()):
+        return out
+
+    def minor(s, t):
+        return minor_incidence(fan, bases, s, t)
+
+    e = cell_signs(fan, lambda s, t: signs[s, t], minor)
+    return [(s, t) for s, t in sorted(relation) if signs[s, t] != e[s] * e[t] * minor(s, t)]
 
 
 def listed_cones(fan):
@@ -201,18 +218,6 @@ def support_mismatches(fan):
     return out
 
 
-def orientation_mismatches(fan):
-    """Maximal cones whose orientation sign, read off the record, differs
-    from the sign of their ray determinant, and cells whose basis differs
-    from the general path's."""
-    fan, ref = rebuilt(fan), without_records(fan)
-    rays = {i: list(fan.cones[i].rays) for i in fan.simplices}
-    out = [i for i in fan.simplices if (cellular._orientation(fan, i, rays[i]) > 0)
-           != (cellular._minor(rays[i], range(fan.ambient_dim)) > 0)]
-    got, want = cell_complex(fan).basis, cell_complex(ref).basis
-    return out + [i for i in want if got.get(i) != want[i]]
-
-
 def completeness_mismatches(fan):
     """On the fan and on the fan less its first maximal cone: ridges whose
     normal in a parent, read off its record, differs from the parent's
@@ -296,18 +301,17 @@ def certificate_mismatches(fan):
 
 CHECKS = {"hull": hull_mismatches, "faces": face_mismatches, "relation": relation_mismatches,
           "normals": normal_mismatches, "support": support_mismatches,
-          "orientation": orientation_mismatches, "completeness": completeness_mismatches,
-          "intersections": certificate_mismatches, "bases": basis_mismatches,
+          "completeness": completeness_mismatches, "intersections": certificate_mismatches,
           "incidences": incidence_mismatches}
 
 
-@pytest.fixture(scope="module", params=["acceptance", "pool", "deep", "polytopes", "cross4d"])
+@pytest.fixture(scope="module", params=BATTERIES)
 def battery(request):
     return [fan for fan, _ in fan_battery(request.param, request)]
 
 
-@pytest.mark.parametrize("shortcut", ["faces", "relation", "normals", "support", "orientation",
-                                      "completeness", "intersections", "bases", "incidences"])
+@pytest.mark.parametrize("shortcut", ["faces", "relation", "normals", "support", "completeness",
+                                      "intersections", "incidences"])
 def test_simplicial_shortcut_equals_its_general_path(shortcut, battery):
     assert [m for fan in battery for m in CHECKS[shortcut](fan)] == []
     assert any(len(c.rays) == c.dim > 1 for fan in battery for c in fan.cones)
@@ -380,13 +384,6 @@ def unsigned_functional(real):
     return mutant
 
 
-def absolute_orientation(real):
-    # The record's determinant taken without its sign.
-    def mutant(f, i, basis):
-        return abs(f.simplices[i].det) if i in f.simplices else real(f, i, basis)
-    return mutant
-
-
 def neighbour_normal(real):
     # The normal of a record's cone on its next facet.
     def mutant(f, a, ridge):
@@ -397,17 +394,14 @@ def neighbour_normal(real):
     return mutant
 
 
-def reversed_rays(real):
-    def mutant(c):
-        return list(reversed(c.rays)) if len(c.rays) == c.dim > 1 else real(c)
-    return mutant
-
-
-def unordered_sign(real):
-    # Any rearrangement counts as even, so the orientation swap is lost.
-    def mutant(cols, ref):
-        return real(cols, ref) and 1
-    return mutant
+def unsigned_facets(real):
+    # The pass's own source with every later facet signed +1, where it
+    # should cancel a ridge it shares with a facet signed before it.
+    source, rule = textwrap.dedent(inspect.getsource(real)), "-total[q] * signs[t, q]"
+    assert source.count(rule) == 1
+    namespace = dict(vars(cellular))
+    exec(source.replace(rule, "1"), namespace)
+    return namespace[real.__name__]
 
 
 MUTANTS = {"hull": (polyhedral, "_simplicial_facets", outward_facets),
@@ -415,10 +409,8 @@ MUTANTS = {"hull": (polyhedral, "_simplicial_facets", outward_facets),
            "relation": (polyhedral, "_facet_masks", facet_dropped),
            "normals": (polyhedral, "_simplex", outward_normals),
            "support": (polyhedral, "cramer", unsigned_functional),
-           "orientation": (cellular, "_orientation", absolute_orientation),
            "completeness": (polyhedral, "_ridge_normal", neighbour_normal),
-           "bases": (cellular, "_cell_basis", reversed_rays),
-           "incidences": (cellular, "_permutation_sign", unordered_sign)}
+           "incidences": (cellular, "_check_boundary_squared", unsigned_facets)}
 
 
 @pytest.mark.parametrize("shortcut", sorted(MUTANTS))
@@ -426,7 +418,11 @@ def test_a_mutant_shortcut_fails_its_check(shortcut, monkeypatch):
     fans = fan3d_brion_pool() + [fan for fan, _ in fan_battery("cross4d", None)]
     module, name, mutate = MUTANTS[shortcut]
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    assert any(CHECKS[shortcut](fan) for fan in fans)
+    found = [m for fan in fans for m in CHECKS[shortcut](fan)]
+    assert found
+    if shortcut == "incidences":  # the pass's own d∘d check catches it
+        assert all(m[0] == "InternalCheckFailed" and m[1].startswith("boundary of boundary")
+                   for m in found)
 
 
 def sides_unchecked(real):
@@ -600,13 +596,17 @@ def test_ridge_certificate_rejects_a_non_fan(rays, maximal, message, monkeypatch
         check_complete(fan)
 
 
-def test_simplicial_fans_take_no_determinant_incidence(monkeypatch):
-    import toricgf.cellular as cellular
-
-    def fail(*args):
-        raise AssertionError("determinant incidence on a simplicial cell")
-
-    monkeypatch.setattr(cellular, "_first_independent_rows", fail)
-    for fan in fan3d_brion_pool() + [example1_fan()]:
+def test_simplicial_fans_take_no_determinant_incidence(request, monkeypatch):
+    # The cell complex and its first homology take no determinant and no
+    # rank on any battery fan, the non-simplicial polytope fans and the
+    # RP^2 fan included: the incidences come from the face relation alone.
+    fans = [fan for name in (*BATTERIES, "random-polytopes", "rp2")
+            for fan, _ in fan_battery(name, request)] + [example1_fan()]
+    calls = []
+    real = intlinalg._bareiss
+    monkeypatch.setattr(intlinalg, "_bareiss", lambda m: calls.append(m) or real(m))
+    for fan in fans:
         cc = cell_complex(fan)
-        chain_complex(cc, frozenset(i for i, c in enumerate(fan.cones) if c.dim > 0))
+        cellular.subcomplex_homology(cc, frozenset(i for i, c in enumerate(fan.cones) if c.dim))
+    assert calls == []
+    assert any(len(c.rays) > c.dim for fan in fans for c in fan.cones)

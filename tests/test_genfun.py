@@ -67,6 +67,20 @@ def test_laurent_add_cancels_to_zero():
     assert (p + q).terms == {}
 
 
+def test_laurent_polynomials_that_equal_an_int_hash_as_it():
+    # Equal objects hash alike: a constant, the zero polynomial included,
+    # equals its int, and finds that int's dict entry.
+    table = {0: "zero", 3: "three", -2: "minus two"}
+    for dim in (1, 2, 3):
+        for value, name in table.items():
+            p = LaurentPolynomial.constant(dim, value)
+            assert p == value and hash(p) == hash(value) and table.get(p) == name
+    assert LaurentPolynomial(2) == 0 and table.get(LaurentPolynomial(2)) == "zero"
+    p, q = mono((1, 0), 3), mono((1, 0), 3) + mono((0, 0))
+    assert p != 3 and q != 1 and {p: 1, q: 2}[mono((1, 0), 3)] == 1
+    assert hash(q) == hash(mono((0, 0)) + mono((1, 0), 3))
+
+
 def test_laurent_mul():
     one = LaurentPolynomial.constant(1, 1)
     x = mono((1,))

@@ -6,8 +6,10 @@ import pytest
 from toricgf.intlinalg import (
     _smith_solve,
     adjugate,
+    cramer,
     cross_product,
     determinant,
+    dot,
     identity_matrix,
     invariant_factors,
     kernel_basis,
@@ -309,10 +311,16 @@ def test_square_solve_equals_the_smith_route():
             b = matvec(a, [rng.randint(-5, 5) for _ in range(n)])
         else:
             b = [rng.randint(-9, 9) for _ in range(n)]
-        x = solve_integral(a, b)
-        assert x == _smith_solve(a, b), (a, b)
-        if determinant(a) == 0:
+        # Cramer's rule, with det expanded along the first row, on the
+        # nonsingular systems; a singular one has no Cramer solve, and the
+        # Smith form's solution, when there is one, solves it.
+        crosses = [cross_product(a[:i] + a[i + 1:]) for i in range(n)]
+        det, x = dot(a[0], crosses[0]), _smith_solve(a, b)
+        assert det == determinant(a)
+        if det == 0:
+            assert x is None or matvec(a, x) == b, (a, b)
             seen["singular"] += 1
         else:
+            assert cramer(crosses, det, b) == x, (a, b)
             seen["solved" if x is not None else "non-integral"] += 1
     assert min(seen.values()) > 300, seen

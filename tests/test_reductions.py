@@ -195,12 +195,14 @@ def test_reference_subcomplex_equals_per_cone_membership(battery):
 
 @pytest.mark.parametrize("keep", ["all", "one-ray"])
 def test_a_free_pair_with_a_non_unit_incidence_fails(keep):
-    # Every ray's incidence with the empty cell doubled: d∘d still vanishes,
-    # and the Smith form would read a spurious Z/2 in degree -1, but every
-    # reduction removes the empty cell with some ray.
+    # Every ray's incidence with the empty cell doubled after the pass that
+    # signs them: d∘d still vanishes, and the Smith form would read a
+    # spurious Z/2 in degree -1, but every reduction removes the empty cell
+    # with some ray, and the free pairs' unit check raises.
     fan = octahedron_fan()
     ids = nonzero_ids(fan) if keep == "all" else face_closure(fan, fan.ray_ids[:1])
     cc = cell_complex(fan)
+    cellular._check_boundary_squared(cc)
     for r in fan.ray_ids:
         cc._incidence[r, fan.zero_id] = 2
     assert reduced_homology(chain_complex(cc, ids)).torsion[-1] == (2,)
