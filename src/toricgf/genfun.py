@@ -24,7 +24,7 @@ from .intlinalg import (
     InternalCheckFailed,
     Vector,
     adjugate,
-    determinant,
+    cross_product,
     dot,
     matvec,
     primitive_vector,
@@ -470,15 +470,14 @@ def parallelepiped_points(generators, closed_flags=None) -> list[Vector]:
             f"need {n} independent generators in dimension {n}, got {len(gens)}")
     if closed_flags is None:
         closed_flags = (True,) * n
-    g_cols = [[gens[j][i] for j in range(n)] for i in range(n)]
-    det = determinant(g_cols)
+    det = dot(gens[0], cross_product(gens[1:]))
     if det == 0:
         raise DependentGenerators(f"generators {gens} are linearly dependent")
     if abs(det) == 1:
         points = [tuple(sum(g[i] for g, closed in zip(gens, closed_flags) if not closed)
                         for i in range(n))]
     else:
-        points = _smith_parallelepiped_points(g_cols, det, closed_flags)
+        points = _smith_parallelepiped_points([list(col) for col in zip(*gens)], det, closed_flags)
     if len(set(points)) != abs(det):
         raise InternalCheckFailed(
             f"{len(set(points))} parallelepiped points for determinant {det}")

@@ -4,12 +4,23 @@ Everything here operates on matrices given as lists of rows of Python ints
 and stays in arbitrary precision integer arithmetic throughout.  These
 routines back all of the cone geometry and homology computations, which are
 meaningless if rounded.
+
+There is one elimination, the Smith normal form ``_smith``, which also
+returns the sign of its transforms.  A rank is its number of invariant
+factors, a determinant its diagonal's product times that sign, and a cross
+product beyond the closed forms in Z^2, Z^3 and Z^4 comes off one form
+with its transforms.  A pivot that does not divide an entry of its row or
+column is replaced by their gcd in one extended-gcd 2x2 step, which at
+least halves it and whose coefficients are bounded by the two entries.
+The Euclid-with-swaps step it replaces could grow entries without bound
+(Kannan and Bachem, "Polynomial algorithms for computing the Smith and
+Hermite normal forms of an integer matrix", 1979, on such growth).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul, neg
 
 Vector = tuple[int, ...]
@@ -46,52 +57,19 @@ def matvec(a: Matrix, v) -> list[int]:
     return [dot(row, v) for row in a]
 
 
-def _bareiss(m: Matrix) -> tuple[int, int]:
-    """Fraction-free (Bareiss) row elimination of m in place, with
-    first-nonzero pivoting.
-
-    Returns the rank and the last pivot, signed by the row swaps.  Each
-    pivot is a minor of the row-permuted matrix, so for a square matrix of
-    full rank the signed last pivot is the determinant.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r, sign, prev = 0, 1, 1
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
-            continue
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-            sign = -sign
-        top = m[r]
-        p = top[c]
-        for row in m[r + 1:]:
-            x = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (row[j] * p - x * top[j]) // prev
-            row[c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r, sign * prev
-
-
 def determinant(a: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the Smith diagonal's product, times the sign of the
+    transforms that reached it."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant requires a square matrix")
-    r, pivot = _bareiss([list(row) for row in a])
-    return pivot if r == n else 0
+    diag, _, _, _, sign = _smith(a, track=False)
+    return sign * prod(diag)
 
 
 def rank(rows) -> int:
-    """Rank over the rationals, by fraction-free row elimination."""
-    return _bareiss([list(r) for r in rows])[0]
+    """Rank over the rationals: the number of invariant factors."""
+    return len(invariant_factors(rows))
 
 
 def cross_product(rows) -> Vector:
@@ -113,9 +91,14 @@ def cross_product(rows) -> Vector:
         p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
         return (c1 * p23 - c2 * p13 + c3 * p12, c2 * p03 - c0 * p23 - c3 * p02,
                 c0 * p13 - c1 * p03 + c3 * p01, c1 * p02 - c0 * p12 - c2 * p01)
-    k = len(rows)
-    minors = (_bareiss([[*row[:i], *row[i + 1:]] for row in rows]) for i in range(k + 1))
-    return tuple((-1) ** i * pivot if r == k else 0 for i, (r, pivot) in enumerate(minors))
+    if not rows:
+        return (1,)
+    # Beyond Z^4, all k + 1 minors off one Smith form U @ rows @ V == D:
+    # the rows completed by x have determinant sign * prod(D) * <x, w>, w
+    # the last column of V, and that is (-1)^k <x, cross product>.
+    diag, _, _, v, sign = _smith(rows, track=True)
+    c = prod(diag) * (-sign if len(rows) % 2 else sign)
+    return tuple(c * row[-1] for row in v)
 
 
 def adjugate(a: Matrix) -> Matrix:
@@ -155,121 +138,139 @@ class SNFResult:
         return [self.D[i][i] for i in range(k)]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b) > 0, for b != 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _pair(m: Matrix, t: int, i: int, s: int, c: int, e: int, f: int):
+    """Rows t and i of m become s r_t + c r_i and e r_i - f r_t."""
+    a, b = m[t], m[i]
+    m[t] = [s * x + c * y for x, y in zip(a, b)]
+    m[i] = [e * y - f * x for x, y in zip(a, b)]
+
+
 def _smith(a: Matrix, track: bool):
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [row[:] for row in a]
+    """(diag, D, U, V, sign) with U @ a @ V == D, U and V None unless
+    tracked, and sign = det(U) det(V): each swap and row negation flips it,
+    and every other step, a subtraction or an extended-gcd step
+    (s c / -x/g p/g) with s p + c x = g, has determinant 1.  The diagonal is
+    then made a divisibility chain by the same step, diag(p, x) ~ diag(g, px/g).
+    """
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    k = min(rows, cols)
     u = identity_matrix(rows) if track else None
-    v = identity_matrix(cols) if track else None
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        if track:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row[dst] -= q * row[src]
-        mdst, msrc = m[dst], m[src]
-        for j in range(cols):
-            mdst[j] -= q * msrc[j]
-        if track:
-            udst, usrc = u[dst], u[src]
-            for j in range(rows):
-                udst[j] -= q * usrc[j]
-
-    def add_col(dst, src, q):
-        for row in m:
-            row[dst] -= q * row[src]
-        if track:
-            for row in v:
-                row[dst] -= q * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # Smallest nonzero pivot in the trailing submatrix limits entry growth;
-        # the first one in row order, so the scan may stop at a unit.
-        pivot, least = None, 0
+    # V's columns as rows, so that a column step on m is a row step on vt.
+    vt = identity_matrix(cols) if track else None
+    sign = 1
+    for t in range(k):
+        # The first unit in row order, else the smallest nonzero entry, to
+        # limit entry growth; rows t.. are zero left of column t.
         for i in range(t, rows):
             row = m[i]
-            for j in range(t, cols):
-                x = abs(row[j])
-                if x and (not least or x < least):
-                    pivot, least = (i, j), x
-                    if x == 1:
-                        break
-            if least == 1:
+            if 1 in row or -1 in row:
+                j = t
+                while row[j] != 1 and row[j] != -1:
+                    j += 1
                 break
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        else:
+            pivot = min(((abs(x), i, j) for i in range(t, rows) for j, x in enumerate(m[i]) if x),
+                        default=None)
+            if pivot is None:
+                break
+            _, i, j = pivot
+        if i != t:
+            m[t], m[i] = m[i], m[t]
+            if track:
+                u[t], u[i] = u[i], u[t]
+            sign = -sign
+        if j != t:
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            if track:
+                vt[t], vt[j] = vt[j], vt[t]
+            sign = -sign
 
-        while True:
-            # Clear the pivot column, then the pivot row; repeat until both
-            # are clear (a smaller remainder can reopen the other one).
-            dirty = False
+        below = True
+        while below:
+            # Clear the pivot column, then the pivot row; a gcd step in the
+            # row can reopen the column below the pivot, so repeat until not.
+            p, below = m[t][t], False
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
+                if x := m[i][t]:
+                    if x % p:
+                        g, s, c = _xgcd(p, x)
+                        e, f = p // g, x // g
+                        _pair(m, t, i, s, c, e, f)
+                        if track:
+                            _pair(u, t, i, s, c, e, f)
+                        p = g
+                    else:
+                        q = x // p
+                        m[i] = [y - q * z for y, z in zip(m[i], m[t])]
+                        if track:
+                            u[i] = [y - q * z for y, z in zip(u[i], u[t])]
+            top = m[t]
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
+                if x := top[j]:
+                    if x % p:
+                        g, s, c = _xgcd(p, x)
+                        e, f = p // g, x // g
+                        for row in m[t:]:
+                            y, z = row[t], row[j]
+                            row[t], row[j] = s * y + c * z, e * z - f * y
+                        if track:
+                            _pair(vt, t, j, s, c, e, f)
+                        p, below = g, True
+                    else:
+                        q = x // p
+                        if below:
+                            for row in m[t + 1:]:
+                                row[j] -= q * row[t]
+                        top[j] = 0
+                        if track:
+                            vt[j] = [y - q * z for y, z in zip(vt[j], vt[t])]
 
-        # Enforce the divisibility chain: fold any bad entry into the pivot.
-        p = m[t][t]
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, -1)
-            continue
-
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diag = [m[i][i] for i in range(min(rows, cols))]
-    return diag, m, u, v
+    diag = [m[i][i] for i in range(k)]
+    for i in range(k):
+        # The nonzero entries come first, so a zero ends the chain.
+        if not (p := diag[i]):
+            break
+        for j in range(i + 1, k):
+            if (x := diag[j]) % p:
+                g, s, c = _xgcd(p, x)
+                e, f = p // g, x // g
+                p = diag[i] = g
+                diag[j] = e * x
+                if track:
+                    # (s c / -f e) diag(p, x) (1 -cf / 1 se) == diag(g, ex)
+                    _pair(u, i, j, s, c, e, f)
+                    _pair(vt, i, j, 1, 1, s * e, c * f)
+        if p < 0:
+            diag[i] = -p
+            if track:
+                u[i] = [-x for x in u[i]]
+            sign = -sign
+    for i, d in enumerate(diag):
+        m[i][i] = d
+    return diag, m, u, transpose(vt) if track else None, sign
 
 
 def smith_normal_form(a: Matrix) -> SNFResult:
     """Smith normal form with unimodular transforms, U @ A @ V == D."""
-    _, d, u, v = _smith(a, track=True)
+    _, d, u, v, _ = _smith(a, track=True)
     return SNFResult(D=d, U=u, V=v)
 
 
 def invariant_factors(a: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith normal form (no transforms tracked)."""
-    diag, _, _, _ = _smith(a, track=False)
+    diag = _smith(a, track=False)[0]
     return [x for x in diag if x != 0]
 
 
@@ -280,14 +281,22 @@ def rank_mod_p(a: Matrix, p: int) -> int:
 
 def solve_integral(a: Matrix, b) -> Vector | None:
     """One integer solution x of a @ x == b, or None if none exists, by the
-    Smith form."""
+    Smith form: x = V y, where D y = U b."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(b) != rows:
         raise ValueError("right hand side length does not match row count")
     if rows == 0:
         return tuple([0] * cols)
-    return _smith_solve(a, b)
+    res = smith_normal_form(a)
+    diag, y = res.diagonal(), [0] * cols
+    for i, c in enumerate(matvec(res.U, b)):
+        d = diag[i] if i < cols else 0
+        if d and c % d == 0:
+            y[i] = c // d
+        elif c:
+            return None
+    return tuple(matvec(res.V, y))
 
 
 def cramer(crosses, det: int, b) -> Vector | None:
@@ -299,24 +308,6 @@ def cramer(crosses, det: int, b) -> Vector | None:
     if det == 1 or det == -1:
         return tuple(x) if det == 1 else tuple(map(neg, x))
     return None if any(xj % det for xj in x) else tuple(xj // det for xj in x)
-
-
-def _smith_solve(a: Matrix, b) -> Vector | None:
-    """The Smith form route of ``solve_integral``, for any nonempty system."""
-    rows, cols = len(a), len(a[0])
-    res = smith_normal_form(a)
-    c = matvec(res.U, list(b))
-    y = [0] * cols
-    for i in range(rows):
-        d = res.D[i][i] if i < cols else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        elif c[i] % d != 0:
-            return None
-        else:
-            y[i] = c[i] // d
-    return tuple(matvec(res.V, y))
 
 
 def rationally_solvable(a: Matrix, b) -> bool:

@@ -57,6 +57,7 @@ from .intlinalg import (
     primitive_vector,
     rank,
     rationally_solvable,
+    smith_normal_form,
     solve_integral,
 )
 
@@ -125,8 +126,9 @@ def _hull_description(gens: list[Vector], n: int):
         return 0, [tuple(r) for r in kernel_basis([], cols=n)], []
     if len(gens) == n and (facets := _simplicial_facets(gens)):
         return n, [], facets
-    d = rank(gens)
-    equations = kernel_basis([list(g) for g in gens]) if d < n else []
+    snf = smith_normal_form(gens)
+    d = sum(1 for x in snf.diagonal() if x)
+    equations = [tuple(col) for col in zip(*snf.V)][d:]
     facets = set()
     for subset in combinations(gens, d - 1):
         u = cross_product(list(subset) + equations)

@@ -1,7 +1,9 @@
 """Reference code that only the tests use: plain paths kept out of the
 package because no command reaches them."""
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from toricgf.genfun import LaurentPolynomial, times_binomials
 from toricgf.intlinalg import Matrix, Vector, determinant, dot, rank, transpose
@@ -18,8 +20,56 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def fraction_elimination(rows) -> tuple[int, Fraction]:
+    """Gaussian elimination over the rationals, first nonzero pivot in each
+    column: the rank, and the product of the pivots negated at each row
+    swap, which is the determinant of a square matrix of full rank."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r, det = 0, Fraction(1)
+    for c in range(len(m[0]) if m else 0):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            det = -det
+        top = m[r]
+        det *= top[c]
+        for row in m[r + 1:]:
+            if f := row[c] / top[c]:
+                row[:] = [x - f * y for x, y in zip(row, top)]
+        r += 1
+    return r, det
+
+
+def fraction_rank(rows) -> int:
+    return fraction_elimination(rows)[0]
+
+
+def fraction_determinant(a: Matrix) -> int:
+    r, det = fraction_elimination(a)
+    return int(det) if r == len(a) else 0
+
+
+def determinantal_factors(a: Matrix) -> list[int]:
+    """The invariant factors d_k = D_k / D_(k-1) up to the rank, with D_k the
+    gcd of the k x k minors of a, each a ``fraction_determinant``."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    factors, last = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                g = gcd(g, fraction_determinant([[a[r][c] for c in cs] for r in rs]))
+        if not g:
+            break
+        factors.append(g // last)
+        last = g
+    return factors
+
+
 def minor_adjugate(a: Matrix) -> Matrix:
-    """The adjugate by its n^2 cofactors, each a Bareiss determinant: the
+    """The adjugate by its n^2 cofactors, each a Smith form determinant: the
     reference for ``intlinalg.adjugate``, which reads the columns off cross
     products."""
     n = len(a)

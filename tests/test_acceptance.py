@@ -12,7 +12,6 @@ import pytest
 
 from toricgf import (
     LaurentPolynomial,
-    build_fan,
     cell_complex,
     chain_complex,
     chi_polynomial,

@@ -212,7 +212,7 @@ def support_mismatches(fan):
             out.append(values)
         for i, rec in fan.simplices.items():
             b = [values[j] for j in rec.ids]
-            if polyhedral.cramer(rec.crosses, rec.det, b) != intlinalg._smith_solve(
+            if polyhedral.cramer(rec.crosses, rec.det, b) != intlinalg.solve_integral(
                     [list(r) for r in fan.cones[i].rays], b):
                 out.append((i, b))
     return out
@@ -597,14 +597,16 @@ def test_ridge_certificate_rejects_a_non_fan(rays, maximal, message, monkeypatch
 
 
 def test_simplicial_fans_take_no_determinant_incidence(request, monkeypatch):
-    # The cell complex and its first homology take no determinant and no
-    # rank on any battery fan, the non-simplicial polytope fans and the
+    # The cell complex and its first homology take no determinant, rank or
+    # cross product on any battery fan, the non-simplicial polytope fans and the
     # RP^2 fan included: the incidences come from the face relation alone.
     fans = [fan for name in (*BATTERIES, "random-polytopes", "rp2")
             for fan, _ in fan_battery(name, request)] + [example1_fan()]
     calls = []
-    real = intlinalg._bareiss
-    monkeypatch.setattr(intlinalg, "_bareiss", lambda m: calls.append(m) or real(m))
+    for module in (intlinalg, polyhedral, cellular):
+        for name in ("determinant", "rank", "cross_product"):
+            if real := getattr(module, name, None):
+                monkeypatch.setattr(module, name, lambda m, real=real: calls.append(m) or real(m))
     for fan in fans:
         cc = cell_complex(fan)
         cellular.subcomplex_homology(cc, frozenset(i for i, c in enumerate(fan.cones) if c.dim))

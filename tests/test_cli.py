@@ -235,6 +235,16 @@ def test_run_validate():
     assert report.table is None
 
 
+def test_validate_a_wide_hexagonal_pyramid(tmp_path, capsys):
+    # The support solve on the apex's normal cone, six rays with entries
+    # near 2*10^4, takes the Smith form: the Euclid-with-swaps step it had
+    # grew the entries without bound there.
+    doc = ("dim: 3\npolytope: [[150, 7, 0], [62, 137, 0], [-90, 120, 0], [-148, -26, 0], "
+           "[-62, -136, 0], [96, -115, 0], [-3, 3, 109]]\n")
+    assert main(["validate", write(tmp_path, doc)]) == 0
+    assert "complete: true\n" in capsys.readouterr().out
+
+
 def test_run_brion_example1():
     report = run("brion", parse_spec(EX1_DOC))
     assert report.identity_holds

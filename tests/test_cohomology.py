@@ -39,7 +39,6 @@ from conftest import (
     POLYTOPES,
     cross_multiplied_equal,
     example1_fan,
-    example1_support,
     octahedron_fan,
     random_battery,
     random_fan_2d,

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from toricgf.intlinalg import (
-    _smith_solve,
     adjugate,
     cramer,
     cross_product,
@@ -23,7 +22,7 @@ from toricgf.intlinalg import (
     unimodular_inverse,
 )
 
-from reference import matmul, minor_adjugate
+from reference import determinantal_factors, fraction_rank, matmul, minor_adjugate
 
 
 def check_snf(a):
@@ -72,8 +71,41 @@ def test_snf_random_matrices():
         a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         res = check_snf(a)
         nonzero = [x for x in res.diagonal() if x != 0]
-        assert len(nonzero) == rank(a)
+        assert len(nonzero) == fraction_rank(a)
         assert nonzero == invariant_factors(a)
+
+
+# Matrices on which the Euclid-with-swaps Smith step grew its entries
+# without bound: a random 6x3 matrix, the six rays of the apex's normal cone
+# of the hexagonal pyramid in test_cli, and an inequality matrix that
+# test_face_lattice_matches_facet_subset_enumeration ranks.
+GROWTH = {
+    "6x3": [[-163, 282, -236], [-39, -180, 207], [160, 183, 88], [-86, -204, 199],
+            [-271, 99, 143], [-298, 156, -28]],
+    "apex": [[-7085, -4796, -10121], [-6649, 2943, -9225], [-2289, 17222, -20723],
+             [1853, -16568, -19263], [5995, 4687, -9222], [7957, -3161, -9744]],
+    "inequalities": [[3, 35, 47, 54], [15, 23, 7, 42], [17, -55, -63, -74],
+                     [36, 208, 193, 277], [37, -34, -68, -56], [51, 146, 69, 188]],
+}
+
+
+@pytest.mark.parametrize("name", GROWTH)
+def test_smith_form_of_a_growth_matrix_equals_the_determinantal_divisors(name):
+    a = GROWTH[name]
+    factors = determinantal_factors(a)
+    assert invariant_factors(a) == factors
+    assert [x for x in check_snf(a).diagonal() if x] == factors
+
+
+def test_smith_form_of_wide_entries_equals_the_determinantal_divisors():
+    # Trials 0 and 55 are the two that the Euclid-with-swaps step could not
+    # finish in 2 s.
+    rng = random.Random(1)
+    for trial in range(300):
+        a = [[rng.randint(-300, 300) for _ in range(3)] for _ in range(6)]
+        factors = determinantal_factors(a)
+        assert invariant_factors(a) == factors, (trial, a)
+        assert [x for x in check_snf(a).diagonal() if x] == factors, (trial, a)
 
 
 def test_solve_integral_identity():
@@ -228,7 +260,7 @@ def test_rank_matches_snf_rank_random():
     for _ in range(20000):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        assert rank(a) == len(invariant_factors(a)), a
+        assert rank(a) == fraction_rank(a), a
 
 
 def test_cross_product_is_the_signed_minor_vector():
@@ -241,6 +273,7 @@ def test_cross_product_is_the_signed_minor_vector():
         rows = [tuple(rng.randint(-3, 3) for _ in range(k + 1)) for _ in range(k)]
         u = cross_product(rows)
         assert all(sum(a * b for a, b in zip(row, u)) == 0 for row in rows)
+        assert u == signed_minors(rows), rows
         assert any(u) == (rank(rows) == k)
         # Completing the rows by any vector x gives det = <x, u> up to sign.
         x = [rng.randint(-3, 3) for _ in range(k + 1)]
@@ -258,23 +291,24 @@ def dependent_or_random_rows(rng, k):
     return rows
 
 
-def bareiss_minors(rows):
-    """The signed maximal minors of k rows in Z^(k+1), each a Bareiss
-    determinant: the path ``cross_product`` takes beyond Z^3."""
+def signed_minors(rows):
+    """The signed maximal minors of k rows in Z^(k+1), each a
+    ``determinant``: the reference for ``cross_product``, which reads them
+    off closed forms up to Z^4 and off one Smith form beyond."""
     k = len(rows)
     return tuple((-1) ** i * determinant([[*r[:i], *r[i + 1:]] for r in rows])
                  for i in range(k + 1))
 
 
 def test_closed_form_cross_products_equal_the_minors():
-    assert cross_product([(0, 0)]) == bareiss_minors([(0, 0)]) == (0, 0)
+    assert cross_product([(0, 0)]) == signed_minors([(0, 0)]) == (0, 0)
     rng = random.Random(1601)
     dependent = 0
     for _ in range(5000):
         k = rng.randint(1, 2)
         rows = dependent_or_random_rows(rng, k)
         u = cross_product(rows)
-        assert u == bareiss_minors(rows), rows
+        assert u == signed_minors(rows), rows
         dependent += not any(u)
     assert dependent > 500
 
@@ -293,7 +327,7 @@ def test_closed_form_cross_product_in_z4_equals_the_minors():
         elif kind == 3:
             rows = [tuple(m * x for x in rows[0]) for m in (rng.randint(-2, 2) for _ in range(3))]
         u = cross_product(rows)
-        assert u == bareiss_minors(rows), rows
+        assert u == signed_minors(rows), rows
         kinds[rank(rows)] += 1
     assert kinds[3] > 1000 and kinds[2] > 500 and kinds[1] + kinds[0] > 300, kinds
 
@@ -315,7 +349,7 @@ def test_square_solve_equals_the_smith_route():
         # nonsingular systems; a singular one has no Cramer solve, and the
         # Smith form's solution, when there is one, solves it.
         crosses = [cross_product(a[:i] + a[i + 1:]) for i in range(n)]
-        det, x = dot(a[0], crosses[0]), _smith_solve(a, b)
+        det, x = dot(a[0], crosses[0]), solve_integral(a, b)
         assert det == determinant(a)
         if det == 0:
             assert x is None or matvec(a, x) == b, (a, b)

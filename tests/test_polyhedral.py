@@ -22,7 +22,7 @@ from toricgf import (
     normal_fan_of_polytope,
     support_from_ray_values,
 )
-from toricgf.intlinalg import InternalCheckFailed, dot, matvec, primitive_vector, rank
+from toricgf.intlinalg import InternalCheckFailed, dot, primitive_vector, rank
 
 from conftest import (POLYTOPES, cone_collections, cross_polytope_fan_data,
                       double_hull_meets_in_faces, example1_fan, fan3d_brion_pool,
@@ -336,22 +336,19 @@ PYRAMID = ([(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, -1)],
 
 
 def test_build_fan_ranks_a_face_only_in_its_hull(monkeypatch):
-    # A simplicial listed cone costs no rank: its hull is read off cross
-    # products, its faces are its ray subsets.  Any other listed cone costs
-    # one for its hull, one for pointedness and one per generator for its
-    # extreme rays, and each of its nonzero faces that is no face of a
-    # simplicial listed cone one for its dimension.
+    # A simplicial listed cone costs no elimination: its hull is read off
+    # cross products, its faces are its ray subsets.  Any other listed cone
+    # costs one Smith form for its hull, one rank for pointedness and one per
+    # generator for its extreme rays, and each of its nonzero faces that is
+    # no face of a simplicial listed cone one rank for its dimension.
     import toricgf.polyhedral as polyhedral
 
-    real = polyhedral.rank
     ranks = []
-
-    def counted(rows):
-        ranks.append(rows)
-        return real(rows)
-
+    for name in ("rank", "smith_normal_form"):
+        real = getattr(polyhedral, name)
+        monkeypatch.setattr(polyhedral, name,
+                            lambda rows, real=real: ranks.append(rows) or real(rows))
     monkeypatch.setattr(polyhedral, "_check_intersections", lambda *args: None)
-    monkeypatch.setattr(polyhedral, "rank", counted)
     data = [octahedron_fan_data(), PYRAMID]
     data += [cross_polytope_fan_data(random.Random(seed), 4, seed) for seed in range(3)]
     for seed in range(3):

@@ -51,3 +51,27 @@ def test_cli_counts_membership_only_through_cohomology():
              if isinstance(node, ast.Name)}
     assert "membership" not in names
     assert "reference_subcomplex" in names
+
+
+def _imported_names(tree):
+    """Each name an import binds, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+SOURCES = [p for p in MODULES if p.name != "__init__.py"] + sorted(
+    Path(__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[f"{p.parent.name}.{p.stem}" for p in SOURCES])
+def test_every_import_is_read(path):
+    # A package's __init__ imports are its public API, so it is exempt.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in read]
+    assert unread == [], f"{path.name} imports names it never reads: {unread}"
